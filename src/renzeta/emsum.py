@@ -15,7 +15,11 @@ Two structural facts are enforced at runtime rather than assumed:
   residue must vanish and the finite part must be rational;
 * the cancellation argument -- a non-rational finite part may only ever be
   multiplied by an exactly-zero coefficient. The NONRATIONAL sentinel raises
-  :class:`RationalityLeak` if anything else touches it.
+  :class:`RationalityLeak` if anything else touches it. The engine skips
+  every product whose coefficient is exactly zero (a zero germ entry, or
+  the residue of a pole-free subsum), which is exactly the Fraction(0) the
+  sentinel would have returned; every nonzero coefficient still meets the
+  sentinel.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .combinat import bernoulli, bernoulli_poly
@@ -198,26 +203,54 @@ def _boundary_k0(b: int, two_j: int, v: Fraction) -> Fraction:
     return total
 
 
-def j_truncation(exponents) -> int:
-    """Number of germ pairs kept when peeling the last slot: germs run
+def _germ_pairs(bs) -> int:
+    """Germ truncation J for a list of slot exponents b_i: germs run
     j = 0 .. 2J. Chosen so that every merged exponent the recursion can
     request is covered, with one unit of safety margin."""
-    exps = _normalize(exponents)
-    total = sum(max(b, 0) for b, _ in exps) + len(exps)
+    total = sum(max(b, 0) for b in bs) + len(bs)
     return max(1, -((-total) // 2) + 1)
 
 
-def _normalize(exponents) -> tuple[AffineExponent, ...]:
-    out = []
-    for e in exponents:
-        b, c = e
+def j_truncation(exponents) -> int:
+    """Number of germ pairs kept when peeling the last slot of ``exponents``."""
+    return _germ_pairs(_flatten(exponents)[::3])
+
+
+def _flatten(exponents) -> tuple:
+    """Validate an exponent list and return it in the engine's flat form
+    (b_1, c_1 numerator, c_1 denominator, ..., b_l, c_l numerator, c_l
+    denominator)."""
+    flat = []
+    for b, c in exponents:
         if b != int(b):
             raise StructuralViolation(f"exponent b must be an integer, got {b!r}")
-        c = as_rational(c)
+        if type(c) is not int:  # an int c already has numerator and denominator
+            c = as_rational(c)
         if c <= 0:
             raise StructuralViolation(f"perturbation coefficient must be > 0, got {c}")
-        out.append(AffineExponent(int(b), c))
-    return tuple(out)
+        flat += (int(b), c.numerator, c.denominator)
+    return tuple(flat)
+
+
+_row_cache: dict = {}
+
+
+def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
+    """The germs j = 0 .. two_j (odd j > 1 left out: their Bernoulli numbers
+    vanish) of the last slot (b, c_num/c_den), each as (b + 1 - j, h_m1, h_0,
+    h_1). A merged slot's b is the previous slot's b plus that shift. A
+    coefficient that is exactly zero is stored as None."""
+    key = (b, c_num, c_den, two_j)
+    row = _row_cache.get(key)
+    if row is None:
+        c = Fraction(c_num, c_den)
+        row = tuple(
+            (b + 1 - j, *(h if h else None for h in germ_H(j, b, c)))
+            for j in range(two_j + 1)
+            if j <= 1 or j % 2 == 0
+        )
+        _row_cache[key] = row
+    return row
 
 
 _cache: dict = {}
@@ -231,7 +264,11 @@ def set_cache_limit(n: int) -> None:
 
 
 def clear_cache() -> None:
+    """Empty every engine table: states, germs, germ rows, boundary terms."""
     _cache.clear()
+    _germ_cache.clear()
+    _row_cache.clear()
+    _boundary_cache.clear()
 
 
 def _memoize(key, value: LaurentData) -> LaurentData:
@@ -239,15 +276,6 @@ def _memoize(key, value: LaurentData) -> LaurentData:
         _cache.pop(next(iter(_cache)))
     _cache[key] = value
     return value
-
-
-def _key(exps, v: Fraction, bump: int) -> tuple:
-    flat = [bump, v.numerator, v.denominator]
-    for b, c in exps:
-        flat.append(b)
-        flat.append(c.numerator)
-        flat.append(c.denominator)
-    return tuple(flat)
 
 
 def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
@@ -262,13 +290,13 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     >>> nested_fp_res([(0, 1), (0, 1)], 0).fp
     Fraction(3, 8)
     """
-    exps = _normalize(exponents)
+    exps = _flatten(exponents)
     if not exps:
         raise StructuralViolation("empty exponent list")
     v = as_rational(v)
     if v <= -1:
         raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
-    for b, _ in exps[:-1]:
+    for b in exps[:-3:3]:
         if b < 0:
             raise StructuralViolation(
                 f"non-last slot with negative exponent {b}: the recursion only "
@@ -277,51 +305,60 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     return _nested(exps, v, j_bump)
 
 
-def _nested(exps, v: Fraction, bump: int) -> LaurentData:
-    key = _key(exps, v, bump)
+def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
+    """The engine state for the flat exponent list ``exps`` = (b_1, c_1
+    numerator, c_1 denominator, ..., b_l, c_l numerator, c_l denominator)."""
+    key = (bump, v.numerator, v.denominator) + exps
     hit = _cache.get(key)
     if hit is not None:
         return hit
 
-    b_last, c_last = exps[-1]
-    if len(exps) == 1:
+    b_last, cn_last, cd_last = exps[-3:]
+    if len(exps) == 3:
         if b_last >= 0:
             fp = -bernoulli_shifted(b_last + 1, v) / (b_last + 1)
             data = LaurentData(_ZERO, fp)
         elif b_last == -1:
-            data = LaurentData(1 / c_last, NONRATIONAL)
+            data = LaurentData(Fraction(cd_last, cn_last), NONRATIONAL)
         else:
             data = LaurentData(_ZERO, NONRATIONAL)
         return _memoize(key, data)
 
-    b_prev, c_prev = exps[-2]
-    prefix = exps[:-2]
-    total = sum(max(b, 0) for b, _ in exps) + len(exps)
-    two_j = 2 * (max(1, -((-total) // 2) + 1) + bump)
+    b_prev, cn_prev, cd_prev = exps[-6:-3]
+    prefix = exps[:-6]
+    two_j = 2 * (_germ_pairs(exps[::3]) + bump)
     fp_known = b_last >= 0
-    c_merged = c_prev + c_last
+    num = cn_prev * cd_last + cn_last * cd_prev
+    den = cd_prev * cd_last
+    g = gcd(num, den)
+    num //= g
+    den //= g
 
     res_total = _ZERO
     fp_total = _ZERO
-    for j in range(two_j + 1):
-        if j > 1 and j % 2 == 1:
-            continue  # odd Bernoulli numbers vanish
-        germ = germ_H(j, b_last, c_last)
-        merged = AffineExponent(b_prev + b_last + 1 - j, c_merged)
-        sub = _nested(prefix + (merged,), v, bump)
-        res_total += germ.h_m1 * sub.fp + germ.h_0 * sub.res
-        if fp_known:
-            fp_total += germ.h_0 * sub.fp + germ.h_1 * sub.res
+    # a None coefficient is exactly zero and a zero residue is skipped: the
+    # products they would give are exactly zero, NONRATIONAL ones included
+    for shift, h_m1, h_0, h_1 in _germ_row(b_last, cn_last, cd_last, two_j):
+        res, fp = _nested(prefix + (b_prev + shift, num, den), v, bump)
+        if h_m1 is not None:
+            res_total += h_m1 * fp
+        if res:
+            if h_0 is not None:
+                res_total += h_0 * res
+            if fp_known and h_1 is not None:
+                fp_total += h_1 * res
+        if fp_known and h_0 is not None:
+            fp_total += h_0 * fp
 
-    sub_k = _nested(exps[:-1], v, bump)
+    sub_res, sub_fp = _nested(exps[:-3], v, bump)
     # every slot of the boundary subsum has b >= 0, so it is pole-free; its
     # residue is the only partner the dropped z^1 boundary pieces ever meet
-    if sub_k.res != 0:
+    if sub_res != 0:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
     if b_last == -1:
-        res_total += (1 / c_last) * sub_k.fp
+        res_total += Fraction(cd_last, cn_last) * sub_fp
     if fp_known:
-        fp_total += _boundary_k0(b_last, two_j, v) * sub_k.fp
+        fp_total += _boundary_k0(b_last, two_j, v) * sub_fp
 
     if b_last >= 0 and res_total != 0:
         raise RationalityLeak(
@@ -346,8 +383,8 @@ def poly_in_v(exponents, degree_bound: int) -> Poly:
     signals either a bug or a genuinely non-polynomial dependence (e.g. a
     degree bound below the true degree).
     """
-    exps = _normalize(exponents)
-    if exps[-1].b < 0:
+    exps = tuple(exponents)
+    if _flatten(exps)[-3] < 0:
         raise ValueError("finite part is only polynomial in v when the last b >= 0")
     if degree_bound < len(exps):
         raise ValueError("degree bound below the depth")
@@ -363,7 +400,7 @@ def poly_in_v(exponents, degree_bound: int) -> Poly:
 
 def safe_degree_bound(exponents) -> int:
     """Degree bound sum(max(b_i,0)+1) that always dominates the true degree."""
-    return sum(max(b, 0) + 1 for b, _ in _normalize(exponents))
+    return sum(max(b, 0) + 1 for b in _flatten(exponents)[::3])
 
 
 _C_PALETTE = (

@@ -5,10 +5,12 @@ from itertools import product as iproduct
 import pytest
 
 import renzeta.emsum as emsum
+from renzeta import mzv
 from renzeta.emsum import (
     NONRATIONAL,
     InterpolationMismatch,
     LaurentData,
+    LocalGerm,
     RationalityLeak,
     StructuralViolation,
     germ_H,
@@ -198,3 +200,45 @@ class TestMemo:
         emsum.clear_cache()
         second = nested_fp_res([(2, 1), (2, 1), (2, 1)], Fraction(1, 2))
         assert first == second
+
+    def test_clear_cache_empties_every_table(self):
+        tables = (emsum._cache, emsum._germ_cache, emsum._row_cache, emsum._boundary_cache)
+        exps = [(2, 1), (1, Fraction(1, 2)), (0, 1)]
+        first = nested_fp_res(exps, Fraction(1, 3))
+        assert all(tables)
+        emsum.clear_cache()
+        assert not any(tables)
+        assert nested_fp_res(exps, Fraction(1, 3)) == first
+
+    def test_engine_state_count(self):
+        # the set of engine states is part of the engine's contract: a
+        # faster engine must visit exactly the same states
+        limit = emsum._cache_limit
+        emsum.set_cache_limit(0)
+        emsum.clear_cache()
+        mzv._zeta_strict.cache_clear()
+        try:
+            value = mzv.zeta_value((1,) * 7, 0)
+            assert len(emsum._cache) == 3053
+            assert value == Fraction(534703531, 902961561600)
+        finally:
+            emsum.set_cache_limit(limit)
+            emsum.clear_cache()
+
+
+class TestSentinelInEngine:
+    def test_nonzero_germ_meets_sentinel(self):
+        # peeling (0, 1) from [(0, 1), (0, 1)] merges at j = 2 into the slot
+        # (-1, 2), whose finite part is NONRATIONAL; the true h_0 there is 0
+        key = (2, 0, Fraction(1))
+        emsum.clear_cache()
+        try:
+            assert germ_H(*key).h_0 == 0
+            assert nested_fp_res([(-1, 2)], 0).fp is NONRATIONAL
+            emsum.clear_cache()
+            emsum._germ_cache[key] = LocalGerm(Fraction(0), Fraction(1), Fraction(-1, 12))
+            with pytest.raises(RationalityLeak, match="non-rational finite part"):
+                nested_fp_res([(0, 1), (0, 1)], 0)
+        finally:
+            emsum.clear_cache()
+        assert nested_fp_res([(0, 1), (0, 1)], 0).fp == Fraction(3, 8)

@@ -1,0 +1,113 @@
+"""Differential tests: the nested-sum engine against a plain recursion.
+
+The oracle below is the engine's recursion in its most literal form: slots
+as AffineExponent tuples, one germ_H call per germ index, every product
+formed, zero coefficients included. The engine must agree with it exactly,
+including on which finite parts are NONRATIONAL.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from renzeta import verify
+from renzeta.emsum import (
+    NONRATIONAL,
+    AffineExponent,
+    LaurentData,
+    RationalityLeak,
+    _boundary_k0,
+    bernoulli_shifted,
+    germ_H,
+    nested_fp_res,
+    random_exponent_lists,
+)
+
+_ORACLE_MEMO: dict = {}
+
+
+def oracle_nested(exps, v, bump):
+    key = (exps, v, bump)
+    hit = _ORACLE_MEMO.get(key)
+    if hit is not None:
+        return hit
+
+    b_last, c_last = exps[-1]
+    if len(exps) == 1:
+        if b_last >= 0:
+            data = LaurentData(Fraction(0), -bernoulli_shifted(b_last + 1, v) / (b_last + 1))
+        elif b_last == -1:
+            data = LaurentData(1 / c_last, NONRATIONAL)
+        else:
+            data = LaurentData(Fraction(0), NONRATIONAL)
+        _ORACLE_MEMO[key] = data
+        return data
+
+    b_prev, c_prev = exps[-2]
+    prefix = exps[:-2]
+    total = sum(max(b, 0) for b, _ in exps) + len(exps)
+    two_j = 2 * (max(1, -((-total) // 2) + 1) + bump)
+    fp_known = b_last >= 0
+
+    res_total = Fraction(0)
+    fp_total = Fraction(0)
+    for j in range(two_j + 1):
+        if j > 1 and j % 2 == 1:
+            continue
+        germ = germ_H(j, b_last, c_last)
+        merged = AffineExponent(b_prev + b_last + 1 - j, c_prev + c_last)
+        sub = oracle_nested(prefix + (merged,), v, bump)
+        res_total += germ.h_m1 * sub.fp + germ.h_0 * sub.res
+        if fp_known:
+            fp_total += germ.h_0 * sub.fp + germ.h_1 * sub.res
+
+    sub_k = oracle_nested(exps[:-1], v, bump)
+    if sub_k.res != 0:
+        raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
+    if b_last == -1:
+        res_total += (1 / c_last) * sub_k.fp
+    if fp_known:
+        fp_total += _boundary_k0(b_last, two_j, v) * sub_k.fp
+    if b_last >= 0 and res_total != 0:
+        raise RationalityLeak(f"nonnegative last exponent has residue {res_total}")
+    data = LaurentData(res_total, fp_total if fp_known else NONRATIONAL)
+    _ORACLE_MEMO[key] = data
+    return data
+
+
+def oracle_fp_res(exponents, v, bump=0):
+    exps = tuple(AffineExponent(b, Fraction(c)) for b, c in exponents)
+    return oracle_nested(exps, Fraction(v), bump)
+
+
+def assert_agrees(exps, v, bump):
+    got = nested_fp_res(exps, v, j_bump=bump)
+    want = oracle_fp_res(exps, v, bump)
+    assert got.res == want.res, (exps, v, bump)
+    assert (got.fp is NONRATIONAL) == (want.fp is NONRATIONAL), (exps, v, bump)
+    assert got.fp == want.fp, (exps, v, bump)
+
+
+def test_robustness_lists_all_bumps():
+    for exps, v in random_exponent_lists(200, seed=verify.ENGINE_SEED):
+        for bump in (0, 1, 2):
+            assert_agrees(exps, v, bump)
+
+
+_C = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+_V = st.fractions(min_value=Fraction(-5, 6), max_value=2, max_denominator=6)
+
+
+@st.composite
+def exponent_lists(draw):
+    depth = draw(st.integers(1, 4))
+    exps = [(draw(st.integers(0, 3)), draw(_C)) for _ in range(depth - 1)]
+    exps.append((draw(st.integers(-4, 3)), draw(_C)))
+    return tuple(exps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_lists(), _V)
+def test_drawn_lists(exps, v):
+    assert_agrees(exps, v, 0)

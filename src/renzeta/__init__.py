@@ -9,7 +9,7 @@ touches floating point. The main entry points are
 * :func:`renzeta.mzv.hdim_zeta` -- the higher-dimensional (sup-norm) variant,
 * :func:`renzeta.chenint.zeta_tilde_renorm` -- the continuous
   (iterated-integral) analog, and
-* the verification suites in :mod:`renzeta.mzv` and the ``renzeta`` CLI.
+* the verification suites in :mod:`renzeta.verify` and the ``renzeta`` CLI.
 """
 
 from .exactnum import LaurentSeries, Poly, Rational, RationalFunction

@@ -11,9 +11,9 @@ so every boundary value stays inside Q(z).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
-from .combinat import shuffles
 from .exactnum import (
     LaurentSeries,
     LaurentWindowError,
@@ -160,16 +160,9 @@ def cutoff_integral(e: PowerLogExpr) -> RationalFunction:
             continue
         denom = _alpha_plus_one(b, c) ** (m + 1)
         total = total + q * RationalFunction(
-            Poly.constant(Fraction((-1) ** (m + 1)) * _factorial(m)), denom
+            Poly.constant(Fraction((-1) ** (m + 1)) * factorial(m)), denom
         )
     return total
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def ptilde(e: PowerLogExpr) -> PowerLogExpr:
@@ -194,7 +187,7 @@ def ptilde(e: PowerLogExpr) -> PowerLogExpr:
                 fall *= m - i + 1
             out.append((b + 1, c, m - i, q * Fraction((-1) ** i * fall) * inv ** (i + 1)))
         # boundary value at t = 1: only the log-free part survives
-        out.append((0, Fraction(0), 0, q * Fraction((-1) ** (m + 1) * _factorial(m)) * inv ** (m + 1)))
+        out.append((0, Fraction(0), 0, q * Fraction((-1) ** (m + 1) * factorial(m)) * inv ** (m + 1)))
     return PowerLogExpr(tuple(out))
 
 
@@ -284,14 +277,6 @@ class BirkhoffFactorization:
             raise InsufficientOrder(str(exc)) from exc
 
 
-def bir_factorize(phi, w) -> tuple:
-    """Factorise the character at the word w: returns (phi_minus, phi_plus)
-    as callables on subwords of w (and anything else phi can evaluate)."""
-    bf = BirkhoffFactorization(phi)
-    bf.plus(w)  # force the recursion so errors surface here
-    return bf.minus, bf.plus
-
-
 def zeta_tilde_renorm(s) -> Fraction:
     """Renormalised continuous zeta analog at positive integer arguments:
     the holomorphic Birkhoff factor of the word t^(-s_1 - z) x ... x
@@ -319,21 +304,6 @@ def zeta_tilde_renorm(s) -> Fraction:
 
     bf = BirkhoffFactorization(phi)
     return bf.plus_at_zero(word)
-
-
-def shuffle_chen_words(u, w) -> dict[tuple, int]:
-    """Shuffle product of two tensor words of symbols: word -> multiplicity."""
-    u, w = tuple(u), tuple(w)
-    if not u:
-        return {w: 1}
-    if not w:
-        return {u: 1}
-    out: dict[tuple, int] = {}
-    for pattern in shuffles(len(u), len(w)):
-        it_u, it_w = iter(u), iter(w)
-        word = tuple(next(it_u) if side == 0 else next(it_w) for side in pattern)
-        out[word] = out.get(word, 0) + 1
-    return out
 
 
 def pure_power_nested_integral(exponents, lo, hi) -> Fraction:

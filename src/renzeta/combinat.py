@@ -1,5 +1,5 @@
-"""Bernoulli numbers and polynomials, falling factorials, interpolated
-Faulhaber summation, compositions, shuffles and quasi-shuffles.
+"""Bernoulli numbers and polynomials, Stirling numbers of the first kind,
+interpolated Faulhaber summation, compositions, shuffles and quasi-shuffles.
 
 Enumeration orders are deterministic and documented so that CLI output and
 memo keys are reproducible: compositions come out in lexicographic order by
@@ -9,10 +9,11 @@ parts, (quasi-)shuffles in the move order take-left, take-right, merge.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .exactnum import Poly, RationalFunction, as_rational
+from .exactnum import Poly, as_rational
 
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
@@ -53,30 +54,19 @@ def bernoulli_poly(k: int, x):
     return acc
 
 
-def falling_factorial(a, m: int):
-    """[a]_m = a (a-1) ... (a-m+1), extended by [a]_0 = 1, [a]_{-1} = 1/(a+1).
+@lru_cache(maxsize=None)
+def stirling1(n: int, k: int) -> int:
+    """Signed Stirling number of the first kind s(n, k): the coefficient of
+    x^k in x (x-1) ... (x-n+1), from s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k).
 
-    ``a`` may be a Fraction (result: Fraction) or a Poly in z (result: Poly,
-    or RationalFunction for m = -1).
+    >>> [stirling1(4, k) for k in range(5)]
+    [0, -6, 11, -6, 1]
     """
-    if m < -1:
-        raise ValueError("falling factorial defined for m >= -1")
-    if isinstance(a, Poly):
-        if m == -1:
-            return RationalFunction(Poly.one(), a + 1)
-        out = Poly.one()
-        for i in range(m):
-            out = out * (a - i)
-        return out
-    a = as_rational(a)
-    if m == -1:
-        if a == -1:
-            raise ZeroDivisionError("[a]_{-1} has a pole at a = -1")
-        return 1 / (a + 1)
-    out = Fraction(1)
-    for i in range(m):
-        out *= a - i
-    return out
+    if n < 0 or k < 0:
+        raise ValueError("Stirling numbers have nonnegative indices")
+    if n == 0 or k == 0:
+        return int(n == k)
+    return stirling1(n - 1, k - 1) - (n - 1) * stirling1(n - 1, k)
 
 
 def faulhaber_interp(b: int, v, eta) -> Fraction:
@@ -194,8 +184,3 @@ def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
 
     rec(0, 0, ())
     return out
-
-
-def quasi_shuffle_type_count(k: int, l: int, r: int) -> int:
-    """Closed count of (k,l)-quasi-shuffles of type r."""
-    return comb(k + l - r, r) * comb(k + l - 2 * r, k - r)

@@ -27,19 +27,11 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import NamedTuple
 
 from .combinat import bernoulli, bernoulli_poly
-from .exactnum import Poly, as_rational
-
-_FACT_CACHE = [1, 1]
-
-
-def _fact(n: int) -> int:
-    while len(_FACT_CACHE) <= n:
-        _FACT_CACHE.append(_FACT_CACHE[-1] * len(_FACT_CACHE))
-    return _FACT_CACHE[n]
+from .exactnum import as_rational
 
 
 class StructuralViolation(ValueError):
@@ -164,7 +156,7 @@ def germ_H(j: int, b: int, c) -> LocalGerm:
             for i in range(j - 1):
                 p1 = p1 * (b - i) - c * p0
                 p0 *= b - i
-            scale = Bj / _fact(j)
+            scale = Bj / factorial(j)
             germ = LocalGerm(_ZERO, scale * p0, scale * p1)
     _germ_cache[key] = germ
     return germ
@@ -198,7 +190,7 @@ def _boundary_k0(b: int, two_j: int, v: Fraction) -> Fraction:
             continue
         f = _falling_int(b, j - 1)
         if f:
-            total -= bernoulli(j) * f * power / _fact(j)
+            total -= bernoulli(j) * f * power / factorial(j)
     _boundary_cache[key] = total
     return total
 
@@ -209,11 +201,6 @@ def _germ_pairs(bs) -> int:
     request is covered, with one unit of safety margin."""
     total = sum(max(b, 0) for b in bs) + len(bs)
     return max(1, -((-total) // 2) + 1)
-
-
-def j_truncation(exponents) -> int:
-    """Number of germ pairs kept when peeling the last slot of ``exponents``."""
-    return _germ_pairs(_flatten(exponents)[::3])
 
 
 def _flatten(exponents) -> tuple:
@@ -371,36 +358,6 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
 def bernoulli_shifted(k: int, v) -> Fraction:
     """B_k(1+v) as an exact rational."""
     return bernoulli_poly(k, 1 + as_rational(v))
-
-
-def poly_in_v(exponents, degree_bound: int) -> Poly:
-    """Recover v -> finite part as an exact polynomial by Lagrange
-    interpolation through degree_bound+1 integer nodes, then verify at two
-    fresh non-integer nodes.
-
-    Requires the last exponent's b >= 0 (rational finite part). Raises
-    :class:`InterpolationMismatch` if the verification nodes disagree, which
-    signals either a bug or a genuinely non-polynomial dependence (e.g. a
-    degree bound below the true degree).
-    """
-    exps = tuple(exponents)
-    if _flatten(exps)[-3] < 0:
-        raise ValueError("finite part is only polynomial in v when the last b >= 0")
-    if degree_bound < len(exps):
-        raise ValueError("degree bound below the depth")
-    nodes = [Fraction(i) for i in range(degree_bound + 1)]
-    poly = Poly.interpolate([(x, nested_fp_res(exps, x).fp) for x in nodes])
-    for x in (Fraction(1, 2), Fraction(3, 2)):
-        if poly(x) != nested_fp_res(exps, x).fp:
-            raise InterpolationMismatch(
-                f"interpolated polynomial disagrees with the engine at v = {x}"
-            )
-    return poly
-
-
-def safe_degree_bound(exponents) -> int:
-    """Degree bound sum(max(b_i,0)+1) that always dominates the true degree."""
-    return sum(max(b, 0) + 1 for b in _flatten(exponents)[::3])
 
 
 _C_PALETTE = (

@@ -44,22 +44,6 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-def rat_arith(a, b, op: str) -> Fraction:
-    """Exact rational arithmetic; op is one of ``+ - * /``."""
-    a, b = as_rational(a), as_rational(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("exact division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 class Poly:
     """Dense univariate polynomial over Q.
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, prod
+from math import comb, factorial, prod
 
-from .combinat import bernoulli, bernoulli_poly, compositions, packet_sums
-from .emsum import _fact, nested_fp_res
+from .combinat import bernoulli, bernoulli_poly, compositions, packet_sums, stirling1
+from .emsum import InterpolationMismatch, nested_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import stuffle
 
@@ -89,30 +89,26 @@ def _composition_structures(k: int):
     """Slot structures and rational weights of the twisted-regularisation
     expansion at depth k.
 
-    The outer sum runs over compositions I of the depth k with weight
-    (-1)^(k-r)/(i_1...i_r); each contracted word is then re-expanded over
-    compositions J of r with weight 1/(c_1!...c_l!), a J-packet of size c
-    becoming one slot whose exponent is the packet sum of the original
-    letters and whose perturbation multiplicity is c. Structures depend only
-    on k; a slot is stored as (start, end, c) over letter indices.
+    The expansion is Hoffman's log followed by his exp, each letter twisted
+    by one perturbation unit in between. A structure cuts the k letters into
+    consecutive slots; a slot of length L carries a perturbation
+    multiplicity c in 1..L and the weight s(L, c)/L!, because
+    log(1+x)^c/c! generates s(L, c)/L!. A structure's weight is the product
+    over its slots. Structures depend only on k; a slot is stored as
+    (start, end, c) over letter indices.
     """
-    grouped: dict[tuple, Fraction] = {}
-    for parts_i in compositions(k):
-        r = len(parts_i)
-        coeff_i = Fraction((-1) ** (k - r), prod(parts_i))
+    out = []
+    for lengths in compositions(k):
         bounds = [0]
-        for p in parts_i:
-            bounds.append(bounds[-1] + p)
-        for parts_j in compositions(r):
-            coeff = coeff_i / prod(_fact(c) for c in parts_j)
-            slots = []
-            start = 0
-            for c in parts_j:
-                slots.append((bounds[start], bounds[start + c], c))
-                start += c
-            key = tuple(slots)
-            grouped[key] = grouped.get(key, Fraction(0)) + coeff
-    return tuple(sorted(grouped.items()))
+        for n in lengths:
+            bounds.append(bounds[-1] + n)
+        spans = tuple(zip(bounds, bounds[1:]))
+        den = prod(factorial(n) for n in lengths)
+        for cs in iproduct(*(range(1, n + 1) for n in lengths)):
+            num = prod(stirling1(n, c) for n, c in zip(lengths, cs))
+            slots = tuple((s, e, c) for (s, e), c in zip(spans, cs))
+            out.append((slots, Fraction(num, den)))
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -194,22 +190,28 @@ def poly_degree_bound(a) -> int:
     return sum(x + 1 for x in a)
 
 
+def _interpolate_in_v(value_at, degree_bound: int, what: str) -> Poly:
+    """Interpolate v -> value_at(v) through the integer nodes 0..degree_bound
+    and verify the polynomial at two fresh nodes, 1/2 and 3/2."""
+    nodes = [Fraction(i) for i in range(degree_bound + 1)]
+    poly = Poly.interpolate([(x, value_at(x)) for x in nodes])
+    for x in (Fraction(1, 2), Fraction(3, 2)):
+        if poly(x) != value_at(x):
+            raise InterpolationMismatch(
+                f"{what} is not a degree-{degree_bound} polynomial in v"
+            )
+    return poly
+
+
 def zeta_poly_in_v(a, variant: str = "strict", degree_bound: int | None = None) -> Poly:
     """The value as an exact polynomial in the Hurwitz shift v, recovered by
     interpolation through integer nodes and verified at two fresh nodes."""
     a = _validate_args(a)
     if degree_bound is None:
         degree_bound = poly_degree_bound(a)
-    nodes = [Fraction(i) for i in range(degree_bound + 1)]
-    poly = Poly.interpolate([(x, zeta_value(a, x, variant)) for x in nodes])
-    from .emsum import InterpolationMismatch
-
-    for x in (Fraction(1, 2), Fraction(3, 2)):
-        if poly(x) != zeta_value(a, x, variant):
-            raise InterpolationMismatch(
-                f"zeta{a} ({variant}) is not a degree-{degree_bound} polynomial in v"
-            )
-    return poly
+    return _interpolate_in_v(
+        lambda x: zeta_value(a, x, variant), degree_bound, f"zeta{a} ({variant})"
+    )
 
 
 def _zeta_result(a, v, variant, with_poly) -> ZetaValue:
@@ -269,10 +271,10 @@ def zeta2_closed(a: int, b: int) -> Fraction:
     )
     tail = (
         Fraction((-1) ** (a + 1))
-        * _fact(a)
-        * _fact(b)
+        * factorial(a)
+        * factorial(b)
         * bernoulli(a + b + 2)
-        / (2 * _fact(a + b + 2))
+        / (2 * factorial(a + b + 2))
     )
     return Fraction(s1, b + 1) + zeta_depth1(a) * zeta_depth1(b) + tail
 
@@ -426,14 +428,7 @@ def hdim_zeta(n: int, a, v=0, with_poly: bool = False) -> ZetaValue:
     value = _hdim_value(n, a, v)
     poly = None
     if with_poly:
-        bound = len(a) * n + sum(a)
-        nodes = [Fraction(i) for i in range(bound + 1)]
-        poly = Poly.interpolate([(x, _hdim_value(n, a, x)) for x in nodes])
-        from .emsum import InterpolationMismatch
-
-        for x in (Fraction(1, 2), Fraction(3, 2)):
-            if poly(x) != _hdim_value(n, a, x):
-                raise InterpolationMismatch(
-                    f"hdim zeta_{n}{a} is not polynomial of degree {bound} in v"
-                )
+        poly = _interpolate_in_v(
+            lambda x: _hdim_value(n, a, x), len(a) * n + sum(a), f"hdim zeta_{n}{a}"
+        )
     return ZetaValue(value, poly)

@@ -13,6 +13,7 @@ from . import chenint, mzv
 from .emsum import nested_fp_res, random_exponent_lists
 from .exactnum import Poly, as_rational
 from .mzv import Report
+from .words import shuffle
 
 ENGINE_SEED = 20260810
 
@@ -160,9 +161,8 @@ def suite_shuffle_cont() -> Report:
         for w in words:
             if len(u) + len(w) > 4:
                 continue
-            combined = chenint.shuffle_chen_words(u, w)
             lhs = sum(
-                (char(word) * mult for word, mult in sorted(combined.items())),
+                (char(word) * mult for word, mult in shuffle(u, w)),
                 start=chenint.RationalFunction.constant(0),
             )
             rhs = char(u) * char(w)
@@ -188,8 +188,7 @@ def suite_shuffle_cont() -> Report:
         for w in words:
             if len(u) + len(w) > 3:
                 continue
-            combined = chenint.shuffle_chen_words(u, w)
-            lhs = sum(mult * renval(word) for word, mult in sorted(combined.items()))
+            lhs = sum(mult * renval(word) for word, mult in shuffle(u, w))
             rhs = renval(u) * renval(w)
             report.record(lhs == rhs, f"renormalised shuffle {u} x {w}", lhs, rhs)
 

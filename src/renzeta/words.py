@@ -11,9 +11,9 @@ of the coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
-from .combinat import compositions, quasi_shuffles, shuffles
+from .combinat import compositions, packet_sums, quasi_shuffles, shuffles
 from .exactnum import as_rational
 
 Word = tuple  # tuple of int letters; () is the unit word
@@ -184,44 +184,21 @@ def deconcat_reduced(w) -> list[tuple[Word, Word]]:
     return [(w[:i], w[i:]) for i in range(1, len(w))]
 
 
-def _contract(w: Word, parts, bullet_sign: str) -> tuple[Word, int]:
-    """Contract consecutive packets of w by the bullet product.
-
-    Returns the contracted word and the sign exponent: the weak bullet flips
-    the sign once per binary merge, so a packet of size i contributes i-1.
-    """
-    word = []
-    merges = 0
-    i = 0
-    for p in parts:
-        word.append(sum(w[i : i + p]))
-        merges += p - 1
-        i += p
-    sign = merges if bullet_sign == "-" else 0
-    return tuple(word), sign
-
-
 def _hoffman_word(w: Word, bullet_sign: str, mode: str) -> TensorPoly:
     n = len(w)
     if n == 0:
         return TensorPoly.unit()
     out: dict[Word, Fraction] = {}
     for parts in compositions(n):
-        word, sign = _contract(w, parts, bullet_sign)
+        merges = n - len(parts)  # the weak bullet flips the sign once per merge
+        sign = (-1) ** merges if bullet_sign == "-" else 1
         if mode == "exp":
-            coeff = Fraction(1, prod(_fact(p) for p in parts))
+            coeff = Fraction(sign, prod(factorial(p) for p in parts))
         else:
-            coeff = Fraction((-1) ** (n - len(parts)), prod(parts))
-        coeff *= (-1) ** sign
+            coeff = Fraction(sign * (-1) ** merges, prod(parts))
+        word = packet_sums(w, parts)
         out[word] = out.get(word, Fraction(0)) + coeff
     return TensorPoly(out)
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def hoffman_exp(t: TensorPoly, bullet_sign: str = "+") -> TensorPoly:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -8,14 +8,44 @@ from renzeta.combinat import (
     bernoulli,
     bernoulli_poly,
     compositions,
-    falling_factorial,
     faulhaber_interp,
     packet_sums,
-    quasi_shuffle_type_count,
     quasi_shuffles,
     shuffles,
+    stirling1,
 )
-from renzeta.exactnum import Poly, RationalFunction
+from renzeta.exactnum import Poly, RationalFunction, as_rational
+
+
+def falling_factorial(a, m: int):
+    """[a]_m = a (a-1) ... (a-m+1), extended by [a]_0 = 1, [a]_{-1} = 1/(a+1).
+
+    ``a`` may be a Fraction (result: Fraction) or a Poly in z (result: Poly,
+    or RationalFunction for m = -1).
+    """
+    if m < -1:
+        raise ValueError("falling factorial defined for m >= -1")
+    if isinstance(a, Poly):
+        if m == -1:
+            return RationalFunction(Poly.one(), a + 1)
+        out = Poly.one()
+        for i in range(m):
+            out = out * (a - i)
+        return out
+    a = as_rational(a)
+    if m == -1:
+        if a == -1:
+            raise ZeroDivisionError("[a]_{-1} has a pole at a = -1")
+        return 1 / (a + 1)
+    out = Fraction(1)
+    for i in range(m):
+        out *= a - i
+    return out
+
+
+def quasi_shuffle_type_count(k: int, l: int, r: int) -> int:
+    """Closed count of (k,l)-quasi-shuffles of type r."""
+    return comb(k + l - r, r) * comb(k + l - 2 * r, k - r)
 
 
 class TestBernoulli:
@@ -65,6 +95,27 @@ class TestFallingFactorial:
         inv = falling_factorial(beta, -1)
         assert isinstance(inv, RationalFunction)
         assert inv(Fraction(0)) == Fraction(1, 3)
+
+
+class TestStirling:
+    def test_against_log_definition(self):
+        # log(1+x)^k/k! = sum_n s(n, k) x^n/n!: the x^n coefficient is the sum
+        # over compositions of n into k parts of prod (-1)^(p-1)/p, over k!
+        for n in range(1, 11):
+            by_parts = {}
+            for parts in compositions(n):
+                term = prod(Fraction((-1) ** (p - 1), p) for p in parts)
+                by_parts[len(parts)] = by_parts.get(len(parts), 0) + term
+            for k in range(1, n + 1):
+                assert by_parts[k] / factorial(k) == Fraction(stirling1(n, k), factorial(n))
+
+    def test_falling_factorial_coefficients(self):
+        for n in range(9):
+            coeffs = falling_factorial(Poly.x(), n).coeffs
+            assert list(coeffs) == [stirling1(n, k) for k in range(n + 1)]
+        assert stirling1(3, 5) == 0
+        with pytest.raises(ValueError):
+            stirling1(-1, 0)
 
 
 class TestFaulhaber:

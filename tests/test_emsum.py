@@ -14,13 +14,34 @@ from renzeta.emsum import (
     RationalityLeak,
     StructuralViolation,
     germ_H,
-    j_truncation,
     nested_fp_res,
-    poly_in_v,
     random_exponent_lists,
-    safe_degree_bound,
 )
 from renzeta.exactnum import Poly
+
+
+def j_truncation(exponents) -> int:
+    """Number of germ pairs kept when peeling the last slot of ``exponents``."""
+    return emsum._germ_pairs(emsum._flatten(exponents)[::3])
+
+
+def poly_in_v(exponents, degree_bound: int) -> Poly:
+    """v -> finite part as an exact polynomial, interpolated through
+    degree_bound+1 integer nodes and verified at two fresh ones; needs the
+    last exponent's b >= 0 (rational finite part)."""
+    exps = tuple(exponents)
+    if emsum._flatten(exps)[-3] < 0:
+        raise ValueError("finite part is only polynomial in v when the last b >= 0")
+    if degree_bound < len(exps):
+        raise ValueError("degree bound below the depth")
+    return mzv._interpolate_in_v(
+        lambda x: nested_fp_res(exps, x).fp, degree_bound, f"finite part of {exps}"
+    )
+
+
+def safe_degree_bound(exponents) -> int:
+    """Degree bound sum(max(b_i,0)+1) that always dominates the true degree."""
+    return sum(max(b, 0) + 1 for b in emsum._flatten(exponents)[::3])
 
 
 class TestNonRationalSentinel:

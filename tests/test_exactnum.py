@@ -9,12 +9,29 @@ from renzeta.exactnum import (
     LaurentWindowError,
     Poly,
     RationalFunction,
+    as_rational,
     laurent_expand,
     laurent_mul,
     parse_rational,
-    rat_arith,
     rat_str,
 )
+
+
+def rat_arith(a, b, op: str) -> Fraction:
+    """Exact rational arithmetic; op is one of ``+ - * /``."""
+    a, b = as_rational(a), as_rational(b)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0:
+            raise ZeroDivisionError("exact division by zero")
+        return a / b
+    raise ValueError(f"unknown operation {op!r}")
+
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 

@@ -264,7 +264,21 @@ class TestPipelineMatchesHoffmanMaps:
     def test_small_depths(self):
         from renzeta.mzv import _composition_terms
 
-        for a in ((2,), (0, 1), (1, 1, 2), (0, 1, 2, 3)):
+        words = (
+            (2,),
+            (0, 1),
+            (1, 1, 2),
+            (0, 1, 2, 3),
+            # repeated and zero letters: distinct structures merge into one
+            # exponent list
+            (0, 0, 0, 0, 0),
+            (1, 0, 1, 0, 1, 0),
+            (2, 2, 0, 2, 2, 0, 2),
+            (0, 1) * 4,
+            # widely spaced letters: every structure stays a term of its own
+            tuple(10**i for i in range(8)),
+        )
+        for a in words:
             assert dict(_composition_terms(a)) == self._via_hoffman(a)
 
 

@@ -20,6 +20,11 @@ Two structural facts are enforced at runtime rather than assumed:
   the residue of a pole-free subsum), which is exactly the Fraction(0) the
   sentinel would have returned; every nonzero coefficient still meets the
   sentinel.
+
+The engine is generic over its coefficient ring: it depends on v only
+through B_{b+1}(1+v) and powers of (1+v), so the same recursion runs with v
+a rational (values in Q) or with v the polynomial variable ``Poly.x()``
+(values in Q[v], the Hurwitz polynomial itself).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from .combinat import bernoulli, bernoulli_poly
-from .exactnum import as_rational
+from .exactnum import Poly, as_rational
 
 
 class StructuralViolation(ValueError):
@@ -44,15 +49,11 @@ class RationalityLeak(ArithmeticError):
     provably nonzero coefficient. Must never fire."""
 
 
-class InterpolationMismatch(ArithmeticError):
-    """Interpolated polynomial failed verification at a fresh node."""
-
-
 class _NonRational:
     """Absorbing sentinel for finite parts that are not rational numbers.
 
-    Addition absorbs; multiplication by exact zero gives exact zero, anything
-    else raises RationalityLeak.
+    Addition absorbs; multiplication by exact zero (a rational or the zero
+    polynomial) gives exact zero, anything else raises RationalityLeak.
     """
 
     _instance = None
@@ -63,8 +64,8 @@ class _NonRational:
         return cls._instance
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        if isinstance(other, (int, Fraction, Poly)):
+            if not other:
                 return Fraction(0)
             raise RationalityLeak(
                 "non-rational finite part multiplied by nonzero coefficient"
@@ -76,7 +77,7 @@ class _NonRational:
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or other is self:
+        if isinstance(other, (int, Fraction, Poly)) or other is self:
             return self
         return NotImplemented
 
@@ -109,8 +110,8 @@ class AffineExponent(NamedTuple):
 class LaurentData(NamedTuple):
     """The z^{-1} and z^0 coefficients of a nested sum at z = 0."""
 
-    res: Fraction
-    fp: object  # Fraction or NONRATIONAL
+    res: object  # Fraction, or Poly over Q[v]
+    fp: object  # Fraction, Poly or NONRATIONAL
 
 
 class LocalGerm(NamedTuple):
@@ -162,39 +163,6 @@ def germ_H(j: int, b: int, c) -> LocalGerm:
     return germ
 
 
-def _falling_int(b: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= b - i
-        if out == 0:
-            return 0
-    return out
-
-
-_boundary_cache: dict = {}
-
-
-def _boundary_k0(b: int, two_j: int, v: Fraction) -> Fraction:
-    """z^0 coefficient of the peeled boundary factor for a last slot with
-    b >= 0: minus the sum over germs of (B_j/j!) [b]_{j-1} (1+v)^(b-j+1)."""
-    key = (b, two_j, v)
-    hit = _boundary_cache.get(key)
-    if hit is not None:
-        return hit
-    base = 1 + v
-    power = base ** (b + 1)
-    total = -power / (b + 1)  # j = 0 term: [b]_{-1} = 1/(b+1)
-    for j in range(1, two_j + 1):
-        power /= base
-        if j > 1 and j % 2 == 1:
-            continue
-        f = _falling_int(b, j - 1)
-        if f:
-            total -= bernoulli(j) * f * power / factorial(j)
-    _boundary_cache[key] = total
-    return total
-
-
 def _germ_pairs(bs) -> int:
     """Germ truncation J for a list of slot exponents b_i: germs run
     j = 0 .. 2J. Chosen so that every merged exponent the recursion can
@@ -240,6 +208,22 @@ def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
     return row
 
 
+_boundary_cache: dict = {}
+
+
+def _boundary_k0(b: int, two_j: int, row: tuple, v):
+    """z^0 coefficient of the peeled boundary factor for a last slot with
+    b >= 0: minus the sum of h_0 (1+v)^shift over the slot's germ row. A germ
+    with h_0 != 0 has j - 1 <= b, so its shift b + 1 - j is never negative."""
+    key = (b, two_j, v)
+    hit = _boundary_cache.get(key)
+    if hit is None:
+        base = 1 + v
+        hit = -sum(h_0 * base**shift for shift, _, h_0, _ in row if h_0 is not None)
+        _boundary_cache[key] = hit
+    return hit
+
+
 _cache: dict = {}
 _cache_limit = int(os.environ.get("MZV_CACHE_SIZE", "0") or "0")
 
@@ -268,7 +252,9 @@ def _memoize(key, value: LaurentData) -> LaurentData:
 def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     """Residue and finite part at z = 0 of the depth-l cut-off nested sum.
 
-    All slots but the last must have b >= 0; v must be a rational > -1.
+    All slots but the last must have b >= 0. v is a rational > -1, or the
+    polynomial variable ``Poly.x()``: then the residue and the finite part
+    come out as polynomials in v (a constant may stay a Fraction).
     ``j_bump`` widens every germ truncation by that amount (the result must
     not depend on it; the robustness suite checks this).
 
@@ -276,26 +262,36 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 12))
     >>> nested_fp_res([(0, 1), (0, 1)], 0).fp
     Fraction(3, 8)
+    >>> nested_fp_res([(1, 1)], Poly.x()).fp.to_str("v")
+    '-1/2*v^2 - 1/2*v - 1/12'
     """
     exps = _flatten(exponents)
     if not exps:
         raise StructuralViolation("empty exponent list")
-    v = as_rational(v)
-    if v <= -1:
-        raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
+    if isinstance(v, Poly):
+        if v != Poly.x():
+            raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
+        head = (j_bump, 0, 0)  # no rational shift has denominator 0
+    else:
+        v = as_rational(v)
+        if v <= -1:
+            raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
+        head = (j_bump, v.numerator, v.denominator)
     for b in exps[:-3:3]:
         if b < 0:
             raise StructuralViolation(
                 f"non-last slot with negative exponent {b}: the recursion only "
                 "peels the deepest slot"
             )
-    return _nested(exps, v, j_bump)
+    return _nested(exps, v, head)
 
 
-def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
+def _nested(exps: tuple, v, head: tuple) -> LaurentData:
     """The engine state for the flat exponent list ``exps`` = (b_1, c_1
-    numerator, c_1 denominator, ..., b_l, c_l numerator, c_l denominator)."""
-    key = (bump, v.numerator, v.denominator) + exps
+    numerator, c_1 denominator, ..., b_l, c_l numerator, c_l denominator);
+    ``head`` = (j_bump, key of v) is the part of the memo key shared by the
+    whole recursion."""
+    key = head + exps
     hit = _cache.get(key)
     if hit is not None:
         return hit
@@ -303,7 +299,7 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
     b_last, cn_last, cd_last = exps[-3:]
     if len(exps) == 3:
         if b_last >= 0:
-            fp = -bernoulli_shifted(b_last + 1, v) / (b_last + 1)
+            fp = bernoulli_shifted(b_last + 1, v) * Fraction(-1, b_last + 1)
             data = LaurentData(_ZERO, fp)
         elif b_last == -1:
             data = LaurentData(Fraction(cd_last, cn_last), NONRATIONAL)
@@ -313,7 +309,7 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
 
     b_prev, cn_prev, cd_prev = exps[-6:-3]
     prefix = exps[:-6]
-    two_j = 2 * (_germ_pairs(exps[::3]) + bump)
+    two_j = 2 * (_germ_pairs(exps[::3]) + head[0])
     fp_known = b_last >= 0
     num = cn_prev * cd_last + cn_last * cd_prev
     den = cd_prev * cd_last
@@ -323,10 +319,11 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
 
     res_total = _ZERO
     fp_total = _ZERO
+    row = _germ_row(b_last, cn_last, cd_last, two_j)
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included
-    for shift, h_m1, h_0, h_1 in _germ_row(b_last, cn_last, cd_last, two_j):
-        res, fp = _nested(prefix + (b_prev + shift, num, den), v, bump)
+    for shift, h_m1, h_0, h_1 in row:
+        res, fp = _nested(prefix + (b_prev + shift, num, den), v, head)
         if h_m1 is not None:
             res_total += h_m1 * fp
         if res:
@@ -337,7 +334,7 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
         if fp_known and h_0 is not None:
             fp_total += h_0 * fp
 
-    sub_res, sub_fp = _nested(exps[:-3], v, bump)
+    sub_res, sub_fp = _nested(exps[:-3], v, head)
     # every slot of the boundary subsum has b >= 0, so it is pole-free; its
     # residue is the only partner the dropped z^1 boundary pieces ever meet
     if sub_res != 0:
@@ -345,7 +342,7 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
     if b_last == -1:
         res_total += Fraction(cd_last, cn_last) * sub_fp
     if fp_known:
-        fp_total += _boundary_k0(b_last, two_j, v) * sub_fp
+        fp_total += _boundary_k0(b_last, two_j, row, v) * sub_fp
 
     if b_last >= 0 and res_total != 0:
         raise RationalityLeak(
@@ -355,9 +352,10 @@ def _nested(exps: tuple, v: Fraction, bump: int) -> LaurentData:
     return _memoize(key, data)
 
 
-def bernoulli_shifted(k: int, v) -> Fraction:
-    """B_k(1+v) as an exact rational."""
-    return bernoulli_poly(k, 1 + as_rational(v))
+def bernoulli_shifted(k: int, v):
+    """B_k(1+v), exactly: a rational for rational v, a polynomial for a
+    polynomial v."""
+    return bernoulli_poly(k, 1 + v)
 
 
 _C_PALETTE = (

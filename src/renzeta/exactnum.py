@@ -89,6 +89,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def coefficient(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]

@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from .combinat import bernoulli, bernoulli_poly, compositions, packet_sums, stirling1
-from .emsum import InterpolationMismatch, nested_fp_res
+from .emsum import nested_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import stuffle
 
@@ -178,40 +178,30 @@ def _zeta_alt(a: tuple[int, ...], v: Fraction) -> Fraction:
 _DISPATCH = {"strict": _zeta_strict, "weak": _zeta_weak, "alt": _zeta_alt}
 
 
-def zeta_value(a, v=0, variant: str = "strict") -> Fraction:
-    """The renormalised value zeta_variant(-a_1, ..., -a_k; v) as a Fraction."""
+def _variant_fn(variant: str):
     if variant not in _DISPATCH:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _DISPATCH[variant](_validate_args(a), as_rational(v))
+    return _DISPATCH[variant]
 
 
-def poly_degree_bound(a) -> int:
-    """Safe degree bound for v -> zeta(-a; v): sum (a_i + 1)."""
-    return sum(x + 1 for x in a)
+def _as_poly(x) -> Poly:
+    """A value computed at v = Poly.x(); constants may come out as Fractions."""
+    return x if isinstance(x, Poly) else Poly.constant(x)
 
 
-def _interpolate_in_v(value_at, degree_bound: int, what: str) -> Poly:
-    """Interpolate v -> value_at(v) through the integer nodes 0..degree_bound
-    and verify the polynomial at two fresh nodes, 1/2 and 3/2."""
-    nodes = [Fraction(i) for i in range(degree_bound + 1)]
-    poly = Poly.interpolate([(x, value_at(x)) for x in nodes])
-    for x in (Fraction(1, 2), Fraction(3, 2)):
-        if poly(x) != value_at(x):
-            raise InterpolationMismatch(
-                f"{what} is not a degree-{degree_bound} polynomial in v"
-            )
-    return poly
+def zeta_value(a, v=0, variant: str = "strict") -> Fraction:
+    """The renormalised value zeta_variant(-a_1, ..., -a_k; v) as a Fraction."""
+    return _variant_fn(variant)(_validate_args(a), as_rational(v))
 
 
-def zeta_poly_in_v(a, variant: str = "strict", degree_bound: int | None = None) -> Poly:
-    """The value as an exact polynomial in the Hurwitz shift v, recovered by
-    interpolation through integer nodes and verified at two fresh nodes."""
-    a = _validate_args(a)
-    if degree_bound is None:
-        degree_bound = poly_degree_bound(a)
-    return _interpolate_in_v(
-        lambda x: zeta_value(a, x, variant), degree_bound, f"zeta{a} ({variant})"
-    )
+def zeta_poly_in_v(a, variant: str = "strict") -> Poly:
+    """The value as an exact polynomial in the Hurwitz shift v, computed by
+    the same engine over Q[v] with v the polynomial variable.
+
+    >>> zeta_poly_in_v((1,)).to_str("v")
+    '-1/2*v^2 - 1/2*v - 1/12'
+    """
+    return _as_poly(_variant_fn(variant)(_validate_args(a), Poly.x()))
 
 
 def _zeta_result(a, v, variant, with_poly) -> ZetaValue:
@@ -356,7 +346,7 @@ def verify_hurwitz_identities(a, v=0, variant: str = "strict") -> Report:
     (i)  zeta(-a_1..-a_k; v+1) = zeta(-a_1..-a_k; v)
                                   - (v+1)^{a_k} zeta(-a_1..-a_{k-1}; v+1)
     (ii) d/dv zeta(-a_1..-a_k; v) = sum_j a_j zeta(..., -a_j+1, ...; v)
-         (all a_j >= 1; derivative taken on the interpolated polynomial)
+         (all a_j >= 1; derivative taken on the polynomial computed over Q[v])
     """
     a = _validate_args(a)
     v = as_rational(v)
@@ -390,10 +380,11 @@ def sup_sphere_count_coeffs(n: int) -> dict[int, int]:
     }
 
 
-def _sphere_coeffs_shifted(n: int, v: Fraction) -> dict[int, Fraction]:
+def _sphere_coeffs_shifted(n: int, v) -> dict:
     """Same polynomial written in the variable (t+v): degree q -> coefficient
-    (a polynomial expression in v, evaluated exactly)."""
-    out: dict[int, Fraction] = {}
+    (a polynomial expression in v, evaluated exactly at a rational v or kept
+    as a polynomial at v = Poly.x())."""
+    out: dict = {}
     for m, coeff in sup_sphere_count_coeffs(n).items():
         for q in range(m + 1):
             out[q] = out.get(q, Fraction(0)) + coeff * comb(m, q) * (-v) ** (m - q)
@@ -414,7 +405,9 @@ def _hdim_value(n: int, a: tuple[int, ...], v: Fraction) -> Fraction:
 def hdim_zeta(n: int, a, v=0, with_poly: bool = False) -> ZetaValue:
     """Higher-dimensional renormalised value: nested sums over integer points
     of R^n ordered by the supremum norm, reduced to a Q[v]-combination of
-    one-dimensional values through the sphere point-count polynomial.
+    one-dimensional values through the sphere point-count polynomial. With
+    ``with_poly`` the same reduction also runs at v = Poly.x(), giving the
+    value as a polynomial in v.
 
     >>> hdim_zeta(2, (0,)).value
     Fraction(-2, 3)
@@ -425,10 +418,5 @@ def hdim_zeta(n: int, a, v=0, with_poly: bool = False) -> ZetaValue:
         raise ValueError("dimension must be >= 1")
     a = _validate_args(a)
     v = as_rational(v)
-    value = _hdim_value(n, a, v)
-    poly = None
-    if with_poly:
-        poly = _interpolate_in_v(
-            lambda x: _hdim_value(n, a, x), len(a) * n + sum(a), f"hdim zeta_{n}{a}"
-        )
-    return ZetaValue(value, poly)
+    poly = _as_poly(_hdim_value(n, a, Poly.x())) if with_poly else None
+    return ZetaValue(_hdim_value(n, a, v), poly)

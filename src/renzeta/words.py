@@ -32,7 +32,11 @@ def parse_word(s: str) -> Word:
 
 
 class TensorPoly:
-    """Finite formal Q-linear combination of words."""
+    """Finite formal Q-linear combination of words.
+
+    Terms keep their insertion order, which is deterministic, so letters
+    need not be orderable: any hashable letter (an int, a symbol) works.
+    """
 
     __slots__ = ("terms",)
 
@@ -83,7 +87,7 @@ class TensorPoly:
         return self.terms == other.terms
 
     def __iter__(self):
-        return iter(sorted(self.terms.items()))
+        return iter(self.terms.items())
 
     def __len__(self):
         return len(self.terms)
@@ -91,21 +95,21 @@ class TensorPoly:
     def apply(self, fn):
         """Linear extension of a word-level valuation: sum of c * fn(word)."""
         total = Fraction(0)
-        for w, c in sorted(self.terms.items()):
+        for w, c in self.terms.items():
             total += c * fn(w)
         return total
 
     def map_words(self, fn) -> "TensorPoly":
         """Linear extension of a word -> TensorPoly map."""
         out = TensorPoly.zero()
-        for w, c in sorted(self.terms.items()):
+        for w, c in self.terms.items():
             out = out + c * fn(w)
         return out
 
     def __repr__(self):
         if not self.terms:
             return "TensorPoly(0)"
-        bits = [f"{c}*({word_str(w) or '1'})" for w, c in sorted(self.terms.items())]
+        bits = [f"{c}*({word_str(w) or '1'})" for w, c in self.terms.items()]
         return "TensorPoly(" + " + ".join(bits) + ")"
 
 
@@ -131,8 +135,8 @@ def shuffle(u, w) -> TensorPoly:
 def shuffle_poly(s: TensorPoly, t: TensorPoly) -> TensorPoly:
     """Bilinear extension of the shuffle product."""
     out = TensorPoly.zero()
-    for u, cu in sorted(s.terms.items()):
-        for w, cw in sorted(t.terms.items()):
+    for u, cu in s.terms.items():
+        for w, cw in t.terms.items():
             out = out + (cu * cw) * shuffle(u, w)
     return out
 
@@ -166,8 +170,8 @@ def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
 
 def stuffle_poly(s: TensorPoly, t: TensorPoly, sign_mode: str = "strict") -> TensorPoly:
     out = TensorPoly.zero()
-    for u, cu in sorted(s.terms.items()):
-        for w, cw in sorted(t.terms.items()):
+    for u, cu in s.terms.items():
+        for w, cw in t.terms.items():
             out = out + (cu * cw) * stuffle(u, w, sign_mode)
     return out
 

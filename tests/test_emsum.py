@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renzeta.emsum as emsum
 from renzeta import mzv
 from renzeta.emsum import (
     NONRATIONAL,
-    InterpolationMismatch,
     LaurentData,
     LocalGerm,
     RationalityLeak,
@@ -25,6 +26,24 @@ def j_truncation(exponents) -> int:
     return emsum._germ_pairs(emsum._flatten(exponents)[::3])
 
 
+class InterpolationMismatch(ArithmeticError):
+    """Interpolated polynomial failed verification at a fresh node."""
+
+
+def interpolate_in_v(value_at, degree_bound: int, what: str) -> Poly:
+    """Interpolate v -> value_at(v) through the integer nodes 0..degree_bound
+    and verify the polynomial at two fresh nodes, 1/2 and 3/2: an oracle for
+    the engine run over Q[v], built from the engine run over Q."""
+    nodes = [Fraction(i) for i in range(degree_bound + 1)]
+    poly = Poly.interpolate([(x, value_at(x)) for x in nodes])
+    for x in (Fraction(1, 2), Fraction(3, 2)):
+        if poly(x) != value_at(x):
+            raise InterpolationMismatch(
+                f"{what} is not a degree-{degree_bound} polynomial in v"
+            )
+    return poly
+
+
 def poly_in_v(exponents, degree_bound: int) -> Poly:
     """v -> finite part as an exact polynomial, interpolated through
     degree_bound+1 integer nodes and verified at two fresh ones; needs the
@@ -34,7 +53,7 @@ def poly_in_v(exponents, degree_bound: int) -> Poly:
         raise ValueError("finite part is only polynomial in v when the last b >= 0")
     if degree_bound < len(exps):
         raise ValueError("degree bound below the depth")
-    return mzv._interpolate_in_v(
+    return interpolate_in_v(
         lambda x: nested_fp_res(exps, x).fp, degree_bound, f"finite part of {exps}"
     )
 
@@ -59,6 +78,18 @@ class TestNonRationalSentinel:
             Fraction(1, 2) * NONRATIONAL
         with pytest.raises(RationalityLeak):
             NONRATIONAL * NONRATIONAL
+
+    def test_polynomial_coefficients(self):
+        # over Q[v] the sentinel keeps its rules: the zero polynomial
+        # annihilates, a nonzero one leaks, addition absorbs
+        assert Poly.zero() * NONRATIONAL == 0
+        assert NONRATIONAL * Poly.zero() == 0
+        assert Poly.x() + NONRATIONAL is NONRATIONAL
+        assert NONRATIONAL + Poly.x() is NONRATIONAL
+        with pytest.raises(RationalityLeak):
+            Poly.x() * NONRATIONAL
+        with pytest.raises(RationalityLeak):
+            NONRATIONAL * Poly.constant(3)
 
 
 class TestGerms:
@@ -263,3 +294,72 @@ class TestSentinelInEngine:
         finally:
             emsum.clear_cache()
         assert nested_fp_res([(0, 1), (0, 1)], 0).fp == Fraction(3, 8)
+
+    def test_nonzero_germ_meets_sentinel_over_q_v(self):
+        # the same poisoned germ, with the engine run over Q[v]
+        key = (2, 0, Fraction(1))
+        emsum.clear_cache()
+        try:
+            assert nested_fp_res([(-1, 2)], Poly.x()).fp is NONRATIONAL
+            emsum.clear_cache()
+            emsum._germ_cache[key] = LocalGerm(Fraction(0), Fraction(1), Fraction(-1, 12))
+            with pytest.raises(RationalityLeak, match="non-rational finite part"):
+                nested_fp_res([(0, 1), (0, 1)], Poly.x())
+        finally:
+            emsum.clear_cache()
+        assert nested_fp_res([(0, 1), (0, 1)], Poly.x()).fp(0) == Fraction(3, 8)
+
+
+class TestEngineOverQv:
+    def test_symbolic_shift_is_only_v(self):
+        with pytest.raises(StructuralViolation):
+            nested_fp_res([(1, 1)], Poly((1, 1)))
+
+    def test_memo_keeps_rings_apart(self):
+        emsum.clear_cache()
+        try:
+            sym = nested_fp_res([(2, 1), (1, 1)], Poly.x())
+            num = nested_fp_res([(2, 1), (1, 1)], 0)
+            assert isinstance(sym.fp, Poly) and isinstance(num.fp, Fraction)
+            assert sym.fp(0) == num.fp == Fraction(-1, 240)
+        finally:
+            emsum.clear_cache()
+
+
+@st.composite
+def _words(draw, max_depth=5, max_weight=10):
+    """A word of depth <= max_depth and weight <= max_weight."""
+    budget = draw(st.integers(0, max_weight))
+    word = []
+    for _ in range(draw(st.integers(1, max_depth))):
+        word.append(draw(st.integers(0, budget)))
+        budget -= word[-1]
+    return tuple(word)
+
+
+_SHIFTS = st.fractions(min_value=Fraction(-11, 12), max_value=3, max_denominator=12)
+
+
+class TestPolyEngineAgainstInterpolation:
+    """The Q[v] engine against interpolation of the Q engine, off the fixed
+    grids: drawn words, every variant, drawn hdim cases."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_words(), st.sampled_from(mzv.VARIANTS), _SHIFTS)
+    def test_words(self, a, variant, v):
+        poly = mzv.zeta_poly_in_v(a, variant)
+        want = interpolate_in_v(
+            lambda x: mzv.zeta_value(a, x, variant), sum(x + 1 for x in a), f"zeta{a}"
+        )
+        assert poly == want
+        assert poly(v) == mzv.zeta_value(a, v, variant)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 4), _words(max_depth=2, max_weight=4), _SHIFTS)
+    def test_hdim(self, n, a, v):
+        value, poly = mzv.hdim_zeta(n, a, v, with_poly=True)
+        want = interpolate_in_v(
+            lambda x: mzv.hdim_zeta(n, a, x).value, len(a) * n + sum(a), f"hdim{a}"
+        )
+        assert poly == want
+        assert poly(v) == value

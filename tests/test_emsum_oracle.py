@@ -2,29 +2,44 @@
 
 The oracle below is the engine's recursion in its most literal form: slots
 as AffineExponent tuples, one germ_H call per germ index, every product
-formed, zero coefficients included. The engine must agree with it exactly,
+formed, zero coefficients included, and the boundary term summed straight
+from the germ formula. The engine must agree with it exactly,
 including on which finite parts are NONRATIONAL.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renzeta import verify
+from renzeta import emsum, verify
+from renzeta.combinat import bernoulli
 from renzeta.emsum import (
     NONRATIONAL,
     AffineExponent,
     LaurentData,
     RationalityLeak,
-    _boundary_k0,
     bernoulli_shifted,
     germ_H,
     nested_fp_res,
     random_exponent_lists,
 )
+from renzeta.exactnum import Poly
 
 _ORACLE_MEMO: dict = {}
+
+
+def boundary_k0(b, two_j, v):
+    """z^0 coefficient of the peeled boundary factor for a last slot with
+    b >= 0, straight from the germ formula: minus the sum over j <= two_j
+    of (B_j/j!) [b]_{j-1} (1+v)^(b-j+1), where [b]_{-1} = 1/(b+1)."""
+    total = -(1 + v) ** (b + 1) * Fraction(1, b + 1)
+    for j in range(1, two_j + 1):
+        falling = prod(b - i for i in range(j - 1))
+        if falling and bernoulli(j):
+            total = total - (1 + v) ** (b + 1 - j) * (bernoulli(j) * falling / factorial(j))
+    return total
 
 
 def oracle_nested(exps, v, bump):
@@ -68,7 +83,7 @@ def oracle_nested(exps, v, bump):
     if b_last == -1:
         res_total += (1 / c_last) * sub_k.fp
     if fp_known:
-        fp_total += _boundary_k0(b_last, two_j, v) * sub_k.fp
+        fp_total += boundary_k0(b_last, two_j, v) * sub_k.fp
     if b_last >= 0 and res_total != 0:
         raise RationalityLeak(f"nonnegative last exponent has residue {res_total}")
     data = LaurentData(res_total, fp_total if fp_known else NONRATIONAL)
@@ -111,3 +126,13 @@ def exponent_lists(draw):
 @given(exponent_lists(), _V)
 def test_drawn_lists(exps, v):
     assert_agrees(exps, v, 0)
+
+
+def test_boundary_from_germ_row():
+    # the engine reads the boundary term off the cached germ row
+    for b in range(14):
+        for two_j in (2, 6, 12, 22):
+            for c_num, c_den in ((1, 1), (3, 2)):
+                row = emsum._germ_row(b, c_num, c_den, two_j)
+                for v in (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Poly.x()):
+                    assert emsum._boundary_k0(b, two_j, row, v) == boundary_k0(b, two_j, v)

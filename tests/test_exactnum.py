@@ -69,6 +69,14 @@ class TestPoly:
         assert Poly.zero().degree == -1
         assert Poly((1, 2, 0, 0)).degree == 1
 
+    def test_truth_value(self):
+        # false exactly for the zero polynomial, like a zero Fraction
+        assert not Poly.zero()
+        assert not Poly((0, 0))
+        assert not Poly.x() - Poly.x()
+        assert Poly.one() and Poly.x() and Poly((0, 0, Fraction(1, 3)))
+        assert all(bool(p) == (not p.is_zero) for p in (Poly.zero(), Poly.x(), -Poly.one()))
+
     def test_divmod_exact(self):
         p = Poly((2, 3, 1))  # (x+1)(x+2)
         q, r = divmod(p, Poly((1, 1)))

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from renzeta.emsum import InterpolationMismatch
 from renzeta.exactnum import Poly
 from renzeta.mzv import (
     DEPTH2_REFERENCE,
@@ -118,10 +117,6 @@ class TestPolyInV:
         # zeta(-1; v) = -(v^2 + v + 1/6)/2
         poly = zeta_poly_in_v((1,))
         assert poly == Poly((Fraction(-1, 12), Fraction(-1, 2), Fraction(-1, 2)))
-
-    def test_underbounded_interpolation_detected(self):
-        with pytest.raises(InterpolationMismatch):
-            zeta_poly_in_v((1, 1), degree_bound=2)
 
 
 class TestDeepAnchors:

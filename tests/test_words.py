@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+from renzeta.chenint import chen_character_exact, zeta_symbol
 from renzeta.words import (
     TensorPoly,
     deconcat,
@@ -157,6 +158,30 @@ class TestHoffman:
                         mode,
                     )
                     assert lhs == rhs
+
+
+class TestSymbolLetters:
+    """Letters only need to be hashable: symbols of the continuous side have
+    no order."""
+
+    def test_shuffle_of_power_log_symbols(self):
+        sym = {s: zeta_symbol(s) for s in (1, 2, 3)}
+        u, w = (sym[1], sym[2]), (sym[3],)
+        got = shuffle(u, w)
+        want = {tuple(sym[x] for x in word): c for word, c in shuffle((1, 2), (3,))}
+        assert dict(got) == want
+        assert len(list(got)) == 3
+        assert repr(got).startswith("TensorPoly(1*(")
+
+    def test_symbol_algebra(self):
+        sym = {s: zeta_symbol(s) for s in (1, 2, 3)}
+        u, w, x = (sym[1],), (sym[2], sym[3]), (sym[2],)
+        # the cut-off character is multiplicative under the shuffle
+        lhs = shuffle(u, w).apply(chen_character_exact)
+        assert lhs == chen_character_exact(u) * chen_character_exact(w)
+        lhs = shuffle_poly(shuffle(u, w), TensorPoly.from_word(x))
+        rhs = shuffle_poly(TensorPoly.from_word(u), shuffle(w, x))
+        assert lhs == rhs
 
 
 def test_word_serialization():

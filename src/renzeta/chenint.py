@@ -208,6 +208,29 @@ def chen_character_exact(word) -> RationalFunction:
     return cutoff_integral(acc)
 
 
+def _subword_characters(word) -> dict[tuple, RationalFunction]:
+    """:func:`chen_character_exact` of every contiguous subword of ``word``,
+    keyed by the subword, in one pass.
+
+    The integrand of w[i:j] is w[i] * ptilde(integrand of w[i+1:j]), so one
+    chain per end slot j yields all subwords ending there; a subword that
+    occurs twice is computed once.
+    """
+    word = tuple(word)
+    integrands: dict[tuple, PowerLogExpr] = {}
+    out: dict[tuple, RationalFunction] = {}
+    for j in range(1, len(word) + 1):
+        acc = None
+        for i in range(j - 1, -1, -1):
+            sub = word[i:j]
+            hit = integrands.get(sub)
+            if hit is None:
+                hit = integrands[sub] = word[i] if acc is None else word[i] * ptilde(acc)
+                out[sub] = cutoff_integral(hit)
+            acc = hit
+    return out
+
+
 def chen_character(word, order: int) -> LaurentSeries:
     """Laurent expansion of :func:`chen_character_exact` valid through
     z**order. The pole order is at most the word's depth."""
@@ -277,6 +300,21 @@ class BirkhoffFactorization:
             raise InsufficientOrder(str(exc)) from exc
 
 
+def _zeta_character_and_value(s) -> tuple[RationalFunction, Fraction]:
+    """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z)
+    and its renormalised value, from one pass over its subwords."""
+    s = tuple(int(x) for x in s)
+    if any(x < 1 for x in s):
+        raise ValueError("continuous zeta arguments must be positive integers")
+    word = tuple(zeta_symbol(x) for x in s)
+    exact = _subword_characters(word)
+    order = max(1, len(word))
+    # the factorisation of the word reads the character of every subword
+    series = {w: f.laurent_expand(order) for w, f in exact.items()}
+    value = BirkhoffFactorization(series.__getitem__).plus_at_zero(word)
+    return exact.get(word, RationalFunction.constant(1)), value
+
+
 def zeta_tilde_renorm(s) -> Fraction:
     """Renormalised continuous zeta analog at positive integer arguments:
     the holomorphic Birkhoff factor of the word t^(-s_1 - z) x ... x
@@ -288,22 +326,7 @@ def zeta_tilde_renorm(s) -> Fraction:
     >>> zeta_tilde_renorm((1, 1))
     Fraction(0, 1)
     """
-    s = tuple(int(x) for x in s)
-    if any(x < 1 for x in s):
-        raise ValueError("continuous zeta arguments must be positive integers")
-    word = tuple(zeta_symbol(x) for x in s)
-    order = max(1, len(word))
-    memo: dict[tuple, LaurentSeries] = {}
-
-    def phi(w):
-        w = tuple(w)
-        hit = memo.get(w)
-        if hit is None:
-            hit = memo[w] = chen_character(w, order)
-        return hit
-
-    bf = BirkhoffFactorization(phi)
-    return bf.plus_at_zero(word)
+    return _zeta_character_and_value(s)[1]
 
 
 def pure_power_nested_integral(exponents, lo, hi) -> Fraction:

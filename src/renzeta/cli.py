@@ -157,10 +157,8 @@ def cmd_chen(args) -> int:
     if len(word) > args.limit_depth:
         raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth}")
     order = args.laurent_order if args.laurent_order is not None else max(1, len(word))
-    symbols = tuple(chenint.zeta_symbol(s) for s in word)
-    exact = chenint.chen_character_exact(symbols)
+    exact, value = chenint._zeta_character_and_value(word)
     series = exact.laurent_expand(order)
-    value = chenint.zeta_tilde_renorm(word)
     if args.format == "json":
         print(
             json.dumps(

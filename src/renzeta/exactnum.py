@@ -195,6 +195,8 @@ class Poly:
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid)."""
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+            return Poly.one()  # a nonzero constant divides everything
         while not b.is_zero:
             a, b = b, a % b
         if a.is_zero:
@@ -247,7 +249,14 @@ class Poly:
 
 
 class RationalFunction:
-    """Quotient of two polynomials, reduced, with a monic denominator."""
+    """Quotient of two polynomials, reduced, with a monic denominator.
+
+    The constructor reduces any input. Arithmetic between reduced operands
+    keeps its result reduced without a full gcd of the result: products
+    cancel across (gcd(n1, d2), gcd(n2, d1)), sums take out only what
+    gcd(d1, d2) can share with the new numerator (Henrici; Knuth, TAOCP
+    vol. 2, 4.5.1), and powers of coprime polynomials stay coprime.
+    """
 
     __slots__ = ("num", "den")
 
@@ -267,6 +276,14 @@ class RationalFunction:
             inv = 1 / lead
             num, den = num * inv, den * inv
         self.num, self.den = num, den
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RationalFunction":
+        """Wrap a pair already known coprime with den monic (or num zero and
+        den one): the canonical form, with no gcd taken."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
@@ -299,12 +316,30 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        if o.is_zero:
+            return self
+        if self.is_zero:
+            return o
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        g = Poly.gcd(d1, d2)
+        if g.degree > 0:
+            d1, d2 = d1 // g, d2 // g
+        t = n1 * d2 + n2 * d1
+        if t.is_zero:
+            return RationalFunction._reduced(t, Poly.one())
+        den = d1 * d2
+        if g.degree > 0:
+            # gcd(t, d1 d2 g) = gcd(t, g) for the cofactors d1, d2 of g
+            h = Poly.gcd(t, g)
+            if h.degree > 0:
+                t, g = t // h, g // h
+            den = den * g
+        return RationalFunction._reduced(t, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -316,20 +351,37 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return RationalFunction._reduced(Poly.zero(), Poly.one())
+            return RationalFunction._reduced(self.num * other, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        if self.is_zero or o.is_zero:
+            return RationalFunction._reduced(Poly.zero(), Poly.one())
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        g = Poly.gcd(n1, d2)
+        if g.degree > 0:
+            n1, d2 = n1 // g, d2 // g
+        g = Poly.gcd(n2, d1)
+        if g.degree > 0:
+            n2, d1 = n2 // g, d1 // g
+        return RationalFunction._reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
+
+    def _inverse(self) -> "RationalFunction":
+        if self.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        inv = 1 / self.num.coeffs[-1]
+        return RationalFunction._reduced(self.den * inv, self.num * inv)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -339,15 +391,8 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
-            return RationalFunction(self.den, self.num) ** (-n)
-        out = RationalFunction.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self._inverse() ** (-n)
+        return RationalFunction._reduced(self.num**n, self.den**n)
 
     def __call__(self, x) -> Fraction:
         x = as_rational(x)

@@ -31,6 +31,18 @@ def parse_word(s: str) -> Word:
     return tuple(int(part) for part in s.split(","))
 
 
+def _add_into(acc: dict, t: "TensorPoly", scale) -> None:
+    """acc += scale * t in place. A term that cancels is removed, so one that
+    comes back is appended, the same order repeated ``+`` gives."""
+    for w, c in t.terms.items():
+        old = acc.get(w)
+        total = c * scale if old is None else old + c * scale
+        if total:
+            acc[w] = total
+        else:
+            acc.pop(w, None)
+
+
 class TensorPoly:
     """Finite formal Q-linear combination of words.
 
@@ -65,8 +77,7 @@ class TensorPoly:
         if not isinstance(other, TensorPoly):
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+        _add_into(out, other, 1)
         return TensorPoly(out)
 
     def __sub__(self, other):
@@ -101,10 +112,10 @@ class TensorPoly:
 
     def map_words(self, fn) -> "TensorPoly":
         """Linear extension of a word -> TensorPoly map."""
-        out = TensorPoly.zero()
+        out: dict[Word, Fraction] = {}
         for w, c in self.terms.items():
-            out = out + c * fn(w)
-        return out
+            _add_into(out, fn(w), c)
+        return TensorPoly(out)
 
     def __repr__(self):
         if not self.terms:
@@ -134,11 +145,11 @@ def shuffle(u, w) -> TensorPoly:
 
 def shuffle_poly(s: TensorPoly, t: TensorPoly) -> TensorPoly:
     """Bilinear extension of the shuffle product."""
-    out = TensorPoly.zero()
+    out: dict[Word, Fraction] = {}
     for u, cu in s.terms.items():
         for w, cw in t.terms.items():
-            out = out + (cu * cw) * shuffle(u, w)
-    return out
+            _add_into(out, shuffle(u, w), cu * cw)
+    return TensorPoly(out)
 
 
 def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
@@ -169,11 +180,11 @@ def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
 
 
 def stuffle_poly(s: TensorPoly, t: TensorPoly, sign_mode: str = "strict") -> TensorPoly:
-    out = TensorPoly.zero()
+    out: dict[Word, Fraction] = {}
     for u, cu in s.terms.items():
         for w, cw in t.terms.items():
-            out = out + (cu * cw) * stuffle(u, w, sign_mode)
-    return out
+            _add_into(out, stuffle(u, w, sign_mode), cu * cw)
+    return TensorPoly(out)
 
 
 def deconcat(w) -> list[tuple[Word, Word]]:

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renzeta import chenint, cli
 from renzeta.chenint import (
     BirkhoffFactorization,
     InsufficientOrder,
@@ -15,6 +19,8 @@ from renzeta.chenint import (
     pure_power_nested_integral,
     zeta_symbol,
     zeta_tilde_renorm,
+    _subword_characters,
+    _zeta_character_and_value,
 )
 from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
 from renzeta.words import shuffle
@@ -26,6 +32,23 @@ def bir_factorize(phi, w) -> tuple:
     bf = BirkhoffFactorization(phi)
     bf.plus(w)  # force the recursion so errors surface here
     return bf.minus, bf.plus
+
+
+def zeta_word_closed_form(s) -> RationalFunction:
+    """Character of t^(-s_1-z) x ... x t^(-s_k-z) in closed form: the product
+    over m of 1/((S_m - m) + m z), S_m = s_1 + ... + s_m. Integrating the
+    outermost variable first, from the next one up to infinity (continued
+    analytically in z), leaves a single power at every step: one linear
+    factor per prefix."""
+    out, partial = RationalFunction.constant(1), 0
+    for m, x in enumerate(s, start=1):
+        partial += x
+        out = out * RationalFunction(Poly.one(), Poly((partial - m, m)))
+    return out
+
+
+def contiguous_subwords(word):
+    return {word[i:j] for i in range(len(word)) for j in range(i + 1, len(word) + 1)}
 
 
 class TestCutoffIntegral:
@@ -140,6 +163,87 @@ class TestCharacter:
         assert got == expected
         # simple pole only, despite depth 2: the inner slot converges alone
         assert got.pole_order_at_zero() == 1
+
+
+class TestZetaWordClosedForm:
+    """The general engine (ptilde chain, cut-off integral) against the
+    independent product formula for zeta words."""
+
+    def test_grid(self):
+        for k in range(1, 5):
+            for s in product((1, 2, 3, 4), repeat=k):
+                got = chen_character_exact(tuple(zeta_symbol(x) for x in s))
+                assert got == zeta_word_closed_form(s), s
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_words(self, s):
+        word = tuple(zeta_symbol(x) for x in s)
+        assert chen_character_exact(word) == zeta_word_closed_form(s)
+        assert _zeta_character_and_value(s)[0] == zeta_word_closed_form(s)
+
+
+class TestSharedSubwordPass:
+    """One pass over the subwords gives what chen_character_exact gives on
+    each of them, and computes each distinct subword once."""
+
+    WORDS = [
+        tuple(zeta_symbol(x) for x in (1, 2, 1, 2)),
+        tuple(zeta_symbol(x) for x in (3, 3, 3)),
+        tuple(zeta_symbol(x) for x in (2, 1, 3, 1, 2)),
+        (power_symbol(-1, 2), power_symbol(-2, 3)),
+        (power_symbol(-1, 2), power_symbol(-2, 3), power_symbol(-1, 2)),
+        (power_symbol(-2, 0, 1), zeta_symbol(1), power_symbol(0, 1) * Fraction(3, 2)),
+        (zeta_symbol(3) + power_symbol(-2, 0, 1), zeta_symbol(1)),
+    ]
+
+    def test_equals_engine_on_every_subword(self):
+        for word in self.WORDS:
+            got = _subword_characters(word)
+            assert set(got) == contiguous_subwords(word)
+            for sub, value in got.items():
+                assert value == chen_character_exact(sub)
+
+    def test_character_and_value(self):
+        for s in ((1,), (3, 2), (1, 1, 2), (2, 1, 2, 1), (1, 2, 3, 1, 2)):
+            exact, value = _zeta_character_and_value(s)
+            word = tuple(zeta_symbol(x) for x in s)
+            assert exact == chen_character_exact(word)
+            order = len(s)
+            bf = BirkhoffFactorization(lambda w: chen_character(w, order))
+            assert value == bf.plus_at_zero(word) == zeta_tilde_renorm(s)
+
+    @pytest.mark.parametrize("word_arg", ["1,2,3,1,2", "3,3,3,3,3", "2,1,3,2,3"])
+    def test_cli_computes_each_subword_once(self, word_arg, monkeypatch, capsys):
+        s = tuple(int(x) for x in word_arg.split(","))
+        word = tuple(zeta_symbol(x) for x in s)
+        full_integrand = word[-1]
+        for letter in reversed(word[:-1]):
+            full_integrand = letter * ptilde(full_integrand)
+        seen = []
+        counts = {"ptilde": 0, "chen_character_exact": 0}
+
+        def counting(name, fn):
+            def wrapped(arg):
+                counts[name] += 1
+                return fn(arg)
+
+            return wrapped
+
+        def recording_cutoff(e, real=chenint.cutoff_integral):
+            seen.append(e)
+            return real(e)
+
+        monkeypatch.setattr(chenint, "cutoff_integral", recording_cutoff)
+        for name in counts:
+            monkeypatch.setattr(chenint, name, counting(name, getattr(chenint, name)))
+        assert cli.main(["chen", "--word", word_arg, "--format", "json"]) == 0
+        capsys.readouterr()
+        distinct = contiguous_subwords(word)
+        assert len(seen) == len(distinct)
+        assert seen.count(full_integrand) == 1
+        assert counts["ptilde"] == sum(1 for w in distinct if len(w) > 1)
+        assert counts["chen_character_exact"] == 0
 
 
 class TestBirkhoff:

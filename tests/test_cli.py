@@ -129,6 +129,46 @@ class TestChenCommand:
     def test_bad_word(self, capsys):
         assert run_cli(capsys, "chen", "--word", "0,2")[0] == 2
 
+    GOLDEN_TEXT = {
+        "1,2,3,1,2": (
+            "character(z)   = (1/120) / (z^5 + 61/20*z^4 + 137/40*z^3 + 67/40*z^2 + 3/10*z)\n"
+            "laurent window = 1/36*z^-1 - 67/432 + 2845/5184*z - 98035/62208*z^2"
+            " + 2999101/746496*z^3 - 85120147/8957952*z^4 + 2298160285/107495424*z^5"
+            " + O(z^6)\n"
+            "renormalised   = -23/432\n"
+        ),
+        "3,3,3,3,3": (
+            "character(z)   = (1/120) / (z^5 + 10*z^4 + 40*z^3 + 80*z^2 + 80*z + 32)\n"
+            "laurent window = 1/3840 - 1/1536*z + 1/1024*z^2 - 7/6144*z^3 + 7/6144*z^4"
+            " - 21/20480*z^5 + O(z^6)\n"
+            "renormalised   = 1/3840\n"
+        ),
+    }
+
+    GOLDEN_JSON = {
+        "1,2,3,1,2": (
+            '{"word": [1, 2, 3, 1, 2], "character": "(1/120) / (z^5 + 61/20*z^4'
+            ' + 137/40*z^3 + 67/40*z^2 + 3/10*z)", "laurent": "1/36*z^-1 - 67/432'
+            " + 2845/5184*z - 98035/62208*z^2 + 2999101/746496*z^3 - 85120147/8957952*z^4"
+            ' + 2298160285/107495424*z^5 + O(z^6)", "laurent_order": 5,'
+            ' "renormalised": "-23/432"}\n'
+        ),
+        "3,3,3,3,3": (
+            '{"word": [3, 3, 3, 3, 3], "character": "(1/120) / (z^5 + 10*z^4 + 40*z^3'
+            ' + 80*z^2 + 80*z + 32)", "laurent": "1/3840 - 1/1536*z + 1/1024*z^2'
+            ' - 7/6144*z^3 + 7/6144*z^4 - 21/20480*z^5 + O(z^6)", "laurent_order": 5,'
+            ' "renormalised": "1/3840"}\n'
+        ),
+    }
+
+    def test_golden_output(self, capsys):
+        # recorded before the rational-function arithmetic stopped taking a
+        # full gcd per operation: the printed strings must not move
+        for word, want in self.GOLDEN_TEXT.items():
+            assert run_cli(capsys, "chen", "--word", word)[:2] == (0, want)
+        for word, want in self.GOLDEN_JSON.items():
+            assert run_cli(capsys, "chen", "--word", word, "--format", "json")[:2] == (0, want)
+
 
 class TestVerifyCommand:
     def test_table_suite_passes(self, capsys):

@@ -129,6 +129,115 @@ class TestRationalFunction:
             f(Fraction(-2))
 
 
+# Products of linear factors over a few shared roots, so operands often share
+# factors and every cancellation branch of the arithmetic is reached.
+_roots = st.sampled_from((0, 1, -1, 2, Fraction(-1, 2), Fraction(3, 2)))
+_scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def factored_polys(draw, nonzero=True):
+    lead = draw(_scalars.filter(lambda q: q != 0) if nonzero else _scalars)
+    p = Poly((lead,))
+    for r in draw(st.lists(_roots, max_size=4)):
+        p = p * Poly((-r, 1))
+    return p
+
+
+def unreduced_pairs():
+    return st.tuples(factored_polys(nonzero=False), factored_polys())
+
+
+def assert_canonical(f: RationalFunction):
+    assert f.den.coeffs[-1] == 1
+    if f.num.is_zero:
+        assert f.den == Poly.one()
+    else:
+        assert Poly.gcd(f.num, f.den) == Poly.one()
+
+
+class TestRationalFunctionArithmetic:
+    """Every operation gives exactly what the normalising constructor gives
+    on the unreduced numerator and denominator, and a canonical result."""
+
+    @given(unreduced_pairs(), unreduced_pairs(), _scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_against_normalising_constructor(self, pa, pb, q):
+        (n1, d1), (n2, d2) = pa, pb
+        a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        cases = [
+            (a + b, n1 * d2 + n2 * d1, d1 * d2),
+            (a - b, n1 * d2 - n2 * d1, d1 * d2),
+            (a * b, n1 * n2, d1 * d2),
+            (-a, -n1, d1),
+            (a * q, n1 * q, d1),
+            (q * a, n1 * q, d1),
+            (a + q, n1 + d1 * q, d1),
+            (q - a, d1 * q - n1, d1),
+        ]
+        if not b.is_zero:
+            cases.append((a / b, n1 * d2, d1 * n2))
+        for n in range(5):
+            cases.append((a**n, n1**n, d1**n))
+        if not a.is_zero:
+            for n in range(1, 4):
+                cases.append((a**-n, d1**n, n1**n))
+        for got, num, den in cases:
+            want = RationalFunction(num, den)
+            assert_canonical(got)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert hash(got) == hash(want) and got.to_str() == want.to_str()
+
+    def test_against_sympy_cancel(self):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+
+        def to_sympy(p: Poly):
+            return sum(sympy.Rational(c) * z**i for i, c in enumerate(p.coeffs))
+
+        x = Poly.x()
+        raw = [
+            ((x - 1) * (x + 2), (x - 1) ** 2 * x * 3),
+            (x * (x + 2), (x - 1) * (2 * x + 1)),
+            (Poly((Fraction(1, 2),)), x**2 + 1),
+        ]
+        a, b, c = (RationalFunction(n, d) for n, d in raw)
+        sa, sb, sc = (to_sympy(n) / to_sympy(d) for n, d in raw)
+        cases = [
+            (a + b, sa + sb),
+            (a - b, sa - sb),
+            (a * b, sa * sb),
+            (a / b, sa / sb),
+            (b**-2, sb**-2),
+            (a + c, sa + sc),
+            ((a + b) * c - b, (sa + sb) * sc - sb),
+        ]
+        for got, theirs in cases:
+            num, den = sympy.fraction(sympy.cancel(theirs))
+            lead = sympy.Poly(den, z).LC()
+            assert sympy.expand(num / lead - to_sympy(got.num)) == 0
+            assert sympy.expand(den / lead - to_sympy(got.den)) == 0
+
+    def test_zero_and_errors(self):
+        x = Poly.x()
+        f = RationalFunction(x + 1, x)
+        zero = f - f
+        assert zero.is_zero and zero.den == Poly.one()
+        assert (f * 0).is_zero and (f * 0).den == Poly.one()
+        assert f + 0 == f and 0 + f == f
+        assert zero**0 == 1
+        with pytest.raises(ZeroDivisionError):
+            f / zero
+        with pytest.raises(ZeroDivisionError):
+            zero**-1
+
+    def test_gcd_with_constant_is_one(self):
+        assert Poly.gcd(Poly((Fraction(3, 2),)), Poly((1, 2, 1))) == Poly.one()
+        assert Poly.gcd(Poly((0, 1)), Poly((-4,))) == Poly.one()
+        assert Poly.gcd(Poly.zero(), Poly((7,))) == Poly.one()
+        assert Poly.gcd(Poly.zero(), Poly((0, 2))) == Poly((0, 1))
+
+
 class TestLaurent:
     def test_expand_examples(self):
         s = laurent_expand(RationalFunction(1, Poly((0, -2))), 1)  # 1/(-2z)

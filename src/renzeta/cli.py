@@ -179,6 +179,8 @@ def cmd_chen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_weight < 0:
+        raise InputError(f"--max-weight must be >= 0, got {args.max_weight}")
     v = _parse_v(args.v)
     report = verify.run_suite(args.suite, max_weight=args.max_weight, v=v)
     payload = {
@@ -187,11 +189,12 @@ def cmd_verify(args) -> int:
         "failures": report.failures,
     }
     print(json.dumps(payload))
-    print(
-        f"suite {report.suite}: {report.cases} cases, {len(report.failures)} failures, "
-        f"{report.seconds:.2f}s",
-        file=sys.stderr,
-    )
+    for part in report.parts + [report]:
+        print(
+            f"suite {part.suite}: {part.cases} cases, {len(part.failures)} failures, "
+            f"{part.seconds:.2f}s",
+            file=sys.stderr,
+        )
     return 0 if report.ok else 3
 
 

@@ -243,9 +243,14 @@ def run_suite(name: str, max_weight: int = 8, v=Fraction(0)) -> Report:
     if name == "shuffle-cont":
         return suite_shuffle_cont()
     if name == "all":
+        parts = [
+            run_suite(part, max_weight, v)
+            for part in ("table", "engine", "stuffle", "hurwitz", "shuffle-cont")
+        ]
         merged = Report(suite="all")
-        for part in ("table", "engine", "stuffle", "hurwitz", "shuffle-cont"):
-            merged = merged.merged_with(run_suite(part, max_weight, v))
+        for part in parts:
+            merged = merged.merged_with(part)
         merged.suite = "all"
+        merged.parts = parts
         return merged
     raise ValueError(f"unknown suite {name!r}")

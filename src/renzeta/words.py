@@ -1,11 +1,13 @@
 """The tensor (word) algebra on integer letters: shuffle, the two stuffle
-sign conventions, deconcatenation, and the exp/log isomorphism between the
-shuffle and quasi-shuffle Hopf algebras.
+sign conventions, and the exp/log isomorphism between the shuffle and
+quasi-shuffle Hopf algebras.
 
 A letter is a plain int: the exponent a of one nested-sum slot (the zeta
 argument it denotes is -a). The bullet product of two letters adds their
 values; in the weak ("-") convention every binary merge also flips the sign
-of the coefficient.
+of the coefficient. Shuffle and stuffle are one first-letter recursion, the
+shuffle without the merge branch; both stuffle conventions read their
+coefficients off the same multiplicities.
 """
 
 from __future__ import annotations
@@ -13,22 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .combinat import compositions, packet_sums, quasi_shuffles, shuffles
+from .combinat import compositions, packet_sums
 from .exactnum import as_rational
 
 Word = tuple  # tuple of int letters; () is the unit word
 
 
 def word_str(w) -> str:
-    """Canonical form "a1,a2,...,ak" used by the CLI; the unit word is ""."""
+    """Canonical form "a1,a2,...,ak" used by reprs; the unit word is ""."""
     return ",".join(str(a) for a in w)
-
-
-def parse_word(s: str) -> Word:
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(part) for part in s.split(","))
 
 
 def _add_into(acc: dict, t: "TensorPoly", scale) -> None:
@@ -64,6 +59,13 @@ class TensorPoly:
     @classmethod
     def from_word(cls, w, coeff=1) -> "TensorPoly":
         return cls({tuple(w): coeff})
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "TensorPoly":
+        """Take a dict of nonzero Fraction coefficients as it is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "TensorPoly":
@@ -124,38 +126,53 @@ class TensorPoly:
         return "TensorPoly(" + " + ".join(bits) + ")"
 
 
+def _first_letter(u: Word, w: Word, merge: bool) -> dict:
+    """The multiplicity of each word in the shuffle of u and w or, with
+    ``merge``, in their quasi-shuffle, by Hoffman's first-letter recursion
+
+        a.u' * b.w' = a.(u' * b.w') + b.(a.u' * w') + (a+b).(u' * w').
+
+    The memo has one entry per pair of suffixes (u[i:], w[j:]). It is built
+    row by row from the ends of the words, keeps only the row below, and
+    lives for this call only. Words come out in the order in which a
+    depth-first walk trying take-left, take-right, then merge first meets
+    them.
+    """
+    k, l = len(u), len(w)
+    below = [{w[j:]: 1} for j in range(l + 1)]  # i = k: only w[j:] is left
+    for i in range(k - 1, -1, -1):
+        a = u[i]
+        row = [None] * l + [{u[i:]: 1}]
+        for j in range(l - 1, -1, -1):
+            b = w[j]
+            branches = [(a, below[j]), (b, row[j + 1])]
+            if merge:
+                branches.append((a + b, below[j + 1]))
+            acc: dict = {}
+            for head, tails in branches:
+                for tail, m in tails.items():
+                    x = (head,) + tail
+                    acc[x] = acc.get(x, 0) + m
+            row[j] = acc
+        below = row
+    return below[0]
+
+
 def shuffle(u, w) -> TensorPoly:
     """Shuffle product of two words: the sum of all interleavings.
 
     >>> sorted(shuffle((1,), (2,)).terms.items())
     [((1, 2), Fraction(1, 1)), ((2, 1), Fraction(1, 1))]
     """
-    u, w = tuple(u), tuple(w)
-    if not u:
-        return TensorPoly.from_word(w)
-    if not w:
-        return TensorPoly.from_word(u)
-    out: dict[Word, Fraction] = {}
-    for pattern in shuffles(len(u), len(w)):
-        it_u, it_w = iter(u), iter(w)
-        word = tuple(next(it_u) if side == 0 else next(it_w) for side in pattern)
-        out[word] = out.get(word, Fraction(0)) + 1
-    return TensorPoly(out)
-
-
-def shuffle_poly(s: TensorPoly, t: TensorPoly) -> TensorPoly:
-    """Bilinear extension of the shuffle product."""
-    out: dict[Word, Fraction] = {}
-    for u, cu in s.terms.items():
-        for w, cw in t.terms.items():
-            _add_into(out, shuffle(u, w), cu * cw)
-    return TensorPoly(out)
+    counts = _first_letter(tuple(u), tuple(w), False)
+    return TensorPoly._wrap({x: Fraction(m) for x, m in counts.items()})
 
 
 def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
     """Stuffle (quasi-shuffle) product: interleavings plus merges, merged
-    letters adding their values. In ``weak`` mode every type-r term carries
-    the sign (-1)**r.
+    letters adding their values. Every quasi-shuffle giving a word x makes
+    |u| + |w| - |x| merges, so in ``weak`` mode the coefficient of x is its
+    multiplicity times (-1)**(|u| + |w| - |x|).
 
     >>> sorted(stuffle((1,), (2,)).terms)
     [(1, 2), (2, 1), (3,)]
@@ -163,20 +180,12 @@ def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
     if sign_mode not in ("strict", "weak"):
         raise ValueError("sign_mode must be 'strict' or 'weak'")
     u, w = tuple(u), tuple(w)
-    if not u:
-        return TensorPoly.from_word(w)
-    if not w:
-        return TensorPoly.from_word(u)
-    letters = u + w
-    out: dict[Word, Fraction] = {}
-    for qs in quasi_shuffles(len(u), len(w)):
-        merged = [0] * qs.target_size
-        for pos, target in enumerate(qs.assignment):
-            merged[target] += letters[pos]
-        word = tuple(merged)
-        coeff = Fraction(-1) ** qs.merges if sign_mode == "weak" else Fraction(1)
-        out[word] = out.get(word, Fraction(0)) + coeff
-    return TensorPoly(out)
+    counts = _first_letter(u, w, True)
+    n = len(u) + len(w)
+    weak = sign_mode == "weak"
+    return TensorPoly._wrap(
+        {x: Fraction(-m if weak and (n - len(x)) % 2 else m) for x, m in counts.items()}
+    )
 
 
 def stuffle_poly(s: TensorPoly, t: TensorPoly, sign_mode: str = "strict") -> TensorPoly:
@@ -185,18 +194,6 @@ def stuffle_poly(s: TensorPoly, t: TensorPoly, sign_mode: str = "strict") -> Ten
         for w, cw in t.terms.items():
             _add_into(out, stuffle(u, w, sign_mode), cu * cw)
     return TensorPoly(out)
-
-
-def deconcat(w) -> list[tuple[Word, Word]]:
-    """All |w|+1 splits (prefix, suffix), trivial ones included."""
-    w = tuple(w)
-    return [(w[:i], w[i:]) for i in range(len(w) + 1)]
-
-
-def deconcat_reduced(w) -> list[tuple[Word, Word]]:
-    """The splits with both parts nonempty (what Birkhoff recursions use)."""
-    w = tuple(w)
-    return [(w[:i], w[i:]) for i in range(1, len(w))]
 
 
 def _hoffman_word(w: Word, bullet_sign: str, mode: str) -> TensorPoly:

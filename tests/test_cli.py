@@ -190,6 +190,32 @@ class TestVerifyCommand:
         assert code == 3
         assert json.loads(out)["failures"]
 
+    def test_negative_max_weight_is_malformed_input(self, capsys):
+        for suite in ("stuffle", "table"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-weight", "-1")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "--max-weight" in err
+        assert run_cli(capsys, "verify", "--suite", "stuffle", "--max-weight", "0")[0] == 0
+
+    def test_all_suites_report_per_part_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-weight", "2")
+        assert code == 0
+        # recorded before per-suite lines were added: stdout must not move
+        assert out == '{"suite": "all", "cases": 2484, "failures": []}\n'
+        lines = err.splitlines()
+        names = [line.split(":")[0] for line in lines]
+        assert names == [
+            "suite table",
+            "suite engine",
+            "suite stuffle",
+            "suite hurwitz",
+            "suite shuffle-cont",
+            "suite all",
+        ]
+        cases = [int(line.split(": ")[1].split(" cases")[0]) for line in lines]
+        assert sum(cases[:-1]) == cases[-1] == 2484
+        assert all(line.endswith("s") and " 0 failures, " in line for line in lines)
+
     def test_internal_violation_exit_1(self, capsys, monkeypatch):
         from renzeta.mzv import HolomorphyViolation
 

@@ -1,20 +1,137 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renzeta import words
 from renzeta.combinat import (
     bernoulli,
     bernoulli_poly,
     compositions,
-    faulhaber_interp,
     packet_sums,
-    quasi_shuffles,
-    shuffles,
     stirling1,
 )
 from renzeta.exactnum import Poly, RationalFunction, as_rational
+from renzeta.words import TensorPoly
+
+
+def faulhaber_interp(b: int, v, eta) -> Fraction:
+    """Interpolated power sum: equals sum_{n=1}^{eta} (n+v)^b for integer
+    eta >= 0, and interpolates it for rational eta.
+
+    >>> faulhaber_interp(1, Fraction(0), Fraction(10))
+    Fraction(55, 1)
+    """
+    if b < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    v, eta = as_rational(v), as_rational(eta)
+    return (bernoulli_poly(b + 1, eta + v + 1) - bernoulli_poly(b + 1, 1 + v)) / (b + 1)
+
+
+class QuasiShuffle(NamedTuple):
+    """A (k,l)-quasi-shuffle: a surjection onto {0..k+l-r-1}, strictly
+    increasing on the first k positions and on the last l positions, every
+    fibre of size 1 or 2. ``assignment[i]`` is the (0-based) target of
+    position i; ``target_size`` is k+l-r."""
+
+    target_size: int
+    assignment: tuple[int, ...]
+
+    @property
+    def merges(self) -> int:
+        """The type r: number of two-element fibres."""
+        return len(self.assignment) - self.target_size
+
+
+def quasi_shuffles(k: int, l: int) -> list[QuasiShuffle]:
+    """All (k,l)-quasi-shuffles, every type r in 0..min(k,l).
+
+    Deterministic order: built by repeatedly choosing take-left, take-right
+    or merge. The type-0 elements are the C(k+l, k) ordinary shuffles.
+
+    >>> len(quasi_shuffles(1, 1)), len(quasi_shuffles(2, 1))
+    (3, 5)
+    """
+    if k < 1 or l < 1:
+        raise ValueError("quasi-shuffles need k, l >= 1")
+    out: list[QuasiShuffle] = []
+    left = list(range(k))
+    right = list(range(k, k + l))
+
+    def rec(i: int, j: int, slots: list[tuple[int, ...]]):
+        if i == k and j == l:
+            assignment = [0] * (k + l)
+            for target, members in enumerate(slots):
+                for pos in members:
+                    assignment[pos] = target
+            out.append(QuasiShuffle(len(slots), tuple(assignment)))
+            return
+        if i < k:
+            rec(i + 1, j, slots + [(left[i],)])
+        if j < l:
+            rec(i, j + 1, slots + [(right[j],)])
+        if i < k and j < l:
+            rec(i + 1, j + 1, slots + [(left[i], right[j])])
+
+    rec(0, 0, [])
+    return out
+
+
+def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
+    """The ordinary (k,l)-shuffles as source-index sequences of length k+l.
+
+    Entry s means "take the next letter of the left word" when s = 0 and of
+    the right word when s = 1. Same deterministic order as quasi_shuffles.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, j: int, acc: tuple[int, ...]):
+        if i == k and j == l:
+            out.append(acc)
+            return
+        if i < k:
+            rec(i + 1, j, acc + (0,))
+        if j < l:
+            rec(i, j + 1, acc + (1,))
+
+    rec(0, 0, ())
+    return out
+
+
+def oracle_shuffle(u, w) -> TensorPoly:
+    """The shuffle product by enumerating the (|u|,|w|)-shuffles."""
+    u, w = tuple(u), tuple(w)
+    if not u or not w:
+        return TensorPoly.from_word(u + w)
+    out: dict = {}
+    for pattern in shuffles(len(u), len(w)):
+        it_u, it_w = iter(u), iter(w)
+        word = tuple(next(it_u) if side == 0 else next(it_w) for side in pattern)
+        out[word] = out.get(word, Fraction(0)) + 1
+    return TensorPoly(out)
+
+
+def oracle_stuffle(u, w, sign_mode="strict") -> TensorPoly:
+    """The stuffle product by enumerating the quasi-shuffles; in weak mode a
+    type-r quasi-shuffle contributes (-1)**r."""
+    u, w = tuple(u), tuple(w)
+    if not u or not w:
+        return TensorPoly.from_word(u + w)
+    letters = u + w
+    out: dict = {}
+    for qs in quasi_shuffles(len(u), len(w)):
+        merged = [0] * qs.target_size
+        for pos, target in enumerate(qs.assignment):
+            merged[target] += letters[pos]
+        word = tuple(merged)
+        coeff = Fraction(-1) ** qs.merges if sign_mode == "weak" else Fraction(1)
+        out[word] = out.get(word, Fraction(0)) + coeff
+    return TensorPoly(out)
 
 
 def falling_factorial(a, m: int):
@@ -196,6 +313,43 @@ class TestQuasiShuffles:
     def test_shuffle_patterns(self):
         assert len(shuffles(2, 2)) == 6
         assert all(p.count(0) == 2 and p.count(1) == 2 for p in shuffles(2, 2))
+
+
+_LETTER_WORDS = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+
+
+class TestFirstLetterRecursion:
+    """words.shuffle and words.stuffle (one first-letter recursion) against
+    the enumeration of (quasi-)shuffles: same terms, coefficients and term
+    order."""
+
+    @staticmethod
+    def same(got: TensorPoly, want: TensorPoly):
+        assert list(got.terms.items()) == list(want.terms.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(_LETTER_WORDS, _LETTER_WORDS)
+    def test_drawn_words(self, u, w):
+        for mode in ("strict", "weak"):
+            self.same(words.stuffle(u, w, mode), oracle_stuffle(u, w, mode))
+        self.same(words.shuffle(u, w), oracle_shuffle(u, w))
+
+    def test_all_pairs_of_small_weight(self):
+        # every pair of words with letters 0..3, depth <= 3 and weight <= 4,
+        # including repeated and zero letters (where terms coincide)
+        pool = [()] + [
+            w
+            for n in range(1, 4)
+            for w in iproduct(range(4), repeat=n)
+            if sum(w) <= 4
+        ]
+        for u in pool:
+            for w in pool:
+                if sum(u) + sum(w) > 4:
+                    continue
+                for mode in ("strict", "weak"):
+                    self.same(words.stuffle(u, w, mode), oracle_stuffle(u, w, mode))
+                self.same(words.shuffle(u, w), oracle_shuffle(u, w))
 
 
 class TestDiscreteRotaBaxter:

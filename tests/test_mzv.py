@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renzeta import mzv, words
 from renzeta.exactnum import Poly
 from renzeta.mzv import (
     DEPTH2_REFERENCE,
@@ -11,6 +14,7 @@ from renzeta.mzv import (
     sup_sphere_count_coeffs,
     verify_hurwitz_identities,
     verify_stuffle,
+    words_up_to,
     zeta2_closed,
     zeta_alt,
     zeta_depth1,
@@ -43,7 +47,19 @@ class TestStrict:
         assert zeta_value(()) == 1
 
 
+_SHIFTS = st.fractions(min_value=Fraction(-11, 12), max_value=3, max_denominator=12)
+
+
+def _words(max_depth, max_letter=3):
+    return st.lists(st.integers(0, max_letter), min_size=1, max_size=max_depth).map(tuple)
+
+
 class TestWeak:
+    @settings(max_examples=40, deadline=None)
+    @given(_words(4), _SHIFTS)
+    def test_drawn_round_trip(self, a, v):
+        assert strict_from_weak(a, v) == zeta_value(a, v, "strict")
+
     def test_example(self):
         assert zeta_weak_renorm((0, 0)).value == Fraction(-1, 8)
 
@@ -65,6 +81,11 @@ class TestWeak:
 
 
 class TestAlt:
+    @settings(max_examples=40, deadline=None)
+    @given(_words(2, max_letter=8), _SHIFTS)
+    def test_drawn_low_depth_agreement(self, a, v):
+        assert zeta_value(a, v, "alt") == zeta_value(a, v, "strict")
+
     def test_low_depth_agreement(self):
         for v in (Fraction(0), Fraction(1, 3), Fraction(2)):
             for a in range(7):
@@ -148,6 +169,35 @@ class TestStuffleSuite:
     def test_small_weak(self):
         report = verify_stuffle(4, Fraction(1, 2), "weak", max_depth=2)
         assert report.ok
+
+    def test_one_lookup_per_word(self, monkeypatch):
+        # one expansion per word pair, one value per distinct word: the
+        # benchmark's per-layer hooks wrap these two module names
+        calls = {"stuffle": [], "zeta_value": []}
+
+        def counting(name):
+            real = getattr(mzv, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name].append(args)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(mzv, name, counting(name))
+        v = Fraction(1, 3)
+        report = verify_stuffle(4, v, "strict")
+        pool = words_up_to(3, 4)
+        pairs = [(u, w) for u in pool for w in pool if sum(u) + sum(w) <= 4]
+        assert report.ok and report.cases == len(pairs)
+        assert calls["stuffle"] == [(u, w, "strict") for u, w in pairs]
+        needed = {x for u, w in pairs for x in (u, w)}
+        needed |= {x for u, w in pairs for x, _ in words.stuffle(u, w)}
+        looked_up = [args[0] for args in calls["zeta_value"]]
+        assert len(looked_up) == len(set(looked_up))
+        assert set(looked_up) == needed
+        assert all(args[1:] == (v, "strict") for args in calls["zeta_value"])
 
     def test_classic_relations(self):
         # zeta(0)^2 = 2 zeta(0,0) + zeta(0)

@@ -5,17 +5,43 @@ from itertools import product as iproduct
 from renzeta.chenint import chen_character_exact, zeta_symbol
 from renzeta.words import (
     TensorPoly,
-    deconcat,
-    deconcat_reduced,
+    Word,
+    _add_into,
     hoffman_exp,
     hoffman_log,
-    parse_word,
     shuffle,
-    shuffle_poly,
     stuffle,
     stuffle_poly,
     word_str,
 )
+
+
+def parse_word(s: str) -> Word:
+    s = s.strip()
+    if not s:
+        return ()
+    return tuple(int(part) for part in s.split(","))
+
+
+def shuffle_poly(s: TensorPoly, t: TensorPoly) -> TensorPoly:
+    """Bilinear extension of the shuffle product."""
+    out: dict[Word, Fraction] = {}
+    for u, cu in s.terms.items():
+        for w, cw in t.terms.items():
+            _add_into(out, shuffle(u, w), cu * cw)
+    return TensorPoly(out)
+
+
+def deconcat(w) -> list[tuple[Word, Word]]:
+    """All |w|+1 splits (prefix, suffix), trivial ones included."""
+    w = tuple(w)
+    return [(w[:i], w[i:]) for i in range(len(w) + 1)]
+
+
+def deconcat_reduced(w) -> list[tuple[Word, Word]]:
+    """The splits with both parts nonempty (what Birkhoff recursions use)."""
+    w = tuple(w)
+    return [(w[:i], w[i:]) for i in range(1, len(w))]
 
 
 def words_over(letters, max_len):

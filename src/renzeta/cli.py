@@ -5,7 +5,8 @@ table), ``hdim`` (higher-dimensional values), ``chen`` (continuous side), and
 ``verify`` (identity suites). Every number crosses the boundary as an exact
 ``p/q`` string; there is no floating point in any output.
 
-Exit codes: 0 success, 1 internal invariant violation, 2 malformed input,
+Exit codes: 0 success, 1 internal invariant violation, 2 malformed input
+or an input too large for the interpreter's recursion limit or memory,
 3 verification failures.
 """
 
@@ -256,6 +257,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        what = "recursion depth" if isinstance(exc, RecursionError) else "memory"
+        print(f"error: out of {what}, input too large ({exc})", file=sys.stderr)
         return 2
     except (RationalityLeak, HolomorphyViolation, StructuralViolation) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

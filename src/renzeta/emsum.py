@@ -6,20 +6,36 @@ computed by a depth recursion: the innermost sum is replaced by its
 interpolated summation expansion, which peels the last slot into a family of
 local germs (three Laurent coefficients each) against depth-(l-1) sums.
 
+Peeling merges the last slot into the one before it and never touches the
+earlier slots. So the same peel step also evaluates a weighted sum of nested
+sums at once when the weights factor slot by slot: a state is a prefix
+together with its last slot, and the sum over the prefix's slot structures
+is carried inside the recursion. Two slot menus use this:
+
+* ``nested_fp_res`` -- one nested sum, each slot given with its own c and
+  weight 1;
+* ``strict_fp_res`` -- the twisted-regularisation expansion of a word (the
+  strict renormalised value): a slot of L consecutive letters carries
+  multiplicity c in 1..L with weight s(L, c)/L! (Hoffman's log followed by
+  his exp), and the multiplicities of a slot are pre-summed in a state of
+  their own.
+
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1.
 
 Two structural facts are enforced at runtime rather than assumed:
 
 * holomorphy -- whenever the last exponent is a nonnegative integer the
-  residue must vanish and the finite part must be rational;
+  residue must vanish and the finite part must be rational, and the
+  boundary subsum (every exponent nonnegative) must be pole-free;
 * the cancellation argument -- a non-rational finite part may only ever be
   multiplied by an exactly-zero coefficient. The NONRATIONAL sentinel raises
   :class:`RationalityLeak` if anything else touches it. The engine skips
   every product whose coefficient is exactly zero (a zero germ entry, or
   the residue of a pole-free subsum), which is exactly the Fraction(0) the
   sentinel would have returned; every nonzero coefficient still meets the
-  sentinel.
+  sentinel. Slot weights only ever multiply residues, and finite parts
+  whose last exponent is nonnegative.
 
 The engine is generic over its coefficient ring: it depends on v only
 through B_{b+1}(1+v) and powers of (1+v), so the same recursion runs with v
@@ -31,11 +47,13 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 from typing import NamedTuple
 
-from .combinat import bernoulli, bernoulli_poly
+from .combinat import bernoulli, bernoulli_poly, stirling1
 from .exactnum import Poly, as_rational
 
 
@@ -152,13 +170,15 @@ def germ_H(j: int, b: int, c) -> LocalGerm:
         if Bj == 0:
             germ = LocalGerm(_ZERO, _ZERO, _ZERO)
         else:
-            # first two coefficients of prod_i (b - i - c z), i = 0..j-2
-            p0, p1 = 1, _ZERO
+            # first two coefficients of prod_i (b - i - c z), i = 0..j-2,
+            # in integers: p0 and cd times p1, for c = cn/cd
+            cn, cd = c.numerator, c.denominator
+            p0, p1 = 1, 0
             for i in range(j - 1):
-                p1 = p1 * (b - i) - c * p0
+                p1 = p1 * (b - i) - cn * p0
                 p0 *= b - i
             scale = Bj / factorial(j)
-            germ = LocalGerm(_ZERO, scale * p0, scale * p1)
+            germ = LocalGerm(_ZERO, scale * p0, scale * Fraction(p1, cd))
     _germ_cache[key] = germ
     return germ
 
@@ -249,6 +269,36 @@ def _memoize(key, value: LaurentData) -> LaurentData:
     return value
 
 
+def _head(v, j_bump: int, menu: int):
+    """Validate the shift v and return it with the part of the memo key
+    shared by a whole recursion: (menu, j_bump, key of v)."""
+    if isinstance(v, Poly):
+        if v != Poly.x():
+            raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
+        return v, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
+    v = as_rational(v)
+    if v <= -1:
+        raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
+    return v, (menu, j_bump, v.numerator, v.denominator)
+
+
+def _check_depth(depth: int) -> None:
+    """The recursion descends one interpreter frame per slot, after it has
+    computed the germs of its top state, which need Bernoulli numbers up to
+    about the depth. Refuse at once a depth sure to overflow the
+    interpreter's recursion limit instead of after that work."""
+    limit = sys.getrecursionlimit()
+    if depth >= limit:
+        raise RecursionError(
+            f"depth {depth} needs more nested calls than the recursion limit {limit}"
+        )
+
+
+#: Slot menus, the first entry of a memo key: every slot given with its own
+#: c and weight 1, or the twisted-regularisation slot structures of a word.
+_SLOTS, _WORD = 0, 1
+
+
 def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     """Residue and finite part at z = 0 of the depth-l cut-off nested sum.
 
@@ -268,15 +318,8 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     exps = _flatten(exponents)
     if not exps:
         raise StructuralViolation("empty exponent list")
-    if isinstance(v, Poly):
-        if v != Poly.x():
-            raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
-        head = (j_bump, 0, 0)  # no rational shift has denominator 0
-    else:
-        v = as_rational(v)
-        if v <= -1:
-            raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
-        head = (j_bump, v.numerator, v.denominator)
+    v, head = _head(v, j_bump, _SLOTS)
+    _check_depth(len(exps) // 3)
     for b in exps[:-3:3]:
         if b < 0:
             raise StructuralViolation(
@@ -286,16 +329,82 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     return _nested(exps, v, head)
 
 
+def strict_fp_res(word, v) -> LaurentData:
+    """Residue and finite part at z = 0 of the twisted-regularisation
+    expansion of the word (a_1, ..., a_k): the sum over every way of cutting
+    the word into consecutive slots, a slot of L letters with exponent their
+    sum, multiplicity c in 1..L and weight s(L, c)/L!, of the nested sum of
+    those slots. Its finite part is the strict renormalised value
+    zeta(-a_1, ..., -a_k; v), its residue is zero.
+
+    >>> strict_fp_res((0, 0), 0)
+    LaurentData(res=Fraction(0, 1), fp=Fraction(3, 8))
+    """
+    word = tuple(word)
+    if not word or any(type(a) is not int or a < 0 for a in word):
+        raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
+    v, head = _head(v, 0, _WORD)
+    _check_depth(len(word))
+    return _boundary(word, v, head)
+
+
+@lru_cache(maxsize=None)
+def _slot_weights(length: int) -> tuple:
+    """(c, s(L, c)/L!) for c = 1..L: the multiplicities and weights of one
+    slot of L letters in the twisted-regularisation expansion."""
+    return tuple(
+        (c, Fraction(stirling1(length, c), factorial(length))) for c in range(1, length + 1)
+    )
+
+
+def _last_slots(word: tuple, cn: int, cd: int):
+    """(letters before the slot, slot exponent, rest of the state key) for
+    every last slot word[k-L:] of a word of length k, each to be merged with
+    a slot of multiplicity cn/cd. A one-letter slot has the single
+    multiplicity 1, of weight 1, so its state is the plain slot state; a
+    longer one is a presum state."""
+    cut = len(word) - 1
+    b = word[cut]
+    yield word[:cut], b, (cn + cd, cd)
+    for cut in range(cut - 1, -1, -1):
+        b += word[cut]
+        yield word[:cut], b, (cn, cd, cut - len(word))
+
+
+def _boundary(prefix: tuple, v, head: tuple) -> LaurentData:
+    """The boundary subsum of a state whose slots before the last are
+    ``prefix``: that nested sum itself under the fixed menu, and under the
+    word menu the weighted sum over the slot structures of the word."""
+    if not head[0]:
+        return _nested(prefix, v, head)
+    res_total = fp_total = _ZERO
+    for stem, b, tail in _last_slots(prefix, 0, 1):
+        res, fp = _nested(stem + (b,) + tail, v, head)
+        if res:
+            res_total += res
+        fp_total = fp if fp_total is _ZERO else fp_total + fp
+    return LaurentData(res_total, fp_total)
+
+
 def _nested(exps: tuple, v, head: tuple) -> LaurentData:
-    """The engine state for the flat exponent list ``exps`` = (b_1, c_1
-    numerator, c_1 denominator, ..., b_l, c_l numerator, c_l denominator);
-    ``head`` = (j_bump, key of v) is the part of the memo key shared by the
-    whole recursion."""
+    """The engine state ``exps``; ``head`` = (menu, j_bump, key of v) is the
+    part of the memo key shared by the whole recursion. Every entry is an
+    integer, and a slot is (b, c numerator, c denominator).
+
+    Under the fixed menu ``exps`` = (b_1, c_1 num, c_1 den, ..., b_l, c_l
+    num, c_l den) is one nested sum. Under the word menu ``exps`` = (a_1, ...,
+    a_m, b, c num, c den) is the weighted sum over the slot structures of the
+    prefix word a_1..a_m of their nested sums followed by the slot (b, c),
+    and (a_1, ..., a_m, b, c num, c den, -L) is the weighted sum over the
+    multiplicities c' of an L-letter slot (b, c + c') after that prefix.
+    """
     key = head + exps
     hit = _cache.get(key)
     if hit is not None:
         return hit
 
+    if exps[-1] < 0:
+        return _memoize(key, _presum(exps, v, head))
     b_last, cn_last, cd_last = exps[-3:]
     if len(exps) == 3:
         if b_last >= 0:
@@ -307,34 +416,42 @@ def _nested(exps: tuple, v, head: tuple) -> LaurentData:
             data = LaurentData(_ZERO, NONRATIONAL)
         return _memoize(key, data)
 
-    b_prev, cn_prev, cd_prev = exps[-6:-3]
-    prefix = exps[:-6]
-    two_j = 2 * (_germ_pairs(exps[::3]) + head[0])
+    prefix = exps[:-3]
+    if head[0]:
+        # every last slot of the prefix word; the letters are the slot
+        # exponents of the structure with one slot per letter, the most
+        # slots any structure has, so they set the truncation
+        bs = prefix + (b_last,)
+        slots = _last_slots(prefix, cn_last, cd_last)
+    else:
+        bs = exps[::3]
+        b_prev, cn_prev, cd_prev = prefix[-3:]
+        num = cn_prev * cd_last + cn_last * cd_prev
+        den = cd_prev * cd_last
+        g = gcd(num, den)
+        slots = ((prefix[:-3], b_prev, (num // g, den // g)),)
+    two_j = 2 * (_germ_pairs(bs) + head[1])
     fp_known = b_last >= 0
-    num = cn_prev * cd_last + cn_last * cd_prev
-    den = cd_prev * cd_last
-    g = gcd(num, den)
-    num //= g
-    den //= g
 
     res_total = _ZERO
     fp_total = _ZERO
     row = _germ_row(b_last, cn_last, cd_last, two_j)
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included
-    for shift, h_m1, h_0, h_1 in row:
-        res, fp = _nested(prefix + (b_prev + shift, num, den), v, head)
-        if h_m1 is not None:
-            res_total += h_m1 * fp
-        if res:
-            if h_0 is not None:
-                res_total += h_0 * res
-            if fp_known and h_1 is not None:
-                fp_total += h_1 * res
-        if fp_known and h_0 is not None:
-            fp_total += h_0 * fp
+    for stem, b_slot, tail in slots:
+        for shift, h_m1, h_0, h_1 in row:
+            res, fp = _nested(stem + (b_slot + shift,) + tail, v, head)
+            if h_m1 is not None:
+                res_total += h_m1 * fp
+            if res:
+                if h_0 is not None:
+                    res_total += h_0 * res
+                if fp_known and h_1 is not None:
+                    fp_total += h_1 * res
+            if fp_known and h_0 is not None:
+                fp_total += h_0 * fp
 
-    sub_res, sub_fp = _nested(exps[:-3], v, head)
+    sub_res, sub_fp = _boundary(prefix, v, head)
     # every slot of the boundary subsum has b >= 0, so it is pole-free; its
     # residue is the only partner the dropped z^1 boundary pieces ever meet
     if sub_res != 0:
@@ -350,6 +467,23 @@ def _nested(exps: tuple, v, head: tuple) -> LaurentData:
         )
     data = LaurentData(res_total, fp_total if fp_known else NONRATIONAL)
     return _memoize(key, data)
+
+
+def _presum(exps: tuple, v, head: tuple) -> LaurentData:
+    """The presum state (stem, b, c num, c den, -L): the weighted sum over
+    c' = 1..L of the states (stem, b, c + c'). With b < 0 every finite part
+    is NONRATIONAL, so the weights act on the residues only."""
+    stem = exps[:-4]
+    b, cn, cd, neg_length = exps[-4:]
+    res_total = fp_total = _ZERO
+    for c, weight in _slot_weights(-neg_length):
+        # c + cn/cd stays in lowest terms
+        res, fp = _nested(stem + (b, cn + c * cd, cd), v, head)
+        if res:
+            res_total += weight * res
+        if b >= 0:
+            fp_total += weight * fp
+    return LaurentData(res_total, fp_total if b >= 0 else NONRATIONAL)
 
 
 def bernoulli_shifted(k: int, v):

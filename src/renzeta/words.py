@@ -13,7 +13,7 @@ coefficients off the same multiplicities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .combinat import compositions, packet_sums
 from .exactnum import as_rational
@@ -106,10 +106,25 @@ class TensorPoly:
         return len(self.terms)
 
     def apply(self, fn):
-        """Linear extension of a word-level valuation: sum of c * fn(word)."""
+        """Linear extension of a word-level valuation: sum of c * fn(word).
+        Rational values are summed over one common denominator and reduced
+        once; any other value (a character, say) by its own arithmetic."""
+        values = [(c, fn(w)) for w, c in self.terms.items()]
+        if all(type(x) is Fraction or type(x) is int for _, x in values):
+            num, den = 0, 1
+            for c, x in values:
+                n = c.numerator * x.numerator
+                d = c.denominator * x.denominator
+                if d == den:
+                    num += n
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + n * (den // g)
+                    den = den // g * d
+            return Fraction(num, den)
         total = Fraction(0)
-        for w, c in self.terms.items():
-            total += c * fn(w)
+        for c, x in values:
+            total += c * x
         return total
 
     def map_words(self, fn) -> "TensorPoly":

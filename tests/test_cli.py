@@ -66,6 +66,25 @@ class TestZetaCommand:
         assert code == 0
 
 
+    def test_too_deep_for_the_recursion_limit(self, capsys):
+        zeros = ",".join(["0"] * 1200)
+        for variant in ("strict", "weak", "alt"):
+            code, out, err = run_cli(
+                capsys, "--limit-depth", "2000", "zeta", "-a", zeros, "--variant", variant
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: out of recursion depth")
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        def boom(*a, **k):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.mzv, "_zeta_result", boom)
+        code, out, err = run_cli(capsys, "zeta", "-a", "0,0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory")
+
+
 class TestTableCommand:
     def test_csv_layout(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max", "2")

@@ -264,14 +264,31 @@ class TestMemo:
 
     def test_engine_state_count(self):
         # the set of engine states is part of the engine's contract: a
-        # faster engine must visit exactly the same states
+        # faster engine must visit exactly the same states. Pinned on the
+        # per-term path: one nested sum per composition term.
+        limit = emsum._cache_limit
+        emsum.set_cache_limit(0)
+        emsum.clear_cache()
+        try:
+            value = sum(
+                coeff * nested_fp_res(exps, 0).fp
+                for exps, coeff in mzv._composition_terms((1,) * 7)
+            )
+            assert len(emsum._cache) == 3053
+            assert value == Fraction(534703531, 902961561600)
+        finally:
+            emsum.set_cache_limit(limit)
+            emsum.clear_cache()
+
+    def test_folded_state_count(self):
+        # the same value by the folded recursion over word prefixes
         limit = emsum._cache_limit
         emsum.set_cache_limit(0)
         emsum.clear_cache()
         mzv._zeta_strict.cache_clear()
         try:
             value = mzv.zeta_value((1,) * 7, 0)
-            assert len(emsum._cache) == 3053
+            assert len(emsum._cache) == 1693
             assert value == Fraction(534703531, 902961561600)
         finally:
             emsum.set_cache_limit(limit)
@@ -308,6 +325,20 @@ class TestSentinelInEngine:
         finally:
             emsum.clear_cache()
         assert nested_fp_res([(0, 1), (0, 1)], Poly.x()).fp(0) == Fraction(3, 8)
+
+
+    def test_nonzero_germ_meets_sentinel_in_folded_recursion(self):
+        # the same poisoned germ reached through the strict expansion of
+        # (0, 0): the one-letter slot (0, 1) merged into (-1, 2)
+        key = (2, 0, Fraction(1))
+        emsum.clear_cache()
+        try:
+            emsum._germ_cache[key] = LocalGerm(Fraction(0), Fraction(1), Fraction(-1, 12))
+            with pytest.raises(RationalityLeak, match="non-rational finite part"):
+                emsum.strict_fp_res((0, 0), 0)
+        finally:
+            emsum.clear_cache()
+        assert emsum.strict_fp_res((0, 0), 0).fp == Fraction(3, 8)
 
 
 class TestEngineOverQv:

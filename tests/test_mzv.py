@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renzeta import mzv, words
+from renzeta import emsum, mzv, words
+from renzeta.combinat import compositions, packet_sums
+from renzeta.emsum import LaurentData, nested_fp_res
 from renzeta.exactnum import Poly
 from renzeta.mzv import (
     DEPTH2_REFERENCE,
@@ -327,5 +329,83 @@ class TestPipelineMatchesHoffmanMaps:
             assert dict(_composition_terms(a)) == self._via_hoffman(a)
 
 
+def oracle_strict(a, v):
+    """The per-term pipeline: one nested sum per composition term of the
+    word, each checked pole-free, summed with its weight."""
+    if not a:
+        return Fraction(1)
+    total = Fraction(0)
+    for exps, coeff in mzv._composition_terms(a):
+        data = nested_fp_res(exps, v)
+        if data.res != 0:
+            raise HolomorphyViolation(f"composition term {exps} at v={v} has residue {data.res}")
+        total = total + coeff * data.fp
+    return total
+
+
+@st.composite
+def _word_of_weight(draw, max_depth, weight):
+    """A word of depth <= max_depth whose letters sum to ``weight``."""
+    word = []
+    for _ in range(draw(st.integers(1, max_depth)) - 1):
+        word.append(draw(st.integers(0, weight - sum(word))))
+    return tuple(word) + (weight - sum(word),)
+
+
+_DEEP_WORDS = st.integers(0, 10).flatmap(lambda n: _word_of_weight(7, n))
+
+
+@st.composite
+def _pairs_of_weight(draw, lo, hi):
+    """Two words of depth <= 3 with combined weight in lo..hi."""
+    total = draw(st.integers(lo, hi))
+    first = draw(st.integers(0, total))
+    return draw(_word_of_weight(3, first)), draw(_word_of_weight(3, total - first))
+
+
+class TestFoldedAgainstTerms:
+    """The folded recursion over word prefixes against the per-term
+    pipeline, off the fixed grids."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_DEEP_WORDS, _SHIFTS)
+    def test_rational_shift(self, a, v):
+        assert zeta_value(a, v) == oracle_strict(a, v)
+        weak = sum(oracle_strict(packet_sums(a, parts), v) for parts in compositions(len(a)))
+        assert zeta_value(a, v, "weak") == weak
+
+    @settings(max_examples=15, deadline=None)
+    @given(_DEEP_WORDS)
+    def test_polynomial_shift(self, a):
+        assert zeta_poly_in_v(a) == mzv._as_poly(oracle_strict(a, Poly.x()))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_DEEP_WORDS, _SHIFTS)
+    def test_wider_germ_truncation(self, a, v):
+        base = emsum.strict_fp_res(a, v)
+        for bump in (1, 2):
+            v_, head = emsum._head(v, bump, emsum._WORD)
+            assert emsum._boundary(a, v_, head) == base
+
+
+class TestStuffleAboveWeight8:
+    @settings(max_examples=30, deadline=None)
+    @given(_pairs_of_weight(9, 12), st.sampled_from(("strict", "weak")), _SHIFTS)
+    def test_drawn_pairs(self, pair, variant, v):
+        u, w = pair
+        lhs = words.stuffle(u, w, variant).apply(lambda x: zeta_value(x, v, variant))
+        assert lhs == zeta_value(u, v, variant) * zeta_value(w, v, variant)
+
+
 def test_holomorphy_violation_error_exists():
     assert issubclass(HolomorphyViolation, ArithmeticError)
+
+
+def test_holomorphy_checked_on_folded_total(monkeypatch):
+    monkeypatch.setattr(mzv, "strict_fp_res", lambda a, v: LaurentData(Fraction(1), Fraction(0)))
+    mzv._zeta_strict.cache_clear()
+    try:
+        with pytest.raises(HolomorphyViolation, match="strict expansion"):
+            zeta_value((5, 7, 9), Fraction(1, 5))
+    finally:
+        mzv._zeta_strict.cache_clear()

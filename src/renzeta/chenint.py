@@ -3,9 +3,9 @@ integrals, the integration operator from the lower bound 1, the Laurent-valued
 multiplicative character on tensor words of symbols, its minimal-subtraction
 (Birkhoff) factorisation, and the renormalised iterated-integral zeta analog.
 
-A symbol is a finite sum of terms q(z) * t^(b - c z) * (log t)^m with
-rational-function coefficients q. The lower integration bound is fixed at 1
-so every boundary value stays inside Q(z).
+A symbol is a finite sum of terms q(z) * t^(b - c z) * (log t)^m, q in Q(z).
+The lower integration bound is fixed at 1 so every boundary value stays in
+Q(z). Zeta words get their characters from a product formula, not symbols.
 """
 
 from __future__ import annotations
@@ -208,26 +208,27 @@ def chen_character_exact(word) -> RationalFunction:
     return cutoff_integral(acc)
 
 
-def _subword_characters(word) -> dict[tuple, RationalFunction]:
-    """:func:`chen_character_exact` of every contiguous subword of ``word``,
-    keyed by the subword, in one pass.
+def _zeta_subword_characters(s) -> dict[tuple[int, ...], RationalFunction]:
+    """The character of every contiguous subword of the zeta word
+    t^(-s_1 - z) x ... x t^(-s_k - z), keyed by its integer letters.
 
-    The integrand of w[i:j] is w[i] * ptilde(integrand of w[i+1:j]), so one
-    chain per end slot j yields all subwords ending there; a subword that
-    occurs twice is computed once.
+    Integrating the outermost variable first (continued analytically in z)
+    leaves one power per step, so s[i:j] gives the product over m of
+    1/((S_m - m) + m z), S_m the m-th partial sum of s[i:]: no gcd is taken.
+
+    >>> _zeta_subword_characters((3, 2))[(3, 2)]
+    RationalFunction((1/2) / (z^2 + 7/2*z + 3))
+    >>> _zeta_subword_characters((1, 1))[(1, 1)]
+    RationalFunction((1/2) / (z^2))
     """
-    word = tuple(word)
-    integrands: dict[tuple, PowerLogExpr] = {}
-    out: dict[tuple, RationalFunction] = {}
-    for j in range(1, len(word) + 1):
-        acc = None
-        for i in range(j - 1, -1, -1):
-            sub = word[i:j]
-            hit = integrands.get(sub)
-            if hit is None:
-                hit = integrands[sub] = word[i] if acc is None else word[i] * ptilde(acc)
-                out[sub] = cutoff_integral(hit)
-            acc = hit
+    out: dict[tuple[int, ...], RationalFunction] = {}
+    for i in range(len(s)):
+        den, partial = Poly.one(), 0
+        for m, x in enumerate(s[i:], start=1):
+            partial += x
+            den = den * Poly((Fraction(partial - m, m), 1))
+            num = Poly.constant(Fraction(1, factorial(m)))
+            out[s[i : i + m]] = RationalFunction._reduced(num, den)
     return out
 
 
@@ -302,24 +303,23 @@ class BirkhoffFactorization:
 
 def _zeta_character_and_value(s) -> tuple[RationalFunction, Fraction]:
     """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z)
-    and its renormalised value, from one pass over its subwords."""
+    and its renormalised value, from the product formula on its subwords."""
     s = tuple(int(x) for x in s)
     if any(x < 1 for x in s):
         raise ValueError("continuous zeta arguments must be positive integers")
-    word = tuple(zeta_symbol(x) for x in s)
-    exact = _subword_characters(word)
-    order = max(1, len(word))
+    exact = _zeta_subword_characters(s)
+    order = max(1, len(s))
     # the factorisation of the word reads the character of every subword
     series = {w: f.laurent_expand(order) for w, f in exact.items()}
-    value = BirkhoffFactorization(series.__getitem__).plus_at_zero(word)
-    return exact.get(word, RationalFunction.constant(1)), value
+    value = BirkhoffFactorization(series.__getitem__).plus_at_zero(s)
+    return exact.get(s, RationalFunction.constant(1)), value
 
 
 def zeta_tilde_renorm(s) -> Fraction:
     """Renormalised continuous zeta analog at positive integer arguments:
-    the holomorphic Birkhoff factor of the word t^(-s_1 - z) x ... x
-    t^(-s_k - z), evaluated at z = 0. Coincides with the convergent nested
-    integral when s_1 + ... + s_m > m for every m.
+    the holomorphic Birkhoff factor at z = 0 of the word t^(-s_1 - z) x ...
+    x t^(-s_k - z), its characters from the product formula. Coincides with
+    the convergent nested integral when s_1 + ... + s_m > m for every m.
 
     >>> zeta_tilde_renorm((3, 2))
     Fraction(1, 6)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import chenint, mzv, verify
 from .emsum import RationalityLeak, StructuralViolation
-from .exactnum import parse_rational, rat_str
+from .exactnum import LaurentWindowError, parse_rational, rat_str
 from .mzv import HolomorphyViolation
 
 DEFAULT_LIMIT_DEPTH = 6
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         what = "recursion depth" if isinstance(exc, RecursionError) else "memory"
         print(f"error: out of {what}, input too large ({exc})", file=sys.stderr)
         return 2
-    except (RationalityLeak, HolomorphyViolation, StructuralViolation) as exc:
+    except (RationalityLeak, HolomorphyViolation, StructuralViolation, LaurentWindowError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 1
 

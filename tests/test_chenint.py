@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -19,8 +20,8 @@ from renzeta.chenint import (
     pure_power_nested_integral,
     zeta_symbol,
     zeta_tilde_renorm,
-    _subword_characters,
     _zeta_character_and_value,
+    _zeta_subword_characters,
 )
 from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
 from renzeta.words import shuffle
@@ -184,25 +185,8 @@ class TestZetaWordClosedForm:
 
 
 class TestSharedSubwordPass:
-    """One pass over the subwords gives what chen_character_exact gives on
-    each of them, and computes each distinct subword once."""
-
-    WORDS = [
-        tuple(zeta_symbol(x) for x in (1, 2, 1, 2)),
-        tuple(zeta_symbol(x) for x in (3, 3, 3)),
-        tuple(zeta_symbol(x) for x in (2, 1, 3, 1, 2)),
-        (power_symbol(-1, 2), power_symbol(-2, 3)),
-        (power_symbol(-1, 2), power_symbol(-2, 3), power_symbol(-1, 2)),
-        (power_symbol(-2, 0, 1), zeta_symbol(1), power_symbol(0, 1) * Fraction(3, 2)),
-        (zeta_symbol(3) + power_symbol(-2, 0, 1), zeta_symbol(1)),
-    ]
-
-    def test_equals_engine_on_every_subword(self):
-        for word in self.WORDS:
-            got = _subword_characters(word)
-            assert set(got) == contiguous_subwords(word)
-            for sub, value in got.items():
-                assert value == chen_character_exact(sub)
+    """The character and value `renzeta chen` prints, against the symbol
+    algebra, and without running it."""
 
     def test_character_and_value(self):
         for s in ((1,), (3, 2), (1, 1, 2), (2, 1, 2, 1), (1, 2, 3, 1, 2)):
@@ -214,36 +198,74 @@ class TestSharedSubwordPass:
             assert value == bf.plus_at_zero(word) == zeta_tilde_renorm(s)
 
     @pytest.mark.parametrize("word_arg", ["1,2,3,1,2", "3,3,3,3,3", "2,1,3,2,3"])
-    def test_cli_computes_each_subword_once(self, word_arg, monkeypatch, capsys):
+    def test_cli_runs_no_symbol_algebra(self, word_arg, monkeypatch, capsys):
         s = tuple(int(x) for x in word_arg.split(","))
-        word = tuple(zeta_symbol(x) for x in s)
-        full_integrand = word[-1]
-        for letter in reversed(word[:-1]):
-            full_integrand = letter * ptilde(full_integrand)
-        seen = []
-        counts = {"ptilde": 0, "chen_character_exact": 0}
+        want = chen_character_exact(tuple(zeta_symbol(x) for x in s)).to_str()
+        counts = {"ptilde": 0, "cutoff_integral": 0, "chen_character_exact": 0}
 
         def counting(name, fn):
-            def wrapped(arg):
+            def wrapped(*args):
                 counts[name] += 1
-                return fn(arg)
+                return fn(*args)
 
             return wrapped
 
-        def recording_cutoff(e, real=chenint.cutoff_integral):
-            seen.append(e)
-            return real(e)
-
-        monkeypatch.setattr(chenint, "cutoff_integral", recording_cutoff)
         for name in counts:
             monkeypatch.setattr(chenint, name, counting(name, getattr(chenint, name)))
         assert cli.main(["chen", "--word", word_arg, "--format", "json"]) == 0
-        capsys.readouterr()
-        distinct = contiguous_subwords(word)
-        assert len(seen) == len(distinct)
-        assert seen.count(full_integrand) == 1
-        assert counts["ptilde"] == sum(1 for w in distinct if len(w) > 1)
-        assert counts["chen_character_exact"] == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert counts == {"ptilde": 0, "cutoff_integral": 0, "chen_character_exact": 0}
+        assert payload["character"] == want
+
+
+class TestZetaSubwordCharacters:
+    """The product formula on every contiguous subword against the symbol
+    algebra (ptilde chain, cut-off integral), and the value it yields
+    against a Birkhoff factorisation over the symbol algebra's series."""
+
+    @staticmethod
+    def check_subwords(s, engine):
+        got = _zeta_subword_characters(s)
+        assert set(got) == contiguous_subwords(s)
+        for sub, value in got.items():
+            assert value == engine(sub), sub
+
+    @staticmethod
+    def symbol_value(s, series):
+        order = max(1, len(s))
+        bf = BirkhoffFactorization(lambda w: series(w, order))
+        return bf.plus_at_zero(tuple(zeta_symbol(x) for x in s))
+
+    def test_grid(self):
+        # chen_character is chen_character_exact expanded: memoise the latter
+        memo = {}
+
+        def exact(word):
+            if word not in memo:
+                memo[word] = chen_character_exact(word)
+            return memo[word]
+
+        def engine(sub):
+            return exact(tuple(zeta_symbol(x) for x in sub))
+
+        def series(w, order):
+            return exact(w).laurent_expand(order)
+
+        for k in range(1, 5):
+            for s in product((1, 2, 3, 4), repeat=k):
+                self.check_subwords(s, engine)
+                assert _zeta_character_and_value(s) == (engine(s), self.symbol_value(s, series))
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=7))
+    @settings(max_examples=20, deadline=None)
+    def test_drawn_words(self, s):
+        s = tuple(s)
+        self.check_subwords(s, lambda sub: chen_character_exact(tuple(zeta_symbol(x) for x in sub)))
+        assert _zeta_character_and_value(s)[1] == self.symbol_value(s, chen_character)
+
+    def test_empty_word(self):
+        assert _zeta_subword_characters(()) == {}
+        assert _zeta_character_and_value(()) == (RationalFunction.constant(1), 1)
 
 
 class TestBirkhoff:

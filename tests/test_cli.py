@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
-from renzeta import cli
+from renzeta import chenint, cli
+from renzeta.exactnum import rat_str
 from renzeta.mzv import Report
 
 
@@ -187,6 +189,57 @@ class TestChenCommand:
             assert run_cli(capsys, "chen", "--word", word)[:2] == (0, want)
         for word, want in self.GOLDEN_JSON.items():
             assert run_cli(capsys, "chen", "--word", word, "--format", "json")[:2] == (0, want)
+
+    REFERENCE_WORDS = [w for k in (1, 2, 3) for w in product((1, 2, 3), repeat=k)] + [
+        (1, 2, 3, 1, 2),
+        (3, 3, 3, 3, 3),
+    ]
+
+    @staticmethod
+    def reference_output(s, order_arg, fmt):
+        """The `chen` output rebuilt from the symbol algebra: the character
+        from chen_character_exact, the value from a Birkhoff factorisation
+        over chen_character."""
+        word = tuple(chenint.zeta_symbol(x) for x in s)
+        exact = chenint.chen_character_exact(word)
+        order = order_arg if order_arg is not None else max(1, len(s))
+        series = exact.laurent_expand(order)
+        bf = chenint.BirkhoffFactorization(
+            lambda w: chenint.chen_character(w, max(1, len(s)))
+        )
+        value = rat_str(bf.plus_at_zero(word))
+        if fmt == "json":
+            payload = {
+                "word": list(s),
+                "character": exact.to_str(),
+                "laurent": series.to_str(),
+                "laurent_order": order,
+                "renormalised": value,
+            }
+            return json.dumps(payload) + "\n"
+        return (
+            f"character(z)   = {exact.to_str()}\n"
+            f"laurent window = {series.to_str()}\n"
+            f"renormalised   = {value}\n"
+        )
+
+    def test_matches_symbol_algebra(self, capsys):
+        for s in self.REFERENCE_WORDS:
+            for order in (None, 0, 7):
+                extra = [] if order is None else ["--laurent-order", str(order)]
+                for fmt in ("json", "text"):
+                    argv = ["chen", "--word", ",".join(map(str, s)), "--format", fmt, *extra]
+                    want = self.reference_output(s, order, fmt)
+                    assert run_cli(capsys, *argv)[:2] == (0, want), argv
+
+    def test_laurent_window_error_exit_1(self, capsys, monkeypatch):
+        def boom(*a, **k):
+            raise chenint.InsufficientOrder("forced for the exit-code contract")
+
+        monkeypatch.setattr(chenint, "_zeta_character_and_value", boom)
+        code, out, err = run_cli(capsys, "chen", "--word", "1,1")
+        assert code == 1 and out == ""
+        assert err.startswith("internal invariant violated: ")
 
 
 class TestVerifyCommand:

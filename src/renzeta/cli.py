@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import chenint, mzv, verify
 from .emsum import RationalityLeak, StructuralViolation
@@ -199,7 +200,10 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    of :func:`main` (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="renzeta",
         description="Exact renormalised multiple (Hurwitz) zeta values at nonpositive integers.",

@@ -4,7 +4,10 @@
 
 computed by a depth recursion: the innermost sum is replaced by its
 interpolated summation expansion, which peels the last slot into a family of
-local germs (three Laurent coefficients each) against depth-(l-1) sums.
+local germs (B_j/j!) [b - c z]_{j-1}, three Laurent coefficients each,
+against depth-(l-1) sums. The engine reads germs only as a whole row, j = 0
+.. 2J for one slot, and keeps one table of such rows, each built in one pass
+over j.
 
 Peeling merges the last slot into the one before it and never touches the
 earlier slots. So the same peel step also evaluates a weighted sum of nested
@@ -132,55 +135,7 @@ class LaurentData(NamedTuple):
     fp: object  # Fraction, Poly or NONRATIONAL
 
 
-class LocalGerm(NamedTuple):
-    """z^{-1}, z^0, z^1 coefficients of a peeled-slot factor."""
-
-    h_m1: Fraction
-    h_0: Fraction
-    h_1: Fraction
-
-
-_germ_cache: dict = {}
 _ZERO = Fraction(0)
-
-
-def germ_H(j: int, b: int, c) -> LocalGerm:
-    """Local germ of the j-th interpolated-summation factor for the slot
-    (b, c): (B_j/j!) [b - c z]_{j-1}, expanded to three coefficients at z=0.
-
-    >>> germ_H(0, -1, Fraction(2))
-    LocalGerm(h_m1=Fraction(-1, 2), h_0=Fraction(0, 1), h_1=Fraction(0, 1))
-    """
-    if j < 0:
-        raise ValueError("germ index must be nonnegative")
-    c = as_rational(c)
-    key = (j, b, c)
-    hit = _germ_cache.get(key)
-    if hit is not None:
-        return hit
-    if j == 0:
-        # [beta]_{-1} = 1/(b+1-cz): simple pole iff b = -1
-        if b == -1:
-            germ = LocalGerm(-1 / c, _ZERO, _ZERO)
-        else:
-            d = Fraction(b + 1)
-            germ = LocalGerm(_ZERO, 1 / d, c / d**2)
-    else:
-        Bj = bernoulli(j)
-        if Bj == 0:
-            germ = LocalGerm(_ZERO, _ZERO, _ZERO)
-        else:
-            # first two coefficients of prod_i (b - i - c z), i = 0..j-2,
-            # in integers: p0 and cd times p1, for c = cn/cd
-            cn, cd = c.numerator, c.denominator
-            p0, p1 = 1, 0
-            for i in range(j - 1):
-                p1 = p1 * (b - i) - cn * p0
-                p0 *= b - i
-            scale = Bj / factorial(j)
-            germ = LocalGerm(_ZERO, scale * p0, scale * Fraction(p1, cd))
-    _germ_cache[key] = germ
-    return germ
 
 
 def _germ_pairs(bs) -> int:
@@ -207,24 +162,42 @@ def _flatten(exponents) -> tuple:
     return tuple(flat)
 
 
-_row_cache: dict = {}
+_germ_cache: dict = {}
 
 
 def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
-    """The germs j = 0 .. two_j (odd j > 1 left out: their Bernoulli numbers
-    vanish) of the last slot (b, c_num/c_den), each as (b + 1 - j, h_m1, h_0,
-    h_1). A merged slot's b is the previous slot's b plus that shift. A
-    coefficient that is exactly zero is stored as None."""
+    """The local germs (B_j/j!) [b - c z]_{j-1} of the last slot (b, c) with
+    c = c_num/c_den, for j = 0 .. two_j (odd j > 1 left out: their Bernoulli
+    numbers vanish), each expanded to three coefficients at z = 0 and stored
+    as (b + 1 - j, h_m1, h_0, h_1). A merged slot's b is the previous slot's
+    b plus that shift. A coefficient that is exactly zero is stored as None.
+
+    [b - c z]_{-1} = 1/(b + 1 - c z) has a simple pole iff b = -1. For j >= 1
+    the row is built in one pass: the two leading coefficients p0 and
+    p1/c_den of the falling factorial prod_{i < j-1} (b - i - c z) are
+    carried from j to j + 1 as the integers p0, p1.
+    """
     key = (b, c_num, c_den, two_j)
-    row = _row_cache.get(key)
-    if row is None:
-        c = Fraction(c_num, c_den)
-        row = tuple(
-            (b + 1 - j, *(h if h else None for h in germ_H(j, b, c)))
-            for j in range(two_j + 1)
-            if j <= 1 or j % 2 == 0
-        )
-        _row_cache[key] = row
+    row = _germ_cache.get(key)
+    if row is not None:
+        return row
+    c = Fraction(c_num, c_den)
+    if b == -1:
+        out = [(0, -1 / c, None, None)]
+    else:
+        d = Fraction(b + 1)
+        out = [(b + 1, None, 1 / d, c / d**2)]
+    p0, p1, fact = 1, 0, 1
+    for j in range(1, two_j + 1):
+        fact *= j
+        if j == 1 or j % 2 == 0:
+            bn, bd = bernoulli(j).as_integer_ratio()
+            h_0 = Fraction(bn * p0, bd * fact) if p0 else None
+            h_1 = Fraction(bn * p1, bd * fact * c_den) if p1 else None
+            out.append((b + 1 - j, None, h_0, h_1))
+        p1 = p1 * (b + 1 - j) - c_num * p0
+        p0 *= b + 1 - j
+    row = _germ_cache[key] = tuple(out)
     return row
 
 
@@ -255,10 +228,9 @@ def set_cache_limit(n: int) -> None:
 
 
 def clear_cache() -> None:
-    """Empty every engine table: states, germs, germ rows, boundary terms."""
+    """Empty every engine table: states, germ rows, boundary terms."""
     _cache.clear()
     _germ_cache.clear()
-    _row_cache.clear()
     _boundary_cache.clear()
 
 
@@ -408,7 +380,7 @@ def _nested(exps: tuple, v, head: tuple) -> LaurentData:
     b_last, cn_last, cd_last = exps[-3:]
     if len(exps) == 3:
         if b_last >= 0:
-            fp = bernoulli_shifted(b_last + 1, v) * Fraction(-1, b_last + 1)
+            fp = bernoulli_poly(b_last + 1, 1 + v) * Fraction(-1, b_last + 1)
             data = LaurentData(_ZERO, fp)
         elif b_last == -1:
             data = LaurentData(Fraction(cd_last, cn_last), NONRATIONAL)
@@ -484,12 +456,6 @@ def _presum(exps: tuple, v, head: tuple) -> LaurentData:
         if b >= 0:
             fp_total += weight * fp
     return LaurentData(res_total, fp_total if b >= 0 else NONRATIONAL)
-
-
-def bernoulli_shifted(k: int, v):
-    """B_k(1+v), exactly: a rational for rational v, a polynomial for a
-    polynomial v."""
-    return bernoulli_poly(k, 1 + v)
 
 
 _C_PALETTE = (

@@ -44,6 +44,27 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _terms_str(terms, var: str) -> str:
+    """Print (exponent, coefficient) pairs, in the order given, as a signed
+    sum such as ``-1/2*z^-1 + 3 - z^2``; zero coefficients are skipped and
+    an empty sum prints as ``0``."""
+    parts = []
+    for k, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag}*"
+            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 class Poly:
     """Dense univariate polynomial over Q.
 
@@ -225,24 +246,7 @@ class Poly:
         return total
 
     def to_str(self, var: str = "z") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _terms_str(reversed(list(enumerate(self.coeffs))), var)
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
@@ -401,27 +405,47 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole of the rational function at {x}")
         return self.num(x) / d
 
-    def valuation_at_zero(self) -> int:
-        """Order of vanishing at z = 0 (negative for a pole)."""
-        if self.is_zero:
-            raise ValueError("the zero function has no valuation")
-
-        def val(p: Poly) -> int:
-            for i, c in enumerate(p.coeffs):
-                if c != 0:
-                    return i
-            raise AssertionError
-
-        return val(self.num) - val(self.den)
-
-    def pole_order_at_zero(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(0, -self.valuation_at_zero())
-
     def laurent_expand(self, order: int) -> "LaurentSeries":
-        """Laurent series at z = 0, valid through z**order."""
-        return laurent_expand(self, order)
+        """Laurent series at z = 0, valid through z**order.
+
+        The pole order at 0 equals the multiplicity of z in the (reduced)
+        denominator.
+
+        >>> RationalFunction(1, Poly((1, -1))).laurent_expand(2)   # 1/(1-z)
+        LaurentSeries(1 + z + z^2 + O(z^3))
+        """
+        if self.is_zero:
+            return LaurentSeries.zero(order)
+
+        def split_z_power(p: Poly):
+            k = 0
+            while p.coefficient(k) == 0:
+                k += 1
+            return k, Poly(p.coeffs[k:])
+
+        kn, num = split_z_power(self.num)
+        kd, den = split_z_power(self.den)
+        shift = kn - kd  # valuation at 0
+        # invert the unit part of the denominator as a power series
+        length = order - shift + 1
+        if length <= 0:
+            return LaurentSeries.zero(order)
+        inv = [Fraction(0)] * length
+        d0 = den.coeffs[0]
+        inv[0] = 1 / d0
+        for n in range(1, length):
+            s = Fraction(0)
+            for j in range(1, min(n, den.degree) + 1):
+                s += den.coefficient(j) * inv[n - j]
+            inv[n] = -s / d0
+        out = [Fraction(0)] * length
+        for i in range(length):
+            a = num.coefficient(i)
+            if a == 0:
+                continue
+            for j in range(length - i):
+                out[i + j] += a * inv[j]
+        return LaurentSeries(shift, out, order)
 
     def to_str(self, var: str = "z") -> str:
         if self.den == Poly.one():
@@ -465,10 +489,6 @@ class LaurentSeries:
     @classmethod
     def constant(cls, c, order: int | None = None) -> "LaurentSeries":
         return cls(0, (as_rational(c),), order)
-
-    @classmethod
-    def from_term(cls, c, exponent: int, order: int | None = None) -> "LaurentSeries":
-        return cls(exponent, (as_rational(c),), order)
 
     @property
     def is_zero(self) -> bool:
@@ -549,7 +569,35 @@ class LaurentSeries:
             )
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return laurent_mul(self, other)
+        # Cauchy product, valid only as far as both operands determine it. A
+        # zero-on-window series has min_exponent = order + 1 by normalization,
+        # which makes the plain window rule below correct for it too.
+        if (self.is_zero and self.order is None) or (other.is_zero and other.order is None):
+            return LaurentSeries.zero(None)  # an exactly-zero factor
+        candidates = []
+        if self.order is not None:
+            candidates.append(self.order + other.min_exponent)
+        if other.order is not None:
+            candidates.append(other.order + self.min_exponent)
+        order = min(candidates) if candidates else None
+        if self.is_zero or other.is_zero:
+            return LaurentSeries.zero(order)
+        lo = self.min_exponent + other.min_exponent
+        hi = lo + len(self.coeffs) + len(other.coeffs) - 2
+        if order is not None:
+            hi = min(hi, order)
+        out = [Fraction(0)] * (hi - lo + 1)
+        for i, ca in enumerate(self.coeffs):
+            if ca == 0:
+                continue
+            ka = self.min_exponent + i
+            for j, cb in enumerate(other.coeffs):
+                if cb == 0:
+                    continue
+                k = ka + other.min_exponent + j
+                if k <= hi:
+                    out[k - lo] += ca * cb
+        return LaurentSeries(lo, out, order)
 
     __rmul__ = __mul__
 
@@ -566,14 +614,6 @@ class LaurentSeries:
             cs[k - lo] = c
         return LaurentSeries(lo, cs, None)
 
-    def holomorphic_part(self) -> "LaurentSeries":
-        """Everything from z^0 on, keeping the validity window."""
-        if not self.coeffs:
-            return LaurentSeries.zero(self.order)
-        lo = max(0, self.min_exponent)
-        hi = self.min_exponent + len(self.coeffs)
-        return LaurentSeries(lo, [self.coefficient(k) for k in range(lo, hi)], self.order)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.constant(other, self.order)
@@ -588,117 +628,11 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.min_exponent, self.coeffs, self.order))
 
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Coefficient-wise equality on the overlap of the two windows."""
-        hi = self._min_order(self.order, other.order)
-        lo = min(self.min_exponent, other.min_exponent)
-        if hi is None:
-            hi = max(
-                self.min_exponent + len(self.coeffs),
-                other.min_exponent + len(other.coeffs),
-            )
-        return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, hi + 1))
-
     def to_str(self, var: str = "z") -> str:
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                k = self.min_exponent + i
-                if k == 0:
-                    body = str(abs(c))
-                else:
-                    mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                    body = f"{mag}{var}" if k == 1 else f"{mag}{var}^{k}"
-                if not parts:
-                    parts.append(body if c > 0 else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if c > 0 else f"- {body}")
-            body = " ".join(parts)
+        body = _terms_str(enumerate(self.coeffs, self.min_exponent), var)
         if self.order is None:
             return body
         return f"{body} + O({var}^{self.order + 1})"
 
     def __repr__(self):
         return f"LaurentSeries({self.to_str()})"
-
-
-def laurent_expand(f: RationalFunction, order: int) -> LaurentSeries:
-    """Expand a rational function at z = 0, valid through z**order.
-
-    The pole order at 0 equals the multiplicity of z in the (reduced)
-    denominator.
-
-    >>> laurent_expand(RationalFunction(1, Poly((1, -1))), 2)   # 1/(1-z)
-    LaurentSeries(1 + z + z^2 + O(z^3))
-    """
-    if f.is_zero:
-        return LaurentSeries.zero(order)
-
-    def split_z_power(p: Poly):
-        k = 0
-        while p.coefficient(k) == 0:
-            k += 1
-        return k, Poly(p.coeffs[k:])
-
-    kn, num = split_z_power(f.num)
-    kd, den = split_z_power(f.den)
-    shift = kn - kd  # valuation of f at 0
-    # invert the unit part of the denominator as a power series
-    length = order - shift + 1
-    if length <= 0:
-        return LaurentSeries.zero(order)
-    inv = [Fraction(0)] * length
-    d0 = den.coeffs[0]
-    inv[0] = 1 / d0
-    for n in range(1, length):
-        s = Fraction(0)
-        for j in range(1, min(n, den.degree) + 1):
-            s += den.coefficient(j) * inv[n - j]
-        inv[n] = -s / d0
-    out = [Fraction(0)] * length
-    for i in range(length):
-        a = num.coefficient(i)
-        if a == 0:
-            continue
-        for j in range(length - i):
-            out[i + j] += a * inv[j]
-    return LaurentSeries(shift, out, order)
-
-
-def laurent_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Cauchy product; the validity order is reduced to what both operands
-    actually determine.
-
-    A zero-on-window series has min_exponent = order + 1 by normalization,
-    which makes the plain window rule below correct for it too.
-    """
-    if (a.is_zero and a.order is None) or (b.is_zero and b.order is None):
-        return LaurentSeries.zero(None)  # an exactly-zero factor
-    candidates = []
-    if a.order is not None:
-        candidates.append(a.order + b.min_exponent)
-    if b.order is not None:
-        candidates.append(b.order + a.min_exponent)
-    order = min(candidates) if candidates else None
-    if a.is_zero or b.is_zero:
-        return LaurentSeries.zero(order)
-    lo = a.min_exponent + b.min_exponent
-    hi = a.min_exponent + len(a.coeffs) - 1 + b.min_exponent + len(b.coeffs) - 1
-    if order is not None:
-        hi = min(hi, order)
-    out = [Fraction(0)] * (hi - lo + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        ka = a.min_exponent + i
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
-                continue
-            k = ka + b.min_exponent + j
-            if k <= hi:
-                out[k - lo] += ca * cb
-    return LaurentSeries(lo, out, order)

@@ -159,19 +159,6 @@ def _zeta_weak(a: tuple[int, ...], v: Fraction) -> Fraction:
     )
 
 
-def strict_from_weak(a, v=0) -> Fraction:
-    """Inverse conversion: recovers the strict value from weak values."""
-    a = _validate_args(a)
-    v = as_rational(v)
-    if not a:
-        return Fraction(1)
-    k = len(a)
-    return sum(
-        Fraction(-1) ** (k - len(parts)) * _zeta_weak(packet_sums(a, parts), v)
-        for parts in compositions(k)
-    )
-
-
 @lru_cache(maxsize=None)
 def _zeta_alt(a: tuple[int, ...], v: Fraction) -> Fraction:
     if not a:

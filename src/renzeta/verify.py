@@ -41,11 +41,10 @@ def suite_stuffle(max_weight: int = 8, vs=(Fraction(0), Fraction(1, 2))) -> Repo
     return report
 
 
-def _arg_lists(max_depth: int, max_entry: int):
-    out = []
-    for depth in range(1, max_depth + 1):
-        out.extend(iproduct(range(max_entry + 1), repeat=depth))
-    return out
+def _words(max_len: int, alphabet) -> list:
+    """Every word of length 1..max_len over the alphabet: shorter words
+    first, each length in lexicographic order."""
+    return [w for ln in range(1, max_len + 1) for w in iproduct(alphabet, repeat=ln)]
 
 
 def suite_hurwitz(max_depth: int = 3, max_entry: int = 3,
@@ -53,7 +52,7 @@ def suite_hurwitz(max_depth: int = 3, max_entry: int = 3,
     """Hurwitz shift and derivative identities across small argument lists."""
     report = Report(suite="hurwitz")
     t0 = time.monotonic()
-    for a in _arg_lists(max_depth, max_entry):
+    for a in _words(max_depth, range(max_entry + 1)):
         for v in vs:
             report = report.merged_with(mzv.verify_hurwitz_identities(a, v))
     report.suite = "hurwitz"
@@ -132,13 +131,6 @@ def suite_engine(count: int = 200) -> Report:
     return report
 
 
-def _chen_words(max_len: int, letters=(1, 2, 3)):
-    out = []
-    for ln in range(1, max_len + 1):
-        out.extend(iproduct(letters, repeat=ln))
-    return out
-
-
 def suite_shuffle_cont() -> Report:
     """Continuous side: character multiplicativity under the shuffle,
     renormalised shuffle relations after factorisation, the splitting
@@ -156,7 +148,7 @@ def suite_shuffle_cont() -> Report:
             )
         return hit
 
-    words = _chen_words(3)
+    words = _words(3, (1, 2, 3))
     for u in words:
         for w in words:
             if len(u) + len(w) > 4:

@@ -11,10 +11,8 @@ from renzeta import mzv
 from renzeta.emsum import (
     NONRATIONAL,
     LaurentData,
-    LocalGerm,
     RationalityLeak,
     StructuralViolation,
-    germ_H,
     nested_fp_res,
     random_exponent_lists,
 )
@@ -93,22 +91,20 @@ class TestNonRationalSentinel:
 
 
 class TestGerms:
+    # a row entry is (b + 1 - j, h_m1, h_0, h_1), an exact zero stored as None
     def test_examples(self):
-        g = germ_H(0, -1, Fraction(2))
-        assert (g.h_m1, g.h_0, g.h_1) == (Fraction(-1, 2), 0, 0)
-        g = germ_H(1, 5, Fraction(1))
-        assert (g.h_m1, g.h_0, g.h_1) == (0, Fraction(-1, 2), 0)
-        g = germ_H(3, 0, Fraction(1))
-        assert (g.h_m1, g.h_0, g.h_1) == (0, 0, 0)
+        assert emsum._germ_row(-1, 2, 1, 2)[0] == (0, Fraction(-1, 2), None, None)
+        assert emsum._germ_row(5, 1, 1, 2)[1] == (5, None, Fraction(-1, 2), None)
+        # odd j > 1 germs vanish and are left out of the row: j = 0, 1, 2, 4
+        row = emsum._germ_row(0, 1, 1, 4)
+        assert [shift for shift, *_ in row] == [1, 0, -1, -3]
 
     def test_regular_j0(self):
-        g = germ_H(0, 2, Fraction(3))
-        assert (g.h_m1, g.h_0, g.h_1) == (0, Fraction(1, 3), Fraction(1, 3))
+        assert emsum._germ_row(2, 3, 1, 2)[0] == (3, None, Fraction(1, 3), Fraction(1, 3))
 
     def test_j2(self):
         # (B_2/2!)(b - cz): constant b/12, slope -c/12
-        g = germ_H(2, 4, Fraction(2))
-        assert (g.h_m1, g.h_0, g.h_1) == (0, Fraction(1, 3), Fraction(-1, 6))
+        assert emsum._germ_row(4, 2, 1, 2)[2] == (3, None, Fraction(1, 3), Fraction(-1, 6))
 
 
 class TestJTruncation:
@@ -254,7 +250,7 @@ class TestMemo:
         assert first == second
 
     def test_clear_cache_empties_every_table(self):
-        tables = (emsum._cache, emsum._germ_cache, emsum._row_cache, emsum._boundary_cache)
+        tables = (emsum._cache, emsum._germ_cache, emsum._boundary_cache)
         exps = [(2, 1), (1, Fraction(1, 2)), (0, 1)]
         first = nested_fp_res(exps, Fraction(1, 3))
         assert all(tables)
@@ -296,16 +292,24 @@ class TestMemo:
 
 
 class TestSentinelInEngine:
+    # peeling (0, 1) from [(0, 1), (0, 1)] merges at j = 2 into the slot
+    # (-1, 2), whose finite part is NONRATIONAL; the true h_0 there is 0.
+    # The poisoned row of the slot (0, 1/1) gives that germ h_0 = 1.
+    TWO_J = 2 * emsum._germ_pairs((0, 0))
+
+    def poison_j2(self):
+        key = (0, 1, 1, self.TWO_J)
+        row = list(emsum._germ_row(*key))
+        assert row[2] == (-1, None, None, Fraction(-1, 12))
+        row[2] = (-1, None, Fraction(1), Fraction(-1, 12))
+        emsum._germ_cache[key] = tuple(row)
+
     def test_nonzero_germ_meets_sentinel(self):
-        # peeling (0, 1) from [(0, 1), (0, 1)] merges at j = 2 into the slot
-        # (-1, 2), whose finite part is NONRATIONAL; the true h_0 there is 0
-        key = (2, 0, Fraction(1))
         emsum.clear_cache()
         try:
-            assert germ_H(*key).h_0 == 0
             assert nested_fp_res([(-1, 2)], 0).fp is NONRATIONAL
             emsum.clear_cache()
-            emsum._germ_cache[key] = LocalGerm(Fraction(0), Fraction(1), Fraction(-1, 12))
+            self.poison_j2()
             with pytest.raises(RationalityLeak, match="non-rational finite part"):
                 nested_fp_res([(0, 1), (0, 1)], 0)
         finally:
@@ -314,26 +318,23 @@ class TestSentinelInEngine:
 
     def test_nonzero_germ_meets_sentinel_over_q_v(self):
         # the same poisoned germ, with the engine run over Q[v]
-        key = (2, 0, Fraction(1))
         emsum.clear_cache()
         try:
             assert nested_fp_res([(-1, 2)], Poly.x()).fp is NONRATIONAL
             emsum.clear_cache()
-            emsum._germ_cache[key] = LocalGerm(Fraction(0), Fraction(1), Fraction(-1, 12))
+            self.poison_j2()
             with pytest.raises(RationalityLeak, match="non-rational finite part"):
                 nested_fp_res([(0, 1), (0, 1)], Poly.x())
         finally:
             emsum.clear_cache()
         assert nested_fp_res([(0, 1), (0, 1)], Poly.x()).fp(0) == Fraction(3, 8)
 
-
     def test_nonzero_germ_meets_sentinel_in_folded_recursion(self):
         # the same poisoned germ reached through the strict expansion of
         # (0, 0): the one-letter slot (0, 1) merged into (-1, 2)
-        key = (2, 0, Fraction(1))
         emsum.clear_cache()
         try:
-            emsum._germ_cache[key] = LocalGerm(Fraction(0), Fraction(1), Fraction(-1, 12))
+            self.poison_j2()
             with pytest.raises(RationalityLeak, match="non-rational finite part"):
                 emsum.strict_fp_res((0, 0), 0)
         finally:

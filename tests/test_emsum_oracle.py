@@ -9,25 +9,74 @@ including on which finite parts are NONRATIONAL.
 
 from fractions import Fraction
 from math import factorial, prod
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, verify
-from renzeta.combinat import bernoulli
+from renzeta.combinat import bernoulli, bernoulli_poly
 from renzeta.emsum import (
     NONRATIONAL,
     AffineExponent,
     LaurentData,
     RationalityLeak,
-    bernoulli_shifted,
-    germ_H,
     nested_fp_res,
     random_exponent_lists,
 )
 from renzeta.exactnum import Poly
 
 _ORACLE_MEMO: dict = {}
+
+
+class LocalGerm(NamedTuple):
+    """z^{-1}, z^0, z^1 coefficients of a peeled-slot factor."""
+
+    h_m1: Fraction
+    h_0: Fraction
+    h_1: Fraction
+
+
+def germ_H(j: int, b: int, c: Fraction) -> LocalGerm:
+    """Local germ of the j-th interpolated-summation factor for the slot
+    (b, c): (B_j/j!) [b - c z]_{j-1}, expanded to three coefficients at
+    z = 0, one germ at a time with its own falling factorial."""
+    if j == 0:
+        # [beta]_{-1} = 1/(b+1-cz): simple pole iff b = -1
+        if b == -1:
+            return LocalGerm(-1 / c, Fraction(0), Fraction(0))
+        d = Fraction(b + 1)
+        return LocalGerm(Fraction(0), 1 / d, c / d**2)
+    # first two coefficients of prod_i (b - i - c z), i = 0..j-2
+    p0, p1 = Fraction(1), Fraction(0)
+    for i in range(j - 1):
+        p0, p1 = p0 * (b - i), p1 * (b - i) - c * p0
+    scale = bernoulli(j) / factorial(j)
+    return LocalGerm(Fraction(0), scale * p0, scale * p1)
+
+
+def test_germ_oracle_examples():
+    assert germ_H(0, -1, Fraction(2)) == LocalGerm(Fraction(-1, 2), 0, 0)
+    assert germ_H(1, 5, Fraction(1)) == LocalGerm(0, Fraction(-1, 2), 0)
+    assert germ_H(3, 0, Fraction(1)) == LocalGerm(0, 0, 0)
+    assert germ_H(0, 2, Fraction(3)) == LocalGerm(0, Fraction(1, 3), Fraction(1, 3))
+    # (B_2/2!)(b - cz): constant b/12, slope -c/12
+    assert germ_H(2, 4, Fraction(2)) == LocalGerm(0, Fraction(1, 3), Fraction(-1, 6))
+
+
+def test_germ_rows_against_oracle():
+    # every row the engine builds in one pass equals the germs taken one
+    # at a time, with the same exactly-zero (None) entries
+    for b in range(-45, 20):
+        for c in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3),
+                  Fraction(5, 2), Fraction(7, 3)):
+            for two_j in (2, 4, 8, 14, 22, 30):
+                want = tuple(
+                    (b + 1 - j, *(h if h else None for h in germ_H(j, b, c)))
+                    for j in range(two_j + 1)
+                    if j <= 1 or j % 2 == 0
+                )
+                assert emsum._germ_row(b, c.numerator, c.denominator, two_j) == want
 
 
 def boundary_k0(b, two_j, v):
@@ -51,7 +100,7 @@ def oracle_nested(exps, v, bump):
     b_last, c_last = exps[-1]
     if len(exps) == 1:
         if b_last >= 0:
-            data = LaurentData(Fraction(0), -bernoulli_shifted(b_last + 1, v) / (b_last + 1))
+            data = LaurentData(Fraction(0), -bernoulli_poly(b_last + 1, 1 + v) / (b_last + 1))
         elif b_last == -1:
             data = LaurentData(1 / c_last, NONRATIONAL)
         else:

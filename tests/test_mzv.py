@@ -12,7 +12,6 @@ from renzeta.mzv import (
     DEPTH2_REFERENCE,
     HolomorphyViolation,
     hdim_zeta,
-    strict_from_weak,
     sup_sphere_count_coeffs,
     verify_hurwitz_identities,
     verify_stuffle,
@@ -25,6 +24,15 @@ from renzeta.mzv import (
     zeta_value,
     zeta_weak_renorm,
 )
+
+
+def strict_from_weak(a, v=0) -> Fraction:
+    """Inverse conversion: recovers the strict value from weak values."""
+    a, k = tuple(a), len(a)
+    return sum(
+        Fraction(-1) ** (k - len(parts)) * zeta_value(packet_sums(a, parts), v, "weak")
+        for parts in compositions(k)
+    )
 
 
 class TestStrict:

@@ -1,0 +1,35 @@
+"""The benchmark tracer binds package names from outside the package.
+
+``perfbench/tracing.py`` wraps module-level functions and methods of
+``renzeta`` by name and reads some engine tables. A change to ``src/`` that
+renames or deletes one of them must fail here, not on the first traced
+benchmark run. Nothing in ``perfbench/`` is changed by this test.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from renzeta import emsum, mzv
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
+
+sys.path.pop(0)
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = (mzv.zeta_value, emsum._nested)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        emsum.clear_cache()
+        mzv._zeta_strict.cache_clear()
+        assert mzv.zeta_value((1, 1), Fraction(1, 3)) == mzv._zeta_strict((1, 1), Fraction(1, 3))
+    finally:
+        tracer.uninstall()
+    assert (mzv.zeta_value, emsum._nested) == originals
+    metrics = tracer.layer_metrics(0)
+    assert metrics["mzv.values"] == 1
+    assert metrics["emsum.germ_cache.size"] > 0
+    assert all(isinstance(x, (int, float)) for x in metrics.values())

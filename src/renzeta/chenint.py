@@ -301,9 +301,10 @@ class BirkhoffFactorization:
             raise InsufficientOrder(str(exc)) from exc
 
 
-def _zeta_character_and_value(s) -> tuple[RationalFunction, Fraction]:
-    """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z)
-    and its renormalised value, from the product formula on its subwords."""
+def _zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
+    """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z),
+    its Laurent window through z**max(1, k), and its renormalised value,
+    from the product formula on its subwords."""
     s = tuple(int(x) for x in s)
     if any(x < 1 for x in s):
         raise ValueError("continuous zeta arguments must be positive integers")
@@ -312,7 +313,10 @@ def _zeta_character_and_value(s) -> tuple[RationalFunction, Fraction]:
     # the factorisation of the word reads the character of every subword
     series = {w: f.laurent_expand(order) for w, f in exact.items()}
     value = BirkhoffFactorization(series.__getitem__).plus_at_zero(s)
-    return exact.get(s, RationalFunction.constant(1)), value
+    if s not in exact:  # the empty word
+        character = RationalFunction.constant(1)
+        return character, character.laurent_expand(order), value
+    return exact[s], series[s], value
 
 
 def zeta_tilde_renorm(s) -> Fraction:
@@ -326,7 +330,7 @@ def zeta_tilde_renorm(s) -> Fraction:
     >>> zeta_tilde_renorm((1, 1))
     Fraction(0, 1)
     """
-    return _zeta_character_and_value(s)[1]
+    return _zeta_character_and_value(s)[2]
 
 
 def pure_power_nested_integral(exponents, lo, hi) -> Fraction:

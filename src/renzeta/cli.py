@@ -158,9 +158,11 @@ def cmd_chen(args) -> int:
         raise InputError("--word entries must be positive integers")
     if len(word) > args.limit_depth:
         raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth}")
-    order = args.laurent_order if args.laurent_order is not None else max(1, len(word))
-    exact, value = chenint._zeta_character_and_value(word)
-    series = exact.laurent_expand(order)
+    exact, series, value = chenint._zeta_character_and_value(word)
+    order = max(1, len(word))  # the window the character comes with
+    if args.laurent_order is not None and args.laurent_order != order:
+        order = args.laurent_order
+        series = exact.laurent_expand(order)
     if args.format == "json":
         print(
             json.dumps(

@@ -6,8 +6,8 @@ computed by a depth recursion: the innermost sum is replaced by its
 interpolated summation expansion, which peels the last slot into a family of
 local germs (B_j/j!) [b - c z]_{j-1}, three Laurent coefficients each,
 against depth-(l-1) sums. The engine reads germs only as a whole row, j = 0
-.. 2J for one slot, and keeps one table of such rows, each built in one pass
-over j.
+.. 2J for one slot. It keeps one row per slot, the longest one requested,
+built in one pass over j, and reads it up to 2J.
 
 Peeling merges the last slot into the one before it and never touches the
 earlier slots. So the same peel step also evaluates a weighted sum of nested
@@ -32,18 +32,26 @@ Two structural facts are enforced at runtime rather than assumed:
   residue must vanish and the finite part must be rational, and the
   boundary subsum (every exponent nonnegative) must be pole-free;
 * the cancellation argument -- a non-rational finite part may only ever be
-  multiplied by an exactly-zero coefficient. The NONRATIONAL sentinel raises
-  :class:`RationalityLeak` if anything else touches it. The engine skips
-  every product whose coefficient is exactly zero (a zero germ entry, or
-  the residue of a pole-free subsum), which is exactly the Fraction(0) the
-  sentinel would have returned; every nonzero coefficient still meets the
-  sentinel. Slot weights only ever multiply residues, and finite parts
-  whose last exponent is nonnegative.
+  multiplied by an exactly-zero coefficient. The NONRATIONAL sentinel
+  stands for such a finite part in the memo, and the kernel raises
+  :class:`RationalityLeak` if it meets one. The engine drops every product
+  whose coefficient is exactly zero (a zero germ entry, or the residue of a
+  pole-free subsum), which is exactly the zero the sentinel would have
+  given; every nonzero coefficient still reaches the kernel. Slot weights
+  only ever multiply residues, and finite parts whose last exponent is
+  nonnegative.
 
-The engine is generic over its coefficient ring: it depends on v only
-through B_{b+1}(1+v) and powers of (1+v), so the same recursion runs with v
-a rational (values in Q) or with v the polynomial variable ``Poly.x()``
-(values in Q[v], the Hurwitz polynomial itself).
+The engine runs over Q (v a rational) and over Q[v] (v the polynomial
+variable ``Poly.x()``, values the Hurwitz polynomials themselves) with one
+arithmetic. It depends on v only through powers of 1 + v (B_{b+1}(1+v)
+included), and every value it stores is integer numerators over one shared
+denominator: (D, (n_0, ..., n_d)) is sum_k n_k v^k / D, a rational being
+the case d = 0. A state's residue and finite part each come from one call
+of the kernel :func:`_combine`, a linear combination of such values with
+integer-pair coefficients p/q: one lcm, integer multiply-adds and one gcd.
+Germ entries and slot weights are stored as those integer pairs. Values
+become ``Fraction`` or ``Poly`` only where ``nested_fp_res`` and
+``strict_fp_res`` return them.
 """
 
 from __future__ import annotations
@@ -53,10 +61,10 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
-from .combinat import bernoulli, bernoulli_poly, stirling1
+from .combinat import bernoulli, stirling1
 from .exactnum import Poly, as_rational
 
 
@@ -135,7 +143,96 @@ class LaurentData(NamedTuple):
     fp: object  # Fraction, Poly or NONRATIONAL
 
 
-_ZERO = Fraction(0)
+#: The engine value zero, and the kernel coefficient 1/1.
+_ZERO = (1, ())
+_UNIT = (1, 1)
+
+
+def _combine(terms) -> tuple:
+    """The kernel: sum_i (p_i/q_i) x_i over the terms ((p_i, q_i), x_i), each
+    x_i an engine value (D, (n_0, ..., n_d)) = sum_k n_k v^k / D, returned
+    reduced: one lcm of the denominators q_i D_i, integer multiply-adds and
+    one gcd. Values of different degree mix freely. Every coefficient is
+    nonzero (the engine drops exact zeros first), so an x_i that is
+    NONRATIONAL raises RationalityLeak.
+
+    (1 + 2v)/6 - v^2/3 + 1/6 + 5 * 0, reduced to (1 + v - v^2)/3:
+
+    >>> _combine([((1, 2), (3, (1, 2))), ((-1, 3), (1, (0, 0, 1))),
+    ...           ((1, 6), (1, (1,))), ((5, 1), _ZERO)])
+    (3, (1, 1, -1))
+    >>> _combine([((2, 1), (3, (1,))), ((-1, 3), (1, (2,)))])
+    (1, ())
+    >>> _combine([((1, 2), NONRATIONAL)])
+    Traceback (most recent call last):
+    ...
+    renzeta.emsum.RationalityLeak: non-rational finite part multiplied by nonzero coefficient
+    """
+    dens = []
+    size = 0
+    for (_, q), x in terms:
+        if x is NONRATIONAL:
+            raise RationalityLeak("non-rational finite part multiplied by nonzero coefficient")
+        dens.append(q * x[0])
+        if len(x[1]) > size:
+            size = len(x[1])
+    den = lcm(*dens)
+    acc = [0] * size
+    for ((p, _), (_, nums)), d in zip(terms, dens):
+        f = p * (den // d)
+        for k, n in enumerate(nums):
+            acc[k] += f * n
+    while acc and not acc[-1]:
+        acc.pop()
+    if not acc:
+        return _ZERO
+    g = gcd(den, *acc)
+    return den // g, tuple(n // g for n in acc)
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of two engine values, not reduced (the kernel reduces)."""
+    (dx, xs), (dy, ys) = x, y
+    if not xs or not ys:
+        return _ZERO
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for k, b in enumerate(ys):
+            out[i + k] += a * b
+    return dx * dy, tuple(out)
+
+
+def _powers(w: tuple, n: int) -> list:
+    """[w^0, ..., w^n] for the engine value w = 1 + v."""
+    out = [(1, (1,))]
+    for _ in range(n):
+        out.append(_times(out[-1], w))
+    return out
+
+
+def _pair(num: int, den: int) -> tuple:
+    """num/den as a reduced integer pair with a positive denominator, or
+    None when it is zero."""
+    if not num:
+        return None
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _value(x: tuple, v):
+    """The engine value x as a Fraction, or as a Poly when v = ``Poly.x()``."""
+    den, nums = x
+    if isinstance(v, Poly):
+        return Poly(tuple(Fraction(n, den) for n in nums))
+    return Fraction(nums[0], den) if nums else Fraction(0)
+
+
+def _to_laurent(data: tuple, v) -> LaurentData:
+    """A memo entry as LaurentData over the ring of the shift v."""
+    res, fp = data
+    return LaurentData(_value(res, v), fp if fp is NONRATIONAL else _value(fp, v))
 
 
 def _germ_pairs(bs) -> int:
@@ -170,31 +267,33 @@ def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
     c = c_num/c_den, for j = 0 .. two_j (odd j > 1 left out: their Bernoulli
     numbers vanish), each expanded to three coefficients at z = 0 and stored
     as (b + 1 - j, h_m1, h_0, h_1). A merged slot's b is the previous slot's
-    b plus that shift. A coefficient that is exactly zero is stored as None.
+    b plus that shift. A coefficient is a reduced integer pair (p, q) with
+    q > 0, or None when it is exactly zero.
+
+    The table keeps one row per slot, the longest one requested, and this
+    returns its prefix up to j = two_j.
 
     [b - c z]_{-1} = 1/(b + 1 - c z) has a simple pole iff b = -1. For j >= 1
     the row is built in one pass: the two leading coefficients p0 and
     p1/c_den of the falling factorial prod_{i < j-1} (b - i - c z) are
     carried from j to j + 1 as the integers p0, p1.
     """
-    key = (b, c_num, c_den, two_j)
+    size = two_j // 2 + 2  # j = 0, 1, 2, 4, ..., two_j
+    key = (b, c_num, c_den)
     row = _germ_cache.get(key)
-    if row is not None:
-        return row
-    c = Fraction(c_num, c_den)
+    if row is not None and len(row) >= size:
+        return row[:size]
     if b == -1:
-        out = [(0, -1 / c, None, None)]
+        out = [(0, (-c_den, c_num), None, None)]
     else:
-        d = Fraction(b + 1)
-        out = [(b + 1, None, 1 / d, c / d**2)]
+        out = [(b + 1, None, _pair(1, b + 1), _pair(c_num, c_den * (b + 1) ** 2))]
     p0, p1, fact = 1, 0, 1
     for j in range(1, two_j + 1):
         fact *= j
         if j == 1 or j % 2 == 0:
             bn, bd = bernoulli(j).as_integer_ratio()
-            h_0 = Fraction(bn * p0, bd * fact) if p0 else None
-            h_1 = Fraction(bn * p1, bd * fact * c_den) if p1 else None
-            out.append((b + 1 - j, None, h_0, h_1))
+            out.append((b + 1 - j, None, _pair(bn * p0, bd * fact),
+                        _pair(bn * p1, bd * fact * c_den)))
         p1 = p1 * (b + 1 - j) - c_num * p0
         p0 *= b + 1 - j
     row = _germ_cache[key] = tuple(out)
@@ -204,16 +303,18 @@ def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
 _boundary_cache: dict = {}
 
 
-def _boundary_k0(b: int, two_j: int, row: tuple, v):
+def _boundary_k0(b: int, two_j: int, row: tuple, w: tuple) -> tuple:
     """z^0 coefficient of the peeled boundary factor for a last slot with
-    b >= 0: minus the sum of h_0 (1+v)^shift over the slot's germ row. A germ
-    with h_0 != 0 has j - 1 <= b, so its shift b + 1 - j is never negative."""
-    key = (b, two_j, v)
+    b >= 0, given its germ row up to two_j and the engine value w = 1 + v:
+    minus the sum of h_0 w^shift over the row. A germ with h_0 != 0 has
+    j - 1 <= b, so its shift b + 1 - j is never negative."""
+    key = (b, two_j, w)
     hit = _boundary_cache.get(key)
     if hit is None:
-        base = 1 + v
-        hit = -sum(h_0 * base**shift for shift, _, h_0, _ in row if h_0 is not None)
-        _boundary_cache[key] = hit
+        powers = _powers(w, b + 1)
+        hit = _boundary_cache[key] = _combine(
+            [((-h_0[0], h_0[1]), powers[shift]) for shift, _, h_0, _ in row if h_0]
+        )
     return hit
 
 
@@ -234,7 +335,7 @@ def clear_cache() -> None:
     _boundary_cache.clear()
 
 
-def _memoize(key, value: LaurentData) -> LaurentData:
+def _memoize(key, value: tuple) -> tuple:
     if _cache_limit and len(_cache) >= _cache_limit:
         _cache.pop(next(iter(_cache)))
     _cache[key] = value
@@ -242,16 +343,18 @@ def _memoize(key, value: LaurentData) -> LaurentData:
 
 
 def _head(v, j_bump: int, menu: int):
-    """Validate the shift v and return it with the part of the memo key
-    shared by a whole recursion: (menu, j_bump, key of v)."""
+    """Validate the shift v. Returns w = 1 + v as an engine value, the
+    ``w`` every state function takes, with the part of the memo key shared
+    by a whole recursion: (menu, j_bump, key of v)."""
     if isinstance(v, Poly):
         if v != Poly.x():
             raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
-        return v, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
+        return (1, (1, 1)), (menu, j_bump, 0, 0)  # no rational shift has denominator 0
     v = as_rational(v)
     if v <= -1:
         raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
-    return v, (menu, j_bump, v.numerator, v.denominator)
+    num, den = v.as_integer_ratio()
+    return (den, (num + den,)), (menu, j_bump, num, den)
 
 
 def _check_depth(depth: int) -> None:
@@ -276,7 +379,7 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
 
     All slots but the last must have b >= 0. v is a rational > -1, or the
     polynomial variable ``Poly.x()``: then the residue and the finite part
-    come out as polynomials in v (a constant may stay a Fraction).
+    come out as polynomials in v.
     ``j_bump`` widens every germ truncation by that amount (the result must
     not depend on it; the robustness suite checks this).
 
@@ -290,7 +393,7 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     exps = _flatten(exponents)
     if not exps:
         raise StructuralViolation("empty exponent list")
-    v, head = _head(v, j_bump, _SLOTS)
+    w, head = _head(v, j_bump, _SLOTS)
     _check_depth(len(exps) // 3)
     for b in exps[:-3:3]:
         if b < 0:
@@ -298,7 +401,7 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
                 f"non-last slot with negative exponent {b}: the recursion only "
                 "peels the deepest slot"
             )
-    return _nested(exps, v, head)
+    return _to_laurent(_nested(exps, w, head), v)
 
 
 def strict_fp_res(word, v) -> LaurentData:
@@ -315,17 +418,18 @@ def strict_fp_res(word, v) -> LaurentData:
     word = tuple(word)
     if not word or any(type(a) is not int or a < 0 for a in word):
         raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
-    v, head = _head(v, 0, _WORD)
+    w, head = _head(v, 0, _WORD)
     _check_depth(len(word))
-    return _boundary(word, v, head)
+    return _to_laurent(_boundary(word, w, head), v)
 
 
 @lru_cache(maxsize=None)
 def _slot_weights(length: int) -> tuple:
-    """(c, s(L, c)/L!) for c = 1..L: the multiplicities and weights of one
-    slot of L letters in the twisted-regularisation expansion."""
+    """(c, s(L, c)/L!) for c = 1..L, the weight as an integer pair: the
+    multiplicities and weights of one slot of L letters in the
+    twisted-regularisation expansion (s(L, c) is never zero here)."""
     return tuple(
-        (c, Fraction(stirling1(length, c), factorial(length))) for c in range(1, length + 1)
+        (c, _pair(stirling1(length, c), factorial(length))) for c in range(1, length + 1)
     )
 
 
@@ -343,25 +447,28 @@ def _last_slots(word: tuple, cn: int, cd: int):
         yield word[:cut], b, (cn, cd, cut - len(word))
 
 
-def _boundary(prefix: tuple, v, head: tuple) -> LaurentData:
+def _boundary(prefix: tuple, w: tuple, head: tuple) -> tuple:
     """The boundary subsum of a state whose slots before the last are
     ``prefix``: that nested sum itself under the fixed menu, and under the
-    word menu the weighted sum over the slot structures of the word."""
+    word menu the sum over the slot structures of the word (their weights
+    are inside the states)."""
     if not head[0]:
-        return _nested(prefix, v, head)
-    res_total = fp_total = _ZERO
+        return _nested(prefix, w, head)
+    res_terms, fp_terms = [], []
     for stem, b, tail in _last_slots(prefix, 0, 1):
-        res, fp = _nested(stem + (b,) + tail, v, head)
-        if res:
-            res_total += res
-        fp_total = fp if fp_total is _ZERO else fp_total + fp
-    return LaurentData(res_total, fp_total)
+        res, fp = _nested(stem + (b,) + tail, w, head)
+        if res[1]:
+            res_terms.append((_UNIT, res))
+        fp_terms.append((_UNIT, fp))
+    return _combine(res_terms), _combine(fp_terms)
 
 
-def _nested(exps: tuple, v, head: tuple) -> LaurentData:
-    """The engine state ``exps``; ``head`` = (menu, j_bump, key of v) is the
-    part of the memo key shared by the whole recursion. Every entry is an
-    integer, and a slot is (b, c numerator, c denominator).
+def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
+    """The engine state ``exps``, as the memo entry (residue, finite part):
+    two engine values, or a value and NONRATIONAL. ``w`` is the engine value
+    1 + v and ``head`` = (menu, j_bump, key of v) the part of the memo key
+    shared by the whole recursion. Every entry of ``exps`` is an integer,
+    and a slot is (b, c numerator, c denominator).
 
     Under the fixed menu ``exps`` = (b_1, c_1 num, c_1 den, ..., b_l, c_l
     num, c_l den) is one nested sum. Under the word menu ``exps`` = (a_1, ...,
@@ -376,16 +483,23 @@ def _nested(exps: tuple, v, head: tuple) -> LaurentData:
         return hit
 
     if exps[-1] < 0:
-        return _memoize(key, _presum(exps, v, head))
+        return _memoize(key, _presum(exps, w, head))
     b_last, cn_last, cd_last = exps[-3:]
     if len(exps) == 3:
         if b_last >= 0:
-            fp = bernoulli_poly(b_last + 1, 1 + v) * Fraction(-1, b_last + 1)
-            data = LaurentData(_ZERO, fp)
+            # -B_{b+1}(1+v)/(b+1), B_k(x) = sum_i C(k, i) B_{k-i} x^i
+            k = b_last + 1
+            powers = _powers(w, k)
+            terms = []
+            for i in range(k + 1):
+                bn, bd = bernoulli(k - i).as_integer_ratio()
+                if bn:
+                    terms.append(((-comb(k, i) * bn, bd * k), powers[i]))
+            data = (_ZERO, _combine(terms))
         elif b_last == -1:
-            data = LaurentData(Fraction(cd_last, cn_last), NONRATIONAL)
+            data = ((cn_last, (cd_last,)), NONRATIONAL)
         else:
-            data = LaurentData(_ZERO, NONRATIONAL)
+            data = (_ZERO, NONRATIONAL)
         return _memoize(key, data)
 
     prefix = exps[:-3]
@@ -405,57 +519,58 @@ def _nested(exps: tuple, v, head: tuple) -> LaurentData:
     two_j = 2 * (_germ_pairs(bs) + head[1])
     fp_known = b_last >= 0
 
-    res_total = _ZERO
-    fp_total = _ZERO
+    res_terms = []
+    fp_terms = []
     row = _germ_row(b_last, cn_last, cd_last, two_j)
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included
     for stem, b_slot, tail in slots:
         for shift, h_m1, h_0, h_1 in row:
-            res, fp = _nested(stem + (b_slot + shift,) + tail, v, head)
+            res, fp = _nested(stem + (b_slot + shift,) + tail, w, head)
             if h_m1 is not None:
-                res_total += h_m1 * fp
-            if res:
+                res_terms.append((h_m1, fp))
+            if res[1]:
                 if h_0 is not None:
-                    res_total += h_0 * res
+                    res_terms.append((h_0, res))
                 if fp_known and h_1 is not None:
-                    fp_total += h_1 * res
+                    fp_terms.append((h_1, res))
             if fp_known and h_0 is not None:
-                fp_total += h_0 * fp
+                fp_terms.append((h_0, fp))
 
-    sub_res, sub_fp = _boundary(prefix, v, head)
+    sub_res, sub_fp = _boundary(prefix, w, head)
     # every slot of the boundary subsum has b >= 0, so it is pole-free; its
     # residue is the only partner the dropped z^1 boundary pieces ever meet
-    if sub_res != 0:
+    if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
     if b_last == -1:
-        res_total += Fraction(cd_last, cn_last) * sub_fp
-    if fp_known:
-        fp_total += _boundary_k0(b_last, two_j, row, v) * sub_fp
-
-    if b_last >= 0 and res_total != 0:
+        res_terms.append(((cd_last, cn_last), sub_fp))
+    res_total = _combine(res_terms)
+    if not fp_known:
+        return _memoize(key, (res_total, NONRATIONAL))
+    fp_terms.append((_UNIT, _times(_boundary_k0(b_last, two_j, row, w), sub_fp)))
+    fp_total = _combine(fp_terms)
+    if res_total[1]:
         raise RationalityLeak(
             f"nested sum with nonnegative last exponent has residue {res_total}"
         )
-    data = LaurentData(res_total, fp_total if fp_known else NONRATIONAL)
-    return _memoize(key, data)
+    return _memoize(key, (res_total, fp_total))
 
 
-def _presum(exps: tuple, v, head: tuple) -> LaurentData:
+def _presum(exps: tuple, w: tuple, head: tuple) -> tuple:
     """The presum state (stem, b, c num, c den, -L): the weighted sum over
     c' = 1..L of the states (stem, b, c + c'). With b < 0 every finite part
     is NONRATIONAL, so the weights act on the residues only."""
     stem = exps[:-4]
     b, cn, cd, neg_length = exps[-4:]
-    res_total = fp_total = _ZERO
+    res_terms, fp_terms = [], []
     for c, weight in _slot_weights(-neg_length):
         # c + cn/cd stays in lowest terms
-        res, fp = _nested(stem + (b, cn + c * cd, cd), v, head)
-        if res:
-            res_total += weight * res
+        res, fp = _nested(stem + (b, cn + c * cd, cd), w, head)
+        if res[1]:
+            res_terms.append((weight, res))
         if b >= 0:
-            fp_total += weight * fp
-    return LaurentData(res_total, fp_total if b >= 0 else NONRATIONAL)
+            fp_terms.append((weight, fp))
+    return _combine(res_terms), _combine(fp_terms) if b >= 0 else NONRATIONAL
 
 
 _C_PALETTE = (

@@ -191,10 +191,11 @@ class TestSharedSubwordPass:
 
     def test_character_and_value(self):
         for s in ((1,), (3, 2), (1, 1, 2), (2, 1, 2, 1), (1, 2, 3, 1, 2)):
-            exact, value = _zeta_character_and_value(s)
+            exact, window, value = _zeta_character_and_value(s)
             word = tuple(zeta_symbol(x) for x in s)
             assert exact == chen_character_exact(word)
             order = len(s)
+            assert window == chen_character(word, order)
             bf = BirkhoffFactorization(lambda w: chen_character(w, order))
             assert value == bf.plus_at_zero(word) == zeta_tilde_renorm(s)
 
@@ -255,18 +256,21 @@ class TestZetaSubwordCharacters:
         for k in range(1, 5):
             for s in product((1, 2, 3, 4), repeat=k):
                 self.check_subwords(s, engine)
-                assert _zeta_character_and_value(s) == (engine(s), self.symbol_value(s, series))
+                assert _zeta_character_and_value(s) == (
+                    engine(s), engine(s).laurent_expand(k), self.symbol_value(s, series)
+                )
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=7))
     @settings(max_examples=20, deadline=None)
     def test_drawn_words(self, s):
         s = tuple(s)
         self.check_subwords(s, lambda sub: chen_character_exact(tuple(zeta_symbol(x) for x in sub)))
-        assert _zeta_character_and_value(s)[1] == self.symbol_value(s, chen_character)
+        assert _zeta_character_and_value(s)[2] == self.symbol_value(s, chen_character)
 
     def test_empty_word(self):
         assert _zeta_subword_characters(()) == {}
-        assert _zeta_character_and_value(()) == (RationalFunction.constant(1), 1)
+        one = RationalFunction.constant(1)
+        assert _zeta_character_and_value(()) == (one, one.laurent_expand(1), 1)
 
 
 class TestBirkhoff:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -91,20 +92,21 @@ class TestNonRationalSentinel:
 
 
 class TestGerms:
-    # a row entry is (b + 1 - j, h_m1, h_0, h_1), an exact zero stored as None
+    # a row entry is (b + 1 - j, h_m1, h_0, h_1), each coefficient a reduced
+    # integer pair (p, q), an exact zero stored as None
     def test_examples(self):
-        assert emsum._germ_row(-1, 2, 1, 2)[0] == (0, Fraction(-1, 2), None, None)
-        assert emsum._germ_row(5, 1, 1, 2)[1] == (5, None, Fraction(-1, 2), None)
+        assert emsum._germ_row(-1, 2, 1, 2)[0] == (0, (-1, 2), None, None)
+        assert emsum._germ_row(5, 1, 1, 2)[1] == (5, None, (-1, 2), None)
         # odd j > 1 germs vanish and are left out of the row: j = 0, 1, 2, 4
         row = emsum._germ_row(0, 1, 1, 4)
         assert [shift for shift, *_ in row] == [1, 0, -1, -3]
 
     def test_regular_j0(self):
-        assert emsum._germ_row(2, 3, 1, 2)[0] == (3, None, Fraction(1, 3), Fraction(1, 3))
+        assert emsum._germ_row(2, 3, 1, 2)[0] == (3, None, (1, 3), (1, 3))
 
     def test_j2(self):
         # (B_2/2!)(b - cz): constant b/12, slope -c/12
-        assert emsum._germ_row(4, 2, 1, 2)[2] == (3, None, Fraction(1, 3), Fraction(-1, 6))
+        assert emsum._germ_row(4, 2, 1, 2)[2] == (3, None, (1, 3), (-1, 6))
 
 
 class TestJTruncation:
@@ -276,6 +278,25 @@ class TestMemo:
             emsum.set_cache_limit(limit)
             emsum.clear_cache()
 
+    def test_polynomial_state_count(self):
+        # the same peel steps over Q[v]: the states of the strict value of
+        # (1,)*6 at v = Poly.x() are the ones the rational shifts visit
+        limit = emsum._cache_limit
+        emsum.set_cache_limit(0)
+        emsum.clear_cache()
+        mzv._zeta_strict.cache_clear()
+        try:
+            poly = mzv.zeta_poly_in_v((1,) * 6)
+            assert len(emsum._cache) == 844
+            # every memo value is stored reduced: numerators and denominator coprime
+            values = [x for entry in emsum._cache.values() for x in entry if x is not NONRATIONAL]
+            assert all(gcd(den, *nums) == 1 for den, nums in values)
+            assert poly(Fraction(0)) == mzv.zeta_value((1,) * 6, 0)
+            assert poly.coeffs[-1] == Fraction(1, 46080)
+        finally:
+            emsum.set_cache_limit(limit)
+            emsum.clear_cache()
+
     def test_folded_state_count(self):
         # the same value by the folded recursion over word prefixes
         limit = emsum._cache_limit
@@ -298,11 +319,10 @@ class TestSentinelInEngine:
     TWO_J = 2 * emsum._germ_pairs((0, 0))
 
     def poison_j2(self):
-        key = (0, 1, 1, self.TWO_J)
-        row = list(emsum._germ_row(*key))
-        assert row[2] == (-1, None, None, Fraction(-1, 12))
-        row[2] = (-1, None, Fraction(1), Fraction(-1, 12))
-        emsum._germ_cache[key] = tuple(row)
+        row = list(emsum._germ_row(0, 1, 1, self.TWO_J))
+        assert row[2] == (-1, None, None, (-1, 12))
+        row[2] = (-1, None, (1, 1), (-1, 12))
+        emsum._germ_cache[(0, 1, 1)] = tuple(row)
 
     def test_nonzero_germ_meets_sentinel(self):
         emsum.clear_cache()

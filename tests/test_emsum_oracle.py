@@ -3,11 +3,13 @@
 The oracle below is the engine's recursion in its most literal form: slots
 as AffineExponent tuples, one germ_H call per germ index, every product
 formed, zero coefficients included, and the boundary term summed straight
-from the germ formula. The engine must agree with it exactly,
-including on which finite parts are NONRATIONAL.
+from the germ formula, in Fraction and Poly arithmetic. The engine must
+agree with it exactly, at rational shifts and over Q[v], including on which
+finite parts are NONRATIONAL.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -37,6 +39,7 @@ class LocalGerm(NamedTuple):
     h_1: Fraction
 
 
+@lru_cache(maxsize=None)
 def germ_H(j: int, b: int, c: Fraction) -> LocalGerm:
     """Local germ of the j-th interpolated-summation factor for the slot
     (b, c): (B_j/j!) [b - c z]_{j-1}, expanded to three coefficients at
@@ -66,19 +69,30 @@ def test_germ_oracle_examples():
 
 def test_germ_rows_against_oracle():
     # every row the engine builds in one pass equals the germs taken one
-    # at a time, with the same exactly-zero (None) entries
-    for b in range(-45, 20):
-        for c in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3),
-                  Fraction(5, 2), Fraction(7, 3)):
-            for two_j in (2, 4, 8, 14, 22, 30):
-                want = tuple(
-                    (b + 1 - j, *(h if h else None for h in germ_H(j, b, c)))
-                    for j in range(two_j + 1)
-                    if j <= 1 or j % 2 == 0
-                )
-                assert emsum._germ_row(b, c.numerator, c.denominator, two_j) == want
+    # at a time as reduced integer pairs, with the same exactly-zero (None)
+    # entries; the table keeps one row per slot, so the shorter truncations,
+    # read second, are prefixes of the longest row
+    def pair(h):
+        return h.as_integer_ratio() if h else None
+
+    cs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 2), Fraction(7, 3))
+    emsum.clear_cache()
+    try:
+        for b in range(-45, 20):
+            for c in cs:
+                for two_j in (2, 4, 8, 14, 22, 30, 22, 14, 8, 4, 2):
+                    want = tuple(
+                        (b + 1 - j, *(pair(h) for h in germ_H(j, b, c)))
+                        for j in range(two_j + 1)
+                        if j <= 1 or j % 2 == 0
+                    )
+                    assert emsum._germ_row(b, c.numerator, c.denominator, two_j) == want
+        assert len(emsum._germ_cache) == 65 * len(cs)
+    finally:
+        emsum.clear_cache()
 
 
+@lru_cache(maxsize=None)
 def boundary_k0(b, two_j, v):
     """z^0 coefficient of the peeled boundary factor for a last slot with
     b >= 0, straight from the germ formula: minus the sum over j <= two_j
@@ -100,7 +114,8 @@ def oracle_nested(exps, v, bump):
     b_last, c_last = exps[-1]
     if len(exps) == 1:
         if b_last >= 0:
-            data = LaurentData(Fraction(0), -bernoulli_poly(b_last + 1, 1 + v) / (b_last + 1))
+            fp = bernoulli_poly(b_last + 1, 1 + v) * Fraction(-1, b_last + 1)
+            data = LaurentData(Fraction(0), fp)
         elif b_last == -1:
             data = LaurentData(1 / c_last, NONRATIONAL)
         else:
@@ -141,8 +156,9 @@ def oracle_nested(exps, v, bump):
 
 
 def oracle_fp_res(exponents, v, bump=0):
+    """The oracle at a rational shift v, or over Q[v] at v = Poly.x()."""
     exps = tuple(AffineExponent(b, Fraction(c)) for b, c in exponents)
-    return oracle_nested(exps, Fraction(v), bump)
+    return oracle_nested(exps, v if isinstance(v, Poly) else Fraction(v), bump)
 
 
 def assert_agrees(exps, v, bump):
@@ -155,8 +171,9 @@ def assert_agrees(exps, v, bump):
 
 def test_robustness_lists_all_bumps():
     for exps, v in random_exponent_lists(200, seed=verify.ENGINE_SEED):
-        for bump in (0, 1, 2):
-            assert_agrees(exps, v, bump)
+        for shift in (v, Poly.x()):
+            for bump in (0, 1, 2):
+                assert_agrees(exps, shift, bump)
 
 
 _C = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
@@ -174,7 +191,8 @@ def exponent_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(exponent_lists(), _V)
 def test_drawn_lists(exps, v):
-    assert_agrees(exps, v, 0)
+    for shift in (v, Poly.x()):
+        assert_agrees(exps, shift, 0)
 
 
 def test_boundary_from_germ_row():
@@ -184,4 +202,6 @@ def test_boundary_from_germ_row():
             for c_num, c_den in ((1, 1), (3, 2)):
                 row = emsum._germ_row(b, c_num, c_den, two_j)
                 for v in (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Poly.x()):
-                    assert emsum._boundary_k0(b, two_j, row, v) == boundary_k0(b, two_j, v)
+                    w, _ = emsum._head(v, 0, emsum._SLOTS)
+                    got = emsum._value(emsum._boundary_k0(b, two_j, row, w), v)
+                    assert got == boundary_k0(b, two_j, v)

@@ -41,6 +41,22 @@ Two structural facts are enforced at runtime rather than assumed:
   only ever multiply residues, and finite parts whose last exponent is
   nonnegative.
 
+A third structural fact bounds the work. The reach of a state with last
+slot (B, C) after the exponents b_1, ..., b_m (the prefix letters under the
+word menu, the prefix slots under the fixed menu) is R = B + b_1 + ... +
+b_m + m. Each merge adds some b_i + 1 - j with j >= 0 to the last exponent,
+so no exponent the recursion can merge into the last slot exceeds R. If
+R < -1, no germ has a z^{-1} term and no depth-1 state has b = -1, so the
+residue is exactly 0; and B <= R < 0 makes the finite part NONRATIONAL.
+Such a state contributes nothing, and the peel never creates it: peeling
+a slot of L letters at germ j gives a child of reach R - j + 1 - L, which
+falls along the row, so each row is read only up to its first child of
+reach below -1. The j = 0 germ, the only one with a z^{-1} term, is never
+cut when it has one, and with B >= 0 no germ with a nonzero z^0 term is
+cut, so every state that is computed still meets every check above. Of
+the states that full rows would create, the engine computes exactly those
+of reach >= -1 (and the top state, whatever its reach).
+
 The engine runs over Q (v a rational) and over Q[v] (v the polynomial
 variable ``Poly.x()``, values the Hurwitz polynomials themselves) with one
 arithmetic. It depends on v only through powers of 1 + v (B_{b+1}(1+v)
@@ -238,7 +254,9 @@ def _to_laurent(data: tuple, v) -> LaurentData:
 def _germ_pairs(bs) -> int:
     """Germ truncation J for a list of slot exponents b_i: germs run
     j = 0 .. 2J. Chosen so that every merged exponent the recursion can
-    request is covered, with one unit of safety margin."""
+    request is covered, with one unit of safety margin. Since 2J >= R + 2
+    for the reach R = sum(b_i) + l - 1, a peel loop always meets a child of
+    reach below -1 first: the cutoff, not this truncation, ends every row."""
     total = sum(max(b, 0) for b in bs) + len(bs)
     return max(1, -((-total) // 2) + 1)
 
@@ -509,8 +527,10 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
         # slots any structure has, so they set the truncation
         bs = prefix + (b_last,)
         slots = _last_slots(prefix, cn_last, cd_last)
+        step = 1
     else:
         bs = exps[::3]
+        step = 3
         b_prev, cn_prev, cd_prev = prefix[-3:]
         num = cn_prev * cd_last + cn_last * cd_prev
         den = cd_prev * cd_last
@@ -523,9 +543,15 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     fp_terms = []
     row = _germ_row(b_last, cn_last, cd_last, two_j)
     # a None coefficient is exactly zero and a zero residue is skipped: the
-    # products they would give are exactly zero, NONRATIONAL ones included
+    # products they would give are exactly zero, NONRATIONAL ones included.
+    # Shifts fall along the row, so the first child of reach below -1 ends
+    # it: from there on every child is (0, NONRATIONAL) and its finite part
+    # only meets None coefficients (see the module docstring)
     for stem, b_slot, tail in slots:
+        floor = -1 - b_slot - sum(stem[::step]) - len(stem) // step
         for shift, h_m1, h_0, h_1 in row:
+            if shift < floor:
+                break
             res, fp = _nested(stem + (b_slot + shift,) + tail, w, head)
             if h_m1 is not None:
                 res_terms.append((h_m1, fp))

@@ -29,7 +29,7 @@ from math import comb, factorial, prod
 
 from .combinat import bernoulli, bernoulli_poly, compositions, packet_sums, stirling1
 from .emsum import nested_fp_res, strict_fp_res
-from .exactnum import Poly, as_rational, rat_str
+from .exactnum import Poly, as_rational, rat_str, rational_combination
 from .words import stuffle
 
 VARIANTS = ("strict", "weak", "alt")
@@ -154,9 +154,10 @@ def _zeta_strict(a: tuple[int, ...], v: Fraction) -> Fraction:
 def _zeta_weak(a: tuple[int, ...], v: Fraction) -> Fraction:
     if not a:
         return Fraction(1)
-    return sum(
-        _zeta_strict(packet_sums(a, parts), v) for parts in compositions(len(a))
-    )
+    values = [_zeta_strict(packet_sums(a, parts), v) for parts in compositions(len(a))]
+    if isinstance(v, Poly):
+        return sum(values)
+    return rational_combination((1, x) for x in values)
 
 
 @lru_cache(maxsize=None)

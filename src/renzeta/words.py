@@ -13,10 +13,10 @@ coefficients off the same multiplicities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 from .combinat import compositions, packet_sums
-from .exactnum import as_rational
+from .exactnum import as_rational, rational_combination
 
 Word = tuple  # tuple of int letters; () is the unit word
 
@@ -111,17 +111,7 @@ class TensorPoly:
         once; any other value (a character, say) by its own arithmetic."""
         values = [(c, fn(w)) for w, c in self.terms.items()]
         if all(type(x) is Fraction or type(x) is int for _, x in values):
-            num, den = 0, 1
-            for c, x in values:
-                n = c.numerator * x.numerator
-                d = c.denominator * x.denominator
-                if d == den:
-                    num += n
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + n * (den // g)
-                    den = den // g * d
-            return Fraction(num, den)
+            return rational_combination(values)
         total = Fraction(0)
         for c, x in values:
             total += c * x

@@ -261,9 +261,10 @@ class TestMemo:
         assert nested_fp_res(exps, Fraction(1, 3)) == first
 
     def test_engine_state_count(self):
-        # the set of engine states is part of the engine's contract: a
-        # faster engine must visit exactly the same states. Pinned on the
-        # per-term path: one nested sum per composition term.
+        # the set of engine states is part of the engine's contract: the
+        # states visited are exactly those of reach >= -1 (the peel stops
+        # at the first child of lower reach). Pinned on the per-term path:
+        # one nested sum per composition term.
         limit = emsum._cache_limit
         emsum.set_cache_limit(0)
         emsum.clear_cache()
@@ -272,7 +273,9 @@ class TestMemo:
                 coeff * nested_fp_res(exps, 0).fp
                 for exps, coeff in mzv._composition_terms((1,) * 7)
             )
-            assert len(emsum._cache) == 3053
+            assert len(emsum._cache) == 1926
+            # a key is (menu, j_bump, v num, v den) and then the slots
+            assert all(sum(key[4::3]) + len(key[4::3]) - 1 >= -1 for key in emsum._cache)
             assert value == Fraction(534703531, 902961561600)
         finally:
             emsum.set_cache_limit(limit)
@@ -287,7 +290,7 @@ class TestMemo:
         mzv._zeta_strict.cache_clear()
         try:
             poly = mzv.zeta_poly_in_v((1,) * 6)
-            assert len(emsum._cache) == 844
+            assert len(emsum._cache) == 400
             # every memo value is stored reduced: numerators and denominator coprime
             values = [x for entry in emsum._cache.values() for x in entry if x is not NONRATIONAL]
             assert all(gcd(den, *nums) == 1 for den, nums in values)
@@ -305,8 +308,25 @@ class TestMemo:
         mzv._zeta_strict.cache_clear()
         try:
             value = mzv.zeta_value((1,) * 7, 0)
-            assert len(emsum._cache) == 1693
+            assert len(emsum._cache) == 719
             assert value == Fraction(534703531, 902961561600)
+        finally:
+            emsum.set_cache_limit(limit)
+            emsum.clear_cache()
+
+    def test_deep_word_state_count(self):
+        # the cutoff well past the depth-7 pins: twelve letters under the
+        # word menu, the value recorded before the cutoff existed
+        limit = emsum._cache_limit
+        emsum.set_cache_limit(0)
+        emsum.clear_cache()
+        mzv._zeta_strict.cache_clear()
+        try:
+            value = mzv.zeta_value((1,) * 12, 0)
+            assert len(emsum._cache) == 5768
+            assert value == Fraction(
+                -1579029138854919086429, 9716130015581401251840000
+            )
         finally:
             emsum.set_cache_limit(limit)
             emsum.clear_cache()

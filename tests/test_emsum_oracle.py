@@ -10,6 +10,7 @@ finite parts are NONRATIONAL.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -176,6 +177,38 @@ def test_robustness_lists_all_bumps():
                 assert_agrees(exps, shift, bump)
 
 
+def reach(exps) -> int:
+    """B + sum of the earlier slots' b + their number: no exponent the
+    recursion merges into the last slot (B, C) ever exceeds it."""
+    return sum(b for b, _ in exps) + len(exps) - 1
+
+
+def assert_reach_lemma(states) -> int:
+    """Every oracle state (key, data) of reach below -1 has residue 0 and a
+    NONRATIONAL finite part. Returns how many states of reach exactly -1
+    have a nonzero residue."""
+    at_bound = 0
+    for (exps, _, _), data in states:
+        r = reach(exps)
+        if r < -1:
+            assert data.res == 0 and data.fp is NONRATIONAL, exps
+        elif r == -1 and data.res != 0:
+            at_bound += 1
+    return at_bound
+
+
+def test_reach_lemma_on_robustness_lists():
+    # the engine never peels into a state of reach below -1; the oracle
+    # visits them all, and each is (0, NONRATIONAL). The bound is tight:
+    # states of reach exactly -1 can have a pole, so a cutoff at reach < 0
+    # is wrong
+    for exps, v in random_exponent_lists(200, seed=verify.ENGINE_SEED):
+        for shift in (v, Poly.x()):
+            for bump in (0, 1, 2):
+                oracle_fp_res(exps, shift, bump)
+    assert assert_reach_lemma(_ORACLE_MEMO.items()) > 0
+
+
 _C = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
 _V = st.fractions(min_value=Fraction(-5, 6), max_value=2, max_denominator=6)
 
@@ -191,8 +224,10 @@ def exponent_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(exponent_lists(), _V)
 def test_drawn_lists(exps, v):
+    start = len(_ORACLE_MEMO)
     for shift in (v, Poly.x()):
         assert_agrees(exps, shift, 0)
+    assert_reach_lemma(islice(_ORACLE_MEMO.items(), start, None))
 
 
 def test_boundary_from_germ_row():

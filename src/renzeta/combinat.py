@@ -1,5 +1,5 @@
 """Bernoulli numbers and polynomials, Stirling numbers of the first kind,
-compositions and packet sums.
+compositions, packet sums and contractions.
 
 Compositions come out in lexicographic order by parts, so that CLI output
 and memo keys are reproducible. Shuffles and quasi-shuffles are not
@@ -8,6 +8,7 @@ enumerated here: ``words`` expands them by a first-letter recursion.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -86,6 +87,34 @@ def compositions(n: int) -> list[tuple[int, ...]]:
             rec(remaining - part, acc + (part,))
 
     rec(n, ())
+    return out
+
+
+def contractions(word) -> list[tuple]:
+    """The 2^(k-1) words obtained from a word of k letters by summing
+    consecutive packets: the same words as ``packet_sums(word, parts)`` over
+    ``compositions(k)``, built letter by letter (each next letter is
+    appended or added to the last letter).
+
+    A word as long as the interpreter's recursion limit is refused at once,
+    as ``compositions`` refuses it: the strict values of its contractions
+    recurse one frame per letter and could not be computed anyway, and
+    enumerating the 2^(k-1) words first would not end.
+
+    >>> contractions((1, 2, 3))
+    [(1, 2, 3), (1, 5), (3, 3), (6,)]
+    """
+    word = tuple(word)
+    if not word:
+        raise ValueError("contractions are defined for words of length >= 1")
+    limit = sys.getrecursionlimit()
+    if len(word) >= limit:
+        raise RecursionError(
+            f"depth {len(word)} needs more nested calls than the recursion limit {limit}"
+        )
+    out = [word[:1]]
+    for b in word[1:]:
+        out = [y for x in out for y in (x + (b,), x[:-1] + (x[-1] + b,))]
     return out
 
 

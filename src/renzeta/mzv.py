@@ -3,8 +3,9 @@ arguments, in three variants:
 
 * ``strict``  -- strict-inequality nested sums, regularisation twisted so
   that the values satisfy the unsigned stuffle relations;
-* ``weak``    -- weak-inequality version (signed stuffle relations), obtained
-  from the strict values by the composition-sum conversion;
+* ``weak``    -- weak-inequality version (signed stuffle relations): the sum
+  of the strict values of the 2^(k-1) contractions of the word
+  (``combinat.contractions``);
 * ``alt``     -- the diagonal limit zeta(-a_1+z, ..., -a_k+z; v) at z -> 0,
   which satisfies the Hurwitz shift/derivative identities but not the
   stuffle relations. It coincides with ``strict`` in depths 1 and 2.
@@ -25,12 +26,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
-from .combinat import bernoulli, bernoulli_poly, compositions, packet_sums, stirling1
+from .combinat import bernoulli, bernoulli_poly, compositions, contractions, stirling1
 from .emsum import nested_fp_res, strict_fp_res
 from .exactnum import Poly, as_rational, rat_str, rational_combination
-from .words import stuffle
+from .words import SuffixTable, stuffle, word_str
 
 VARIANTS = ("strict", "weak", "alt")
 
@@ -154,7 +155,7 @@ def _zeta_strict(a: tuple[int, ...], v: Fraction) -> Fraction:
 def _zeta_weak(a: tuple[int, ...], v: Fraction) -> Fraction:
     if not a:
         return Fraction(1)
-    values = [_zeta_strict(packet_sums(a, parts), v) for parts in compositions(len(a))]
+    values = [_zeta_strict(x, v) for x in contractions(a)]
     if isinstance(v, Poly):
         return sum(values)
     return rational_combination((1, x) for x in values)
@@ -306,32 +307,46 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     pairs with per-word depth <= max_depth and combined weight <= max_weight.
 
     ``strict`` uses the unsigned stuffle, ``weak`` the signed one. Each
-    distinct word's value is taken from ``zeta_value`` once per pass.
-    Failures are returned as data, not raised.
+    distinct word's value is taken from ``zeta_value`` once per pass, and
+    all of them are brought over one common denominator D, so a relation
+    sum_x c_x zeta(x) = zeta(u) zeta(u') is checked in integers as
+    (sum_x c_x N_x) D == N_u N_u' on the numerators N over D. The pairs'
+    stuffles share one :class:`words.SuffixTable` for the pass. Failures are
+    returned as data, not raised.
     """
     if variant not in ("strict", "weak"):
         raise ValueError("stuffle suite runs on the strict or weak variant")
     v = as_rational(v)
     t0 = time.monotonic()
     report = Report(suite=f"stuffle-{variant}")
-    words = [(w, sum(w), ",".join(map(str, w))) for w in words_up_to(max_depth, max_weight)]
-    values: dict = {}
-
-    def value(w):
-        hit = values.get(w)
-        if hit is None:
-            hit = values[w] = zeta_value(w, v, variant)
-        return hit
-
-    for u, weight_u, label_u in words:
-        for w, weight_w, label_w in words:
+    words = [(w, sum(w)) for w in words_up_to(max_depth, max_weight)]
+    # The relations need exactly the words of depth <= 2 max_depth and weight
+    # <= max_weight: a term of u * w has at most |u| + |w| letters and the
+    # weight of u and w together, and each such word is a term (multiplicity
+    # >= 1, so nonzero in both sign modes) of the product of its two halves.
+    values = {x: zeta_value(x, v, variant) for x in words_up_to(2 * max_depth, max_weight)}
+    den = lcm(*(q.denominator for q in values.values()))
+    scaled = {x: q.numerator * (den // q.denominator) for x, q in values.items()}
+    table = SuffixTable()
+    for u, weight_u in words:
+        for w, weight_w in words:
             if weight_u + weight_w > max_weight:
                 continue
-            lhs = stuffle(u, w, variant).apply(value)
-            rhs = value(u) * value(w)
-            report.record(
-                lhs == rhs, f"{variant}: ({label_u}) * ({label_w}) at v={v}", lhs, rhs
-            )
+            relation = stuffle(u, w, variant, table=table)
+            if len(u) == len(w) == max_depth:
+                table.drop(u, w)  # no later pair has (u, w) as a suffix pair
+            total = 0
+            for x, c in relation.terms.items():
+                total += c.numerator * scaled[x]
+            if total * den == scaled[u] * scaled[w]:
+                report.cases += 1
+            else:
+                report.record(
+                    False,
+                    f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={v}",
+                    Fraction(total, den),
+                    values[u] * values[w],
+                )
     report.seconds = time.monotonic() - t0
     return report
 

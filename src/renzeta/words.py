@@ -6,8 +6,10 @@ A letter is a plain int: the exponent a of one nested-sum slot (the zeta
 argument it denotes is -a). The bullet product of two letters adds their
 values; in the weak ("-") convention every binary merge also flips the sign
 of the coefficient. Shuffle and stuffle are one first-letter recursion, the
-shuffle without the merge branch; both stuffle conventions read their
-coefficients off the same multiplicities.
+shuffle without the merge branch, memoised on pairs of word suffixes; both
+stuffle conventions read their coefficients off the same multiplicities.
+The memo lives for one call, or for as long as the caller keeps the
+:class:`SuffixTable` it passes to ``stuffle``.
 """
 
 from __future__ import annotations
@@ -131,33 +133,63 @@ class TensorPoly:
         return "TensorPoly(" + " + ".join(bits) + ")"
 
 
-def _first_letter(u: Word, w: Word, merge: bool) -> dict:
+class SuffixTable:
+    """Quasi-shuffle multiplicities memoised on suffix pairs, for a caller
+    that multiplies many words sharing suffixes (a stuffle sweep keeps one
+    for a whole pass). ``cells`` maps a pair (u[i:], w[j:]) to its
+    {word: multiplicity} dict; ``words`` interns the words the cells hold,
+    so equal words are one tuple, not a copy per cell."""
+
+    __slots__ = ("cells", "words")
+
+    def __init__(self):
+        self.cells: dict = {}
+        self.words: dict = {}
+
+    def drop(self, u: Word, w: Word) -> None:
+        """Forget the entry of the pair (u, w) itself; its suffix pairs stay."""
+        self.cells.pop((u, w), None)
+
+
+def _first_letter(u: Word, w: Word, merge: bool, table: SuffixTable | None = None) -> dict:
     """The multiplicity of each word in the shuffle of u and w or, with
     ``merge``, in their quasi-shuffle, by Hoffman's first-letter recursion
 
         a.u' * b.w' = a.(u' * b.w') + b.(a.u' * w') + (a+b).(u' * w').
 
     The memo has one entry per pair of suffixes (u[i:], w[j:]). It is built
-    row by row from the ends of the words, keeps only the row below, and
-    lives for this call only. Words come out in the order in which a
-    depth-first walk trying take-left, take-right, then merge first meets
-    them.
+    row by row from the ends of the words, reusing every pair ``table``
+    already holds. Without a table it lives for this call only; a table
+    must only ever see one value of ``merge``. Words come out in the order
+    in which a depth-first walk trying take-left, take-right, then merge
+    first meets them, which depends on the suffix pair alone. The returned
+    dict may be the table's own entry: callers must not change it.
     """
+    if table is None:
+        table = SuffixTable()
+    cells, interned = table.cells, table.words
     k, l = len(u), len(w)
-    below = [{w[j:]: 1} for j in range(l + 1)]  # i = k: only w[j:] is left
+    us = [u[i:] for i in range(k + 1)]
+    ws = [w[j:] for j in range(l + 1)]
+    below = [{x: 1} for x in ws]  # i = k: only w[j:] is left
     for i in range(k - 1, -1, -1):
         a = u[i]
-        row = [None] * l + [{u[i:]: 1}]
+        row = [None] * l + [{us[i]: 1}]
         for j in range(l - 1, -1, -1):
-            b = w[j]
-            branches = [(a, below[j]), (b, row[j + 1])]
-            if merge:
-                branches.append((a + b, below[j + 1]))
-            acc: dict = {}
-            for head, tails in branches:
-                for tail, m in tails.items():
-                    x = (head,) + tail
-                    acc[x] = acc.get(x, 0) + m
+            key = (us[i], ws[j])
+            acc = cells.get(key)
+            if acc is None:
+                b = w[j]
+                branches = [(a, below[j]), (b, row[j + 1])]
+                if merge:
+                    branches.append((a + b, below[j + 1]))
+                acc = {}
+                for head, tails in branches:
+                    for tail, m in tails.items():
+                        x = (head,) + tail
+                        x = interned.setdefault(x, x)
+                        acc[x] = acc.get(x, 0) + m
+                cells[key] = acc
             row[j] = acc
         below = row
     return below[0]
@@ -173,11 +205,12 @@ def shuffle(u, w) -> TensorPoly:
     return TensorPoly._wrap({x: Fraction(m) for x, m in counts.items()})
 
 
-def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
+def stuffle(u, w, sign_mode: str = "strict", table: SuffixTable | None = None) -> TensorPoly:
     """Stuffle (quasi-shuffle) product: interleavings plus merges, merged
     letters adding their values. Every quasi-shuffle giving a word x makes
     |u| + |w| - |x| merges, so in ``weak`` mode the coefficient of x is its
-    multiplicity times (-1)**(|u| + |w| - |x|).
+    multiplicity times (-1)**(|u| + |w| - |x|). Both modes read the same
+    multiplicities, so one ``table`` (see :class:`SuffixTable`) serves both.
 
     >>> sorted(stuffle((1,), (2,)).terms)
     [(1, 2), (2, 1), (3,)]
@@ -185,12 +218,19 @@ def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
     if sign_mode not in ("strict", "weak"):
         raise ValueError("sign_mode must be 'strict' or 'weak'")
     u, w = tuple(u), tuple(w)
-    counts = _first_letter(u, w, True)
+    counts = _first_letter(u, w, True, table)
     n = len(u) + len(w)
     weak = sign_mode == "weak"
-    return TensorPoly._wrap(
-        {x: Fraction(-m if weak and (n - len(x)) % 2 else m) for x, m in counts.items()}
-    )
+    coeffs: dict = {}  # one Fraction per distinct coefficient: most terms share a few
+    terms = {}
+    for x, m in counts.items():
+        if weak and (n - len(x)) % 2:
+            m = -m
+        c = coeffs.get(m)
+        if c is None:
+            c = coeffs[m] = Fraction(m)
+        terms[x] = c
+    return TensorPoly._wrap(terms)
 
 
 def stuffle_poly(s: TensorPoly, t: TensorPoly, sign_mode: str = "strict") -> TensorPoly:

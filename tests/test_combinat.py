@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, prod
@@ -13,10 +14,12 @@ from renzeta.combinat import (
     bernoulli,
     bernoulli_poly,
     compositions,
+    contractions,
     packet_sums,
     stirling1,
 )
 from renzeta.exactnum import Poly, RationalFunction, as_rational
+from renzeta.mzv import zeta_value
 from renzeta.words import TensorPoly
 
 
@@ -267,6 +270,25 @@ class TestCompositions:
         assert packet_sums((1, 2, 3, 4), (2, 2)) == (3, 7)
         with pytest.raises(ValueError):
             packet_sums((1, 2), (3,))
+
+
+class TestContractions:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=10).map(tuple))
+    def test_same_words_as_packet_sums(self, word):
+        want = [packet_sums(word, parts) for parts in compositions(len(word))]
+        assert sorted(contractions(word)) == sorted(want)
+
+    def test_rejects_empty_word(self):
+        with pytest.raises(ValueError):
+            contractions(())
+
+    def test_refuses_depth_at_recursion_limit_at_once(self):
+        # the 2^1199 contractions must never be enumerated
+        t0 = time.monotonic()
+        with pytest.raises(RecursionError):
+            zeta_value((0,) * 1200, 0, "weak")
+        assert time.monotonic() - t0 < 1.0
 
 
 def brute_force_quasi_shuffles(k, l):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from renzeta import emsum, mzv, words
 from renzeta.combinat import compositions, packet_sums
 from renzeta.emsum import LaurentData, nested_fp_res
-from renzeta.exactnum import Poly
+from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
     DEPTH2_REFERENCE,
     HolomorphyViolation,
@@ -208,6 +208,36 @@ class TestStuffleSuite:
         assert len(looked_up) == len(set(looked_up))
         assert set(looked_up) == needed
         assert all(args[1:] == (v, "strict") for args in calls["zeta_value"])
+
+    @pytest.mark.parametrize("variant", ["strict", "weak"])
+    def test_failures_reported_as_the_rational_check_gives(self, variant, monkeypatch):
+        # one word's value off by 1/7: every relation it enters must fail,
+        # with the same entries, in the same order, as a check in Fractions
+        real = mzv.zeta_value
+
+        def faulty(a, v=0, variant="strict"):
+            value = real(a, v, variant)
+            return value + Fraction(1, 7) if tuple(a) == (1, 2) else value
+
+        monkeypatch.setattr(mzv, "zeta_value", faulty)
+        v = Fraction(1, 3)
+        report = verify_stuffle(4, v, variant)
+        pool = words_up_to(3, 4)
+        want = []
+        for u in pool:
+            for w in pool:
+                if sum(u) + sum(w) > 4:
+                    continue
+                lhs = words.stuffle(u, w, variant).apply(lambda x: faulty(x, v, variant))
+                rhs = faulty(u, v, variant) * faulty(w, v, variant)
+                if lhs != rhs:
+                    want.append({
+                        "case": f"{variant}: ({words.word_str(u)}) * ({words.word_str(w)}) at v={v}",
+                        "lhs": rat_str(lhs),
+                        "rhs": rat_str(rhs),
+                    })
+        assert report.cases == sum(1 for u in pool for w in pool if sum(u) + sum(w) <= 4)
+        assert want and report.failures == want
 
     def test_classic_relations(self):
         # zeta(0)^2 = 2 zeta(0,0) + zeta(0)

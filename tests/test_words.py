@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from renzeta.chenint import chen_character_exact, zeta_symbol
+from renzeta.mzv import words_up_to
 from renzeta.words import (
+    SuffixTable,
     TensorPoly,
     Word,
     _add_into,
@@ -130,6 +132,18 @@ class TestStuffle:
 
             lhs = stuffle(u, w).apply(nested)
             assert lhs == nested(u) * nested(w)
+
+    def test_shared_table_gives_the_same_products(self):
+        # one table for every pair and both sign modes: same terms,
+        # coefficients and term order as a stuffle with its own memo
+        pool = [()] + words_up_to(3, 6)
+        table = SuffixTable()
+        for mode in ("strict", "weak"):
+            for u in pool:
+                for w in pool:
+                    got = stuffle(u, w, mode, table=table)
+                    want = stuffle(u, w, mode)
+                    assert list(got.terms.items()) == list(want.terms.items())
 
 
 class TestDeconcat:

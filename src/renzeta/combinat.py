@@ -1,5 +1,5 @@
 """Bernoulli numbers and polynomials, Stirling numbers of the first kind,
-compositions, packet sums and contractions.
+compositions and contractions (packet sums).
 
 Compositions come out in lexicographic order by parts, so that CLI output
 and memo keys are reproducible. Shuffles and quasi-shuffles are not
@@ -92,7 +92,7 @@ def compositions(n: int) -> list[tuple[int, ...]]:
 
 def contractions(word) -> list[tuple]:
     """The 2^(k-1) words obtained from a word of k letters by summing
-    consecutive packets: the same words as ``packet_sums(word, parts)`` over
+    consecutive packets, in the order of their packet sizes in
     ``compositions(k)``, built letter by letter (each next letter is
     appended or added to the last letter).
 
@@ -117,15 +117,3 @@ def contractions(word) -> list[tuple]:
         out = [y for x in out for y in (x + (b,), x[:-1] + (x[-1] + b,))]
     return out
 
-
-def packet_sums(values, parts) -> tuple:
-    """Contract consecutive packets of ``values`` (packet sizes ``parts``)
-    to their sums."""
-    if sum(parts) != len(values):
-        raise ValueError("composition does not match the sequence length")
-    out = []
-    i = 0
-    for p in parts:
-        out.append(sum(values[i : i + p]))
-        i += p
-    return tuple(out)

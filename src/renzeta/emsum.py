@@ -57,6 +57,16 @@ cut, so every state that is computed still meets every check above. Of
 the states that full rows would create, the engine computes exactly those
 of reach >= -1 (and the top state, whatever its reach).
 
+A fourth structural fact gives the boundary term of a peel. Besides the
+germ products, peeling the last slot (b, c) leaves the boundary subsum (the
+earlier slots alone) times a factor with residue 1/c at b = -1 and 0
+otherwise, and, for b >= 0, finite part minus the sum of h_0 (1+v)^(b+1-j)
+over the germ row. Since h_0 = C(b+1, j) B_j/(b+1) for j <= b + 1 and 0
+beyond, and every row the engine peels at reaches j = b + 1 (2J >= R + 2),
+that finite part is -B_{b+1}(1+v)/(b+1). So the factor is the depth-1 value
+of the last slot, and one function (:func:`_depth1`) gives both the
+depth-1 states and every boundary factor.
+
 The engine runs over Q (v a rational) and over Q[v] (v the polynomial
 variable ``Poly.x()``, values the Hurwitz polynomials themselves) with one
 arithmetic. It depends on v only through powers of 1 + v (B_{b+1}(1+v)
@@ -72,7 +82,6 @@ become ``Fraction`` or ``Poly`` only where ``nested_fp_res`` and
 
 from __future__ import annotations
 
-import os
 import random
 import sys
 from fractions import Fraction
@@ -321,41 +330,39 @@ def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
 _boundary_cache: dict = {}
 
 
-def _boundary_k0(b: int, two_j: int, row: tuple, w: tuple) -> tuple:
-    """z^0 coefficient of the peeled boundary factor for a last slot with
-    b >= 0, given its germ row up to two_j and the engine value w = 1 + v:
-    minus the sum of h_0 w^shift over the row. A germ with h_0 != 0 has
-    j - 1 <= b, so its shift b + 1 - j is never negative."""
-    key = (b, two_j, w)
-    hit = _boundary_cache.get(key)
-    if hit is None:
-        powers = _powers(w, b + 1)
-        hit = _boundary_cache[key] = _combine(
-            [((-h_0[0], h_0[1]), powers[shift]) for shift, _, h_0, _ in row if h_0]
-        )
-    return hit
+def _depth1(b: int, c_num: int, c_den: int, w: tuple) -> tuple:
+    """The depth-1 data (residue, finite part) of the slot (b, c) with
+    c = c_num/c_den, for the engine value w = 1 + v: residue 1/c at b = -1
+    and 0 otherwise; finite part -B_{b+1}(1+v)/(b+1) when b >= 0 and
+    NONRATIONAL otherwise. The finite part does not depend on c and is
+    kept under (b, w)."""
+    if b < 0:
+        return (c_num, (c_den,)) if b == -1 else _ZERO, NONRATIONAL
+    fp = _boundary_cache.get((b, w))
+    if fp is None:
+        # B_k(x) = sum_i C(k, i) B_{k-i} x^i with k = b + 1
+        k = b + 1
+        powers = _powers(w, k)
+        terms = []
+        for i in range(k + 1):
+            bn, bd = bernoulli(k - i).as_integer_ratio()
+            if bn:
+                terms.append(((-comb(k, i) * bn, bd * k), powers[i]))
+        fp = _boundary_cache[(b, w)] = _combine(terms)
+    return _ZERO, fp
 
 
 _cache: dict = {}
-_cache_limit = int(os.environ.get("MZV_CACHE_SIZE", "0") or "0")
-
-
-def set_cache_limit(n: int) -> None:
-    """Cap the engine memo at n entries (0 = unlimited)."""
-    global _cache_limit
-    _cache_limit = n
 
 
 def clear_cache() -> None:
-    """Empty every engine table: states, germ rows, boundary terms."""
+    """Empty every engine table: states, germ rows, depth-1 finite parts."""
     _cache.clear()
     _germ_cache.clear()
     _boundary_cache.clear()
 
 
 def _memoize(key, value: tuple) -> tuple:
-    if _cache_limit and len(_cache) >= _cache_limit:
-        _cache.pop(next(iter(_cache)))
     _cache[key] = value
     return value
 
@@ -504,21 +511,7 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
         return _memoize(key, _presum(exps, w, head))
     b_last, cn_last, cd_last = exps[-3:]
     if len(exps) == 3:
-        if b_last >= 0:
-            # -B_{b+1}(1+v)/(b+1), B_k(x) = sum_i C(k, i) B_{k-i} x^i
-            k = b_last + 1
-            powers = _powers(w, k)
-            terms = []
-            for i in range(k + 1):
-                bn, bd = bernoulli(k - i).as_integer_ratio()
-                if bn:
-                    terms.append(((-comb(k, i) * bn, bd * k), powers[i]))
-            data = (_ZERO, _combine(terms))
-        elif b_last == -1:
-            data = ((cn_last, (cd_last,)), NONRATIONAL)
-        else:
-            data = (_ZERO, NONRATIONAL)
-        return _memoize(key, data)
+        return _memoize(key, _depth1(b_last, cn_last, cd_last, w))
 
     prefix = exps[:-3]
     if head[0]:
@@ -563,17 +556,19 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
             if fp_known and h_0 is not None:
                 fp_terms.append((h_0, fp))
 
+    # the boundary term: the depth-1 data of the last slot times the
+    # boundary subsum. Every slot of that subsum has b >= 0, so it is
+    # pole-free; its residue is the only partner the dropped z^1 boundary
+    # pieces ever meet
     sub_res, sub_fp = _boundary(prefix, w, head)
-    # every slot of the boundary subsum has b >= 0, so it is pole-free; its
-    # residue is the only partner the dropped z^1 boundary pieces ever meet
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
-    if b_last == -1:
-        res_terms.append(((cd_last, cn_last), sub_fp))
+    one_res, one_fp = _depth1(b_last, cn_last, cd_last, w)
+    res_terms.append((_UNIT, _times(one_res, sub_fp)))
     res_total = _combine(res_terms)
     if not fp_known:
         return _memoize(key, (res_total, NONRATIONAL))
-    fp_terms.append((_UNIT, _times(_boundary_k0(b_last, two_j, row, w), sub_fp)))
+    fp_terms.append((_UNIT, _times(one_fp, sub_fp)))
     fp_total = _combine(fp_terms)
     if res_total[1]:
         raise RationalityLeak(

@@ -532,9 +532,6 @@ class LaurentSeries:
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
 
-    def pole_order(self) -> int:
-        return max(0, -self.min_exponent) if self.coeffs else 0
-
     @staticmethod
     def _min_order(a: int | None, b: int | None):
         if a is None:

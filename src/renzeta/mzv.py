@@ -88,9 +88,13 @@ class Report:
 
 
 def _validate_args(a) -> tuple[int, ...]:
-    a = tuple(int(x) for x in a)
-    if any(x < 0 for x in a):
-        raise ValueError("arguments must be nonpositive integers: exponents a_i >= 0")
+    """The exponent word as a tuple, every letter an int >= 0; anything
+    else (a float, a Fraction, a string, a bool) is refused, not truncated."""
+    a = tuple(a)
+    if any(type(x) is not int or x < 0 for x in a):
+        raise ValueError(
+            f"arguments must be nonpositive integers: exponents a_i >= 0 of type int, got {a}"
+        )
     return a
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .combinat import compositions, packet_sums
+from .combinat import compositions, contractions
 from .exactnum import as_rational, rational_combination
 
 Word = tuple  # tuple of int letters; () is the unit word
@@ -246,14 +246,14 @@ def _hoffman_word(w: Word, bullet_sign: str, mode: str) -> TensorPoly:
     if n == 0:
         return TensorPoly.unit()
     out: dict[Word, Fraction] = {}
-    for parts in compositions(n):
+    # contractions(w) lists the packet sums of w in the order of compositions(n)
+    for parts, word in zip(compositions(n), contractions(w)):
         merges = n - len(parts)  # the weak bullet flips the sign once per merge
         sign = (-1) ** merges if bullet_sign == "-" else 1
         if mode == "exp":
             coeff = Fraction(sign, prod(factorial(p) for p in parts))
         else:
             coeff = Fraction(sign * (-1) ** merges, prod(parts))
-        word = packet_sums(w, parts)
         out[word] = out.get(word, Fraction(0)) + coeff
     return TensorPoly(out)
 

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -300,12 +299,10 @@ class TestVerifyCommand:
 
 
 def test_console_script_subprocess():
-    env = dict(os.environ, MZV_CACHE_SIZE="64")
     proc = subprocess.run(
         [sys.executable, "-m", "renzeta.cli", "zeta", "-a", "2,1", "--format", "json"],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "-1/240"

@@ -15,7 +15,6 @@ from renzeta.combinat import (
     bernoulli_poly,
     compositions,
     contractions,
-    packet_sums,
     stirling1,
 )
 from renzeta.exactnum import Poly, RationalFunction, as_rational
@@ -254,6 +253,20 @@ class TestFaulhaber:
                     assert faulhaber_interp(b, v, n) == acc
 
 
+def packet_sums(values, parts) -> tuple:
+    """Contract consecutive packets of ``values`` (packet sizes ``parts``)
+    to their sums: one contraction at a time, the definition that
+    ``combinat.contractions`` is checked against."""
+    if sum(parts) != len(values):
+        raise ValueError("composition does not match the sequence length")
+    out = []
+    i = 0
+    for p in parts:
+        out.append(sum(values[i : i + p]))
+        i += p
+    return tuple(out)
+
+
 class TestCompositions:
     def test_examples(self):
         assert compositions(3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
@@ -277,7 +290,17 @@ class TestContractions:
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=10).map(tuple))
     def test_same_words_as_packet_sums(self, word):
         want = [packet_sums(word, parts) for parts in compositions(len(word))]
-        assert sorted(contractions(word)) == sorted(want)
+        assert contractions(word) == want
+
+    def test_order_of_compositions(self):
+        # the i-th contraction sums the packets of the i-th composition
+        # (words._hoffman_word pairs them so): with letters 2^i every
+        # contraction is a different word, so the order is pinned
+        for n in range(1, 12):
+            word = tuple(2**i for i in range(n))
+            want = [packet_sums(word, parts) for parts in compositions(n)]
+            assert len(set(want)) == len(want)
+            assert contractions(word) == want
 
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):

@@ -231,19 +231,6 @@ class TestPolyInV:
 
 
 class TestMemo:
-    def test_cache_cap(self):
-        emsum.clear_cache()
-        emsum.set_cache_limit(16)
-        try:
-            for a in range(6):
-                nested_fp_res([(a, 1), (a, 1)], 0)
-            assert len(emsum._cache) <= 16
-            # results stay correct under eviction
-            assert nested_fp_res([(0, 1), (0, 1)], 0).fp == Fraction(3, 8)
-        finally:
-            emsum.set_cache_limit(0)
-            emsum.clear_cache()
-
     def test_deterministic_results(self):
         emsum.clear_cache()
         first = nested_fp_res([(2, 1), (2, 1), (2, 1)], Fraction(1, 2))
@@ -265,8 +252,6 @@ class TestMemo:
         # states visited are exactly those of reach >= -1 (the peel stops
         # at the first child of lower reach). Pinned on the per-term path:
         # one nested sum per composition term.
-        limit = emsum._cache_limit
-        emsum.set_cache_limit(0)
         emsum.clear_cache()
         try:
             value = sum(
@@ -278,14 +263,11 @@ class TestMemo:
             assert all(sum(key[4::3]) + len(key[4::3]) - 1 >= -1 for key in emsum._cache)
             assert value == Fraction(534703531, 902961561600)
         finally:
-            emsum.set_cache_limit(limit)
             emsum.clear_cache()
 
     def test_polynomial_state_count(self):
         # the same peel steps over Q[v]: the states of the strict value of
         # (1,)*6 at v = Poly.x() are the ones the rational shifts visit
-        limit = emsum._cache_limit
-        emsum.set_cache_limit(0)
         emsum.clear_cache()
         mzv._zeta_strict.cache_clear()
         try:
@@ -297,13 +279,10 @@ class TestMemo:
             assert poly(Fraction(0)) == mzv.zeta_value((1,) * 6, 0)
             assert poly.coeffs[-1] == Fraction(1, 46080)
         finally:
-            emsum.set_cache_limit(limit)
             emsum.clear_cache()
 
     def test_folded_state_count(self):
         # the same value by the folded recursion over word prefixes
-        limit = emsum._cache_limit
-        emsum.set_cache_limit(0)
         emsum.clear_cache()
         mzv._zeta_strict.cache_clear()
         try:
@@ -311,14 +290,11 @@ class TestMemo:
             assert len(emsum._cache) == 719
             assert value == Fraction(534703531, 902961561600)
         finally:
-            emsum.set_cache_limit(limit)
             emsum.clear_cache()
 
     def test_deep_word_state_count(self):
         # the cutoff well past the depth-7 pins: twelve letters under the
         # word menu, the value recorded before the cutoff existed
-        limit = emsum._cache_limit
-        emsum.set_cache_limit(0)
         emsum.clear_cache()
         mzv._zeta_strict.cache_clear()
         try:
@@ -328,7 +304,6 @@ class TestMemo:
                 -1579029138854919086429, 9716130015581401251840000
             )
         finally:
-            emsum.set_cache_limit(limit)
             emsum.clear_cache()
 
 

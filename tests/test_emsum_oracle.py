@@ -231,12 +231,25 @@ def test_drawn_lists(exps, v):
 
 
 def test_boundary_from_germ_row():
-    # the engine reads the boundary term off the cached germ row
-    for b in range(14):
-        for two_j in (2, 6, 12, 22):
-            for c_num, c_den in ((1, 1), (3, 2)):
-                row = emsum._germ_row(b, c_num, c_den, two_j)
-                for v in (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Poly.x()):
-                    w, _ = emsum._head(v, 0, emsum._SLOTS)
-                    got = emsum._value(emsum._boundary_k0(b, two_j, row, w), v)
-                    assert got == boundary_k0(b, two_j, v)
+    # the peel's boundary factor is the last slot's depth-1 data: the germ
+    # sum above equals the oracle's depth-1 finite part -B_{b+1}(1+v)/(b+1)
+    # at every truncation that reaches j = b + 1 (h_0 vanishes past it),
+    # and every truncation the engine peels a slot of exponent b at does
+    cs = (Fraction(1), Fraction(3, 2), Fraction(1, 3))
+    shifts = (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Poly.x())
+    for b in range(-3, 22):
+        engine_two_j = 2 * emsum._germ_pairs((0, b))
+        assert engine_two_j >= b + 1
+        for c in cs:
+            for v in shifts:
+                w, _ = emsum._head(v, 0, emsum._SLOTS)
+                res, fp = emsum._depth1(b, c.numerator, c.denominator, w)
+                want = oracle_fp_res([(b, c)], v)
+                assert emsum._value(res, v) == want.res
+                if b < 0:
+                    assert fp is NONRATIONAL and want.fp is NONRATIONAL
+                    continue
+                got = emsum._value(fp, v)
+                assert got == want.fp
+                for two_j in (b + 1, b + 2, b + 5, b + 8, 2 * b + 3, engine_two_j):
+                    assert got == boundary_k0(b, two_j, v), (b, c, two_j, v)

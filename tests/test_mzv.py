@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, mzv, words
-from renzeta.combinat import compositions, packet_sums
+from renzeta.combinat import compositions
 from renzeta.emsum import LaurentData, nested_fp_res
 from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
@@ -24,6 +24,7 @@ from renzeta.mzv import (
     zeta_value,
     zeta_weak_renorm,
 )
+from test_combinat import packet_sums
 
 
 def strict_from_weak(a, v=0) -> Fraction:
@@ -33,6 +34,10 @@ def strict_from_weak(a, v=0) -> Fraction:
         Fraction(-1) ** (k - len(parts)) * zeta_value(packet_sums(a, parts), v, "weak")
         for parts in compositions(k)
     )
+
+
+#: Words with a letter that is not an int, each refused rather than truncated.
+_NOT_INT_WORDS = ((1.5,), (Fraction(3, 2),), ("3",), (0, 2.0), (Fraction(1),), (True,))
 
 
 class TestStrict:
@@ -52,6 +57,12 @@ class TestStrict:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             zeta_value((-1, 2))
+
+    @pytest.mark.parametrize("a", _NOT_INT_WORDS)
+    def test_rejects_non_int_letters(self, a):
+        # refused, not truncated: int(1.5) would give zeta(-1)
+        with pytest.raises(ValueError, match="of type int"):
+            zeta_value(a)
 
     def test_empty_word_is_unit(self):
         assert zeta_value(()) == 1
@@ -148,6 +159,11 @@ class TestPolyInV:
         # zeta(-1; v) = -(v^2 + v + 1/6)/2
         poly = zeta_poly_in_v((1,))
         assert poly == Poly((Fraction(-1, 12), Fraction(-1, 2), Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("a", _NOT_INT_WORDS)
+    def test_rejects_non_int_letters(self, a):
+        with pytest.raises(ValueError, match="of type int"):
+            zeta_poly_in_v(a)
 
 
 class TestDeepAnchors:
@@ -282,6 +298,12 @@ class TestHigherDimensional:
                     if max(abs(x) for x in p) == t
                 )
                 assert sum(c * t**m for m, c in coeffs.items()) == count
+
+    @pytest.mark.parametrize("a", _NOT_INT_WORDS)
+    def test_rejects_non_int_letters(self, a):
+        # refused, not truncated: (1.9,) would compute at a = 1
+        with pytest.raises(ValueError, match="of type int"):
+            hdim_zeta(2, a, with_poly=True)
 
     def test_instances(self):
         assert hdim_zeta(2, (0,)).value == Fraction(-2, 3)

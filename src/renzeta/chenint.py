@@ -301,13 +301,19 @@ class BirkhoffFactorization:
             raise InsufficientOrder(str(exc)) from exc
 
 
+def _positive_letters(s) -> tuple[int, ...]:
+    """The arguments as a tuple of ints >= 1; anything else is refused, not truncated."""
+    s = tuple(s)
+    if any(type(x) is not int or x < 1 for x in s):
+        raise ValueError(f"continuous zeta arguments must be integers >= 1 of type int, got {s}")
+    return s
+
+
 def _zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
     """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z),
     its Laurent window through z**max(1, k), and its renormalised value,
     from the product formula on its subwords."""
-    s = tuple(int(x) for x in s)
-    if any(x < 1 for x in s):
-        raise ValueError("continuous zeta arguments must be positive integers")
+    s = _positive_letters(s)
     exact = _zeta_subword_characters(s)
     order = max(1, len(s))
     # the factorisation of the word reads the character of every subword
@@ -394,7 +400,7 @@ def pure_power_nested_integral(exponents, lo, hi) -> Fraction:
 def convergent_nested_integral(s) -> Fraction:
     """Direct evaluation of the convergent continuous zeta analog (no
     regularisation, no Laurent series): the oracle for the convergent case."""
-    s = tuple(int(x) for x in s)
+    s = _positive_letters(s)
     partial = 0
     for i, x in enumerate(s, start=1):
         partial += x

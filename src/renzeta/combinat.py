@@ -90,6 +90,16 @@ def compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def check_recursion_depth(depth: int) -> None:
+    """Refuse at once a depth sure to overflow the recursion limit (the
+    engine descends at least one frame per letter or slot), before any work."""
+    limit = sys.getrecursionlimit()
+    if depth >= limit:
+        raise RecursionError(
+            f"depth {depth} needs more nested calls than the recursion limit {limit}"
+        )
+
+
 def contractions(word) -> list[tuple]:
     """The 2^(k-1) words obtained from a word of k letters by summing
     consecutive packets, in the order of their packet sizes in
@@ -107,11 +117,7 @@ def contractions(word) -> list[tuple]:
     word = tuple(word)
     if not word:
         raise ValueError("contractions are defined for words of length >= 1")
-    limit = sys.getrecursionlimit()
-    if len(word) >= limit:
-        raise RecursionError(
-            f"depth {len(word)} needs more nested calls than the recursion limit {limit}"
-        )
+    check_recursion_depth(len(word))
     out = [word[:1]]
     for b in word[1:]:
         out = [y for x in out for y in (x + (b,), x[:-1] + (x[-1] + b,))]

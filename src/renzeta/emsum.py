@@ -20,8 +20,11 @@ is carried inside the recursion. Two slot menus use this:
 * ``strict_fp_res`` -- the twisted-regularisation expansion of a word (the
   strict renormalised value): a slot of L consecutive letters carries
   multiplicity c in 1..L with weight s(L, c)/L! (Hoffman's log followed by
-  his exp), and the multiplicities of a slot are pre-summed in a state of
-  their own.
+  his exp). A word-menu state has one of three key shapes: a slot state
+  (the prefix word, then the last slot), a presum state (the multiplicities
+  of a slot pre-summed) and a prefix-sum state (the word alone, every slot
+  structure summed). The prefix-sum state of a word is its value and the
+  boundary subsum (below) of every state after it, computed once.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1.
@@ -65,7 +68,9 @@ over the germ row. Since h_0 = C(b+1, j) B_j/(b+1) for j <= b + 1 and 0
 beyond, and every row the engine peels at reaches j = b + 1 (2J >= R + 2),
 that finite part is -B_{b+1}(1+v)/(b+1). So the factor is the depth-1 value
 of the last slot, and one function (:func:`_depth1`) gives both the
-depth-1 states and every boundary factor.
+depth-1 states and every boundary factor. The boundary subsum is a state:
+the prefix itself under the fixed menu, and under the word menu the
+prefix-sum state of the prefix word.
 
 The engine runs over Q (v a rational) and over Q[v] (v the polynomial
 variable ``Poly.x()``, values the Hurwitz polynomials themselves) with one
@@ -83,13 +88,12 @@ become ``Fraction`` or ``Poly`` only where ``nested_fp_res`` and
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
-from .combinat import bernoulli, stirling1
+from .combinat import bernoulli, check_recursion_depth, stirling1
 from .exactnum import Poly, as_rational
 
 
@@ -382,18 +386,6 @@ def _head(v, j_bump: int, menu: int):
     return (den, (num + den,)), (menu, j_bump, num, den)
 
 
-def _check_depth(depth: int) -> None:
-    """The recursion descends one interpreter frame per slot, after it has
-    computed the germs of its top state, which need Bernoulli numbers up to
-    about the depth. Refuse at once a depth sure to overflow the
-    interpreter's recursion limit instead of after that work."""
-    limit = sys.getrecursionlimit()
-    if depth >= limit:
-        raise RecursionError(
-            f"depth {depth} needs more nested calls than the recursion limit {limit}"
-        )
-
-
 #: Slot menus, the first entry of a memo key: every slot given with its own
 #: c and weight 1, or the twisted-regularisation slot structures of a word.
 _SLOTS, _WORD = 0, 1
@@ -419,7 +411,7 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     if not exps:
         raise StructuralViolation("empty exponent list")
     w, head = _head(v, j_bump, _SLOTS)
-    _check_depth(len(exps) // 3)
+    check_recursion_depth(len(exps) // 3)
     for b in exps[:-3:3]:
         if b < 0:
             raise StructuralViolation(
@@ -444,8 +436,8 @@ def strict_fp_res(word, v) -> LaurentData:
     if not word or any(type(a) is not int or a < 0 for a in word):
         raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
     w, head = _head(v, 0, _WORD)
-    _check_depth(len(word))
-    return _to_laurent(_boundary(word, w, head), v)
+    check_recursion_depth(len(word))
+    return _to_laurent(_nested(word + (0,), w, head), v)
 
 
 @lru_cache(maxsize=None)
@@ -472,20 +464,19 @@ def _last_slots(word: tuple, cn: int, cd: int):
         yield word[:cut], b, (cn, cd, cut - len(word))
 
 
-def _boundary(prefix: tuple, w: tuple, head: tuple) -> tuple:
-    """The boundary subsum of a state whose slots before the last are
-    ``prefix``: that nested sum itself under the fixed menu, and under the
-    word menu the sum over the slot structures of the word (their weights
-    are inside the states)."""
-    if not head[0]:
-        return _nested(prefix, w, head)
+def _weighted_sum(states, fp_known: bool, w: tuple, head: tuple) -> tuple:
+    """The memo entry of the weighted sum of the states over the pairs
+    (state, weight) ``states``: that of a presum or a prefix-sum state.
+    Without ``fp_known`` the finite part is NONRATIONAL, so the weights act
+    on the residues only."""
     res_terms, fp_terms = [], []
-    for stem, b, tail in _last_slots(prefix, 0, 1):
-        res, fp = _nested(stem + (b,) + tail, w, head)
+    for exps, weight in states:
+        res, fp = _nested(exps, w, head)
         if res[1]:
-            res_terms.append((_UNIT, res))
-        fp_terms.append((_UNIT, fp))
-    return _combine(res_terms), _combine(fp_terms)
+            res_terms.append((weight, res))
+        if fp_known:
+            fp_terms.append((weight, fp))
+    return _combine(res_terms), _combine(fp_terms) if fp_known else NONRATIONAL
 
 
 def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
@@ -496,11 +487,19 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     and a slot is (b, c numerator, c denominator).
 
     Under the fixed menu ``exps`` = (b_1, c_1 num, c_1 den, ..., b_l, c_l
-    num, c_l den) is one nested sum. Under the word menu ``exps`` = (a_1, ...,
-    a_m, b, c num, c den) is the weighted sum over the slot structures of the
-    prefix word a_1..a_m of their nested sums followed by the slot (b, c),
-    and (a_1, ..., a_m, b, c num, c den, -L) is the weighted sum over the
-    multiplicities c' of an L-letter slot (b, c + c') after that prefix.
+    num, c_l den) is one nested sum. Under the word menu a key has one of
+    three shapes, told apart by its last entry (c den >= 1, -L < 0, or 0):
+
+    * (a_1, ..., a_m, b, c num, c den), the slot state: the weighted sum
+      over the slot structures of the prefix word a_1..a_m of their nested
+      sums followed by the slot (b, c);
+    * (a_1, ..., a_m, b, c num, c den, -L), the presum state: the weighted
+      sum over the multiplicities c' of an L-letter slot of the slot states
+      (a_1, ..., a_m, b, c + c');
+    * (a_1, ..., a_m, 0), the prefix-sum state: the sum over the last slots
+      of the word a_1..a_m, that is the weighted sum over all its slot
+      structures. It is the strict expansion of the word and the boundary
+      subsum of every slot state after it.
     """
     key = head + exps
     hit = _cache.get(key)
@@ -508,7 +507,17 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
         return hit
 
     if exps[-1] < 0:
-        return _memoize(key, _presum(exps, w, head))
+        stem = exps[:-4]
+        b, cn, cd, neg_length = exps[-4:]
+        # c + cn/cd stays in lowest terms
+        states = (
+            (stem + (b, cn + c * cd, cd), weight) for c, weight in _slot_weights(-neg_length)
+        )
+        return _memoize(key, _weighted_sum(states, b >= 0, w, head))
+    if not exps[-1]:
+        # every slot of the word has b >= 0, so its finite part is rational
+        states = ((stem + (b,) + tail, _UNIT) for stem, b, tail in _last_slots(exps[:-1], 0, 1))
+        return _memoize(key, _weighted_sum(states, True, w, head))
     b_last, cn_last, cd_last = exps[-3:]
     if len(exps) == 3:
         return _memoize(key, _depth1(b_last, cn_last, cd_last, w))
@@ -560,7 +569,7 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     # boundary subsum. Every slot of that subsum has b >= 0, so it is
     # pole-free; its residue is the only partner the dropped z^1 boundary
     # pieces ever meet
-    sub_res, sub_fp = _boundary(prefix, w, head)
+    sub_res, sub_fp = _nested(prefix + (0,) if head[0] else prefix, w, head)
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
     one_res, one_fp = _depth1(b_last, cn_last, cd_last, w)
@@ -575,23 +584,6 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
             f"nested sum with nonnegative last exponent has residue {res_total}"
         )
     return _memoize(key, (res_total, fp_total))
-
-
-def _presum(exps: tuple, w: tuple, head: tuple) -> tuple:
-    """The presum state (stem, b, c num, c den, -L): the weighted sum over
-    c' = 1..L of the states (stem, b, c + c'). With b < 0 every finite part
-    is NONRATIONAL, so the weights act on the residues only."""
-    stem = exps[:-4]
-    b, cn, cd, neg_length = exps[-4:]
-    res_terms, fp_terms = [], []
-    for c, weight in _slot_weights(-neg_length):
-        # c + cn/cd stays in lowest terms
-        res, fp = _nested(stem + (b, cn + c * cd, cd), w, head)
-        if res[1]:
-            res_terms.append((weight, res))
-        if b >= 0:
-            fp_terms.append((weight, fp))
-    return _combine(res_terms), _combine(fp_terms) if b >= 0 else NONRATIONAL
 
 
 _C_PALETTE = (

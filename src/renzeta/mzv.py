@@ -387,8 +387,8 @@ def verify_hurwitz_identities(a, v=0, variant: str = "strict") -> Report:
 def sup_sphere_count_coeffs(n: int) -> dict[int, int]:
     """Coefficients of the sup-norm sphere point count (2t+1)^n - (2t-1)^n
     as a polynomial in t: degree m -> integer coefficient."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension must be an int >= 1, got {n!r}")
     return {
         n - 2 * j - 1: 2 ** (n - 2 * j) * comb(n, 2 * j + 1)
         for j in range(0, (n - 1) // 2 + 1)
@@ -429,8 +429,8 @@ def hdim_zeta(n: int, a, v=0, with_poly: bool = False) -> ZetaValue:
     >>> hdim_zeta(3, (0,)).value
     Fraction(-1, 1)
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension must be an int >= 1, got {n!r}")
     a = _validate_args(a)
     v = as_rational(v)
     poly = _as_poly(_hdim_value(n, a, Poly.x())) if with_poly else None

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions, contractions
-from .exactnum import as_rational, rational_combination
+from .exactnum import as_rational
 
 Word = tuple  # tuple of int letters; () is the unit word
 
@@ -108,16 +108,8 @@ class TensorPoly:
         return len(self.terms)
 
     def apply(self, fn):
-        """Linear extension of a word-level valuation: sum of c * fn(word).
-        Rational values are summed over one common denominator and reduced
-        once; any other value (a character, say) by its own arithmetic."""
-        values = [(c, fn(w)) for w, c in self.terms.items()]
-        if all(type(x) is Fraction or type(x) is int for _, x in values):
-            return rational_combination(values)
-        total = Fraction(0)
-        for c, x in values:
-            total += c * x
-        return total
+        """Linear extension of a word-level valuation: sum of c * fn(word)."""
+        return sum((c * fn(w) for w, c in self.terms.items()), Fraction(0))
 
     def map_words(self, fn) -> "TensorPoly":
         """Linear extension of a word -> TensorPoly map."""

@@ -345,6 +345,15 @@ class TestRenormalisedValues:
         with pytest.raises(ValueError):
             zeta_tilde_renorm((0, 2))
 
+    @pytest.mark.parametrize(
+        "s", [(3.7, 2.2), (Fraction(7, 2), 2), ("3", "2"), (3.9, 2), (True, 2), (3, 2.0)]
+    )
+    def test_rejects_non_int_letters(self, s):
+        # refused, not truncated: each of these would give the value of (3, 2)
+        for fn in (zeta_tilde_renorm, _zeta_character_and_value, convergent_nested_integral):
+            with pytest.raises(ValueError, match="of type int"):
+                fn(s)
+
     def test_renormalised_shuffle_sample(self):
         order = 4
         memo = {}

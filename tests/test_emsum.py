@@ -272,7 +272,7 @@ class TestMemo:
         mzv._zeta_strict.cache_clear()
         try:
             poly = mzv.zeta_poly_in_v((1,) * 6)
-            assert len(emsum._cache) == 400
+            assert len(emsum._cache) == 406
             # every memo value is stored reduced: numerators and denominator coprime
             values = [x for entry in emsum._cache.values() for x in entry if x is not NONRATIONAL]
             assert all(gcd(den, *nums) == 1 for den, nums in values)
@@ -287,7 +287,7 @@ class TestMemo:
         mzv._zeta_strict.cache_clear()
         try:
             value = mzv.zeta_value((1,) * 7, 0)
-            assert len(emsum._cache) == 719
+            assert len(emsum._cache) == 726
             assert value == Fraction(534703531, 902961561600)
         finally:
             emsum.clear_cache()
@@ -299,10 +299,23 @@ class TestMemo:
         mzv._zeta_strict.cache_clear()
         try:
             value = mzv.zeta_value((1,) * 12, 0)
-            assert len(emsum._cache) == 5768
+            assert len(emsum._cache) == 5780
             assert value == Fraction(
                 -1579029138854919086429, 9716130015581401251840000
             )
+        finally:
+            emsum.clear_cache()
+
+    def test_one_prefix_sum_state_per_prefix(self):
+        # the strict expansion of each prefix word is a state (a_1..a_m, 0),
+        # computed once: the value of the whole word and the boundary subsum
+        # of every state after the prefix
+        emsum.clear_cache()
+        try:
+            emsum.strict_fp_res((1,) * 12, 0)
+            # a key is (menu, j_bump, v num, v den) and then the state
+            prefix_sums = [key[4:-1] for key in emsum._cache if key[-1] == 0]
+            assert sorted(prefix_sums) == [(1,) * m for m in range(1, 13)]
         finally:
             emsum.clear_cache()
 

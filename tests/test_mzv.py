@@ -305,6 +305,14 @@ class TestHigherDimensional:
         with pytest.raises(ValueError, match="of type int"):
             hdim_zeta(2, a, with_poly=True)
 
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2), "2", 0, -1])
+    def test_rejects_non_int_dimension(self, n):
+        # refused, not truncated: True would compute the n = 1 value
+        with pytest.raises(ValueError, match="dimension must be an int >= 1"):
+            hdim_zeta(n, (0,))
+        with pytest.raises(ValueError, match="dimension must be an int >= 1"):
+            sup_sphere_count_coeffs(n)
+
     def test_instances(self):
         assert hdim_zeta(2, (0,)).value == Fraction(-2, 3)
         assert hdim_zeta(3, (0,)).value == Fraction(-1)
@@ -445,7 +453,7 @@ class TestFoldedAgainstTerms:
         base = emsum.strict_fp_res(a, v)
         for bump in (1, 2):
             v_, head = emsum._head(v, bump, emsum._WORD)
-            assert emsum._to_laurent(emsum._boundary(a, v_, head), v) == base
+            assert emsum._to_laurent(emsum._nested(a + (0,), v_, head), v) == base
 
 
 class TestStuffleAboveWeight8:

@@ -32,4 +32,7 @@ def test_tracer_installs_and_uninstalls():
     metrics = tracer.layer_metrics(0)
     assert metrics["mzv.values"] == 1
     assert metrics["emsum.germ_cache.size"] > 0
+    # the engine reaches every state it computes through the patched module
+    # global, not only the top one
+    assert metrics["emsum.recursions"] >= len(emsum._cache) > 1
     assert all(isinstance(x, (int, float)) for x in metrics.values())

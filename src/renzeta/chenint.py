@@ -54,7 +54,9 @@ class PowerLogExpr:
     def __init__(self, terms=()):
         merged: dict[tuple[int, Fraction, int], RationalFunction] = {}
         for t in terms:
-            b, c, m, coeff = int(t[0]), as_rational(t[1]), int(t[2]), _rf(t[3])
+            b, c, m, coeff = t[0], as_rational(t[1]), t[2], _rf(t[3])
+            if type(b) is not int or type(m) is not int:  # refused, not truncated
+                raise ValueError(f"exponent and log power must be of type int, got {b!r}, {m!r}")
             if m < 0:
                 raise ValueError("log power must be nonnegative")
             if coeff.is_zero:
@@ -135,7 +137,9 @@ def power_symbol(b: int, c=0, m: int = 0, coeff=1) -> PowerLogExpr:
 
 def zeta_symbol(s: int) -> PowerLogExpr:
     """The slot symbol t^(-s - z) of the continuous zeta analog."""
-    return power_symbol(-int(s), 1)
+    if type(s) is not int:
+        raise ValueError(f"a zeta argument must be of type int, got {s!r}")
+    return power_symbol(-s, 1)
 
 
 def _alpha_plus_one(b: int, c: Fraction) -> Poly:
@@ -374,7 +378,9 @@ def pure_power_nested_integral(exponents, lo, hi) -> Fraction:
             total += cf * t**p
         return total
 
-    exps = tuple(int(e) for e in exponents)
+    exps = tuple(exponents)
+    if any(type(e) is not int for e in exps):
+        raise ValueError(f"exponents must be of type int, got {exps}")
     lo = as_rational(lo)
     if lo <= 0:
         raise ValueError("lower bound must be positive")

@@ -6,8 +6,8 @@ computed by a depth recursion: the innermost sum is replaced by its
 interpolated summation expansion, which peels the last slot into a family of
 local germs (B_j/j!) [b - c z]_{j-1}, three Laurent coefficients each,
 against depth-(l-1) sums. The engine reads germs only as a whole row, j = 0
-.. 2J for one slot. It keeps one row per slot, the longest one requested,
-built in one pass over j, and reads it up to 2J.
+.. R + 1 for the last slot of a state of reach R (below). It keeps one row
+per slot, the longest one requested, built in one pass over j.
 
 Peeling merges the last slot into the one before it and never touches the
 earlier slots. So the same peel step also evaluates a weighted sum of nested
@@ -25,6 +25,10 @@ is carried inside the recursion. Two slot menus use this:
   of a slot pre-summed) and a prefix-sum state (the word alone, every slot
   structure summed). The prefix-sum state of a word is its value and the
   boundary subsum (below) of every state after it, computed once.
+
+``weak_fp_res`` sums the prefix-sum states of a word's 2^(k-1)
+contractions: the weak value, from exactly the states their strict values
+create.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1.
@@ -54,23 +58,25 @@ residue is exactly 0; and B <= R < 0 makes the finite part NONRATIONAL.
 Such a state contributes nothing, and the peel never creates it: peeling
 a slot of L letters at germ j gives a child of reach R - j + 1 - L, which
 falls along the row, so each row is read only up to its first child of
-reach below -1. The j = 0 germ, the only one with a z^{-1} term, is never
-cut when it has one, and with B >= 0 no germ with a nonzero z^0 term is
-cut, so every state that is computed still meets every check above. Of
-the states that full rows would create, the engine computes exactly those
-of reach >= -1 (and the top state, whatever its reach).
+reach below -1. A one-letter slot meets that child at j = R + 2, so the
+row runs to j = R + 1: its length is set by the reach. The j = 0 germ, the
+only one with a z^{-1} term, is never cut when it has one, and with B >= 0
+no germ with a nonzero z^0 term is cut, so every state that is computed
+still meets every check above. Of the states that unbounded rows would
+create, the engine computes exactly those of reach >= -1 (and the top
+state, whatever its reach).
 
 A fourth structural fact gives the boundary term of a peel. Besides the
 germ products, peeling the last slot (b, c) leaves the boundary subsum (the
 earlier slots alone) times a factor with residue 1/c at b = -1 and 0
 otherwise, and, for b >= 0, finite part minus the sum of h_0 (1+v)^(b+1-j)
 over the germ row. Since h_0 = C(b+1, j) B_j/(b+1) for j <= b + 1 and 0
-beyond, and every row the engine peels at reaches j = b + 1 (2J >= R + 2),
-that finite part is -B_{b+1}(1+v)/(b+1). So the factor is the depth-1 value
-of the last slot, and one function (:func:`_depth1`) gives both the
-depth-1 states and every boundary factor. The boundary subsum is a state:
-the prefix itself under the fixed menu, and under the word menu the
-prefix-sum state of the prefix word.
+beyond, and every row the engine peels at reaches j = b + 1 (it runs to
+j = R + 1 and R > b), that finite part is -B_{b+1}(1+v)/(b+1). So the
+factor is the depth-1 value of the last slot, and one function
+(:func:`_depth1`) gives both the depth-1 states and every boundary factor.
+The boundary subsum is a state: the prefix itself under the fixed menu,
+and under the word menu the prefix-sum state of the prefix word.
 
 The engine runs over Q (v a rational) and over Q[v] (v the polynomial
 variable ``Poly.x()``, values the Hurwitz polynomials themselves) with one
@@ -81,8 +87,8 @@ the case d = 0. A state's residue and finite part each come from one call
 of the kernel :func:`_combine`, a linear combination of such values with
 integer-pair coefficients p/q: one lcm, integer multiply-adds and one gcd.
 Germ entries and slot weights are stored as those integer pairs. Values
-become ``Fraction`` or ``Poly`` only where ``nested_fp_res`` and
-``strict_fp_res`` return them.
+become ``Fraction`` or ``Poly`` only where ``nested_fp_res``,
+``strict_fp_res`` and ``weak_fp_res`` return them.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
-from .combinat import bernoulli, check_recursion_depth, stirling1
+from .combinat import bernoulli, check_recursion_depth, contractions, stirling1
 from .exactnum import Poly, as_rational
 
 
@@ -264,16 +270,6 @@ def _to_laurent(data: tuple, v) -> LaurentData:
     return LaurentData(_value(res, v), fp if fp is NONRATIONAL else _value(fp, v))
 
 
-def _germ_pairs(bs) -> int:
-    """Germ truncation J for a list of slot exponents b_i: germs run
-    j = 0 .. 2J. Chosen so that every merged exponent the recursion can
-    request is covered, with one unit of safety margin. Since 2J >= R + 2
-    for the reach R = sum(b_i) + l - 1, a peel loop always meets a child of
-    reach below -1 first: the cutoff, not this truncation, ends every row."""
-    total = sum(max(b, 0) for b in bs) + len(bs)
-    return max(1, -((-total) // 2) + 1)
-
-
 def _flatten(exponents) -> tuple:
     """Validate an exponent list and return it in the engine's flat form
     (b_1, c_1 numerator, c_1 denominator, ..., b_l, c_l numerator, c_l
@@ -293,23 +289,23 @@ def _flatten(exponents) -> tuple:
 _germ_cache: dict = {}
 
 
-def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
+def _germ_row(b: int, c_num: int, c_den: int, j_max: int) -> tuple:
     """The local germs (B_j/j!) [b - c z]_{j-1} of the last slot (b, c) with
-    c = c_num/c_den, for j = 0 .. two_j (odd j > 1 left out: their Bernoulli
+    c = c_num/c_den, for j = 0 .. j_max (odd j > 1 left out: their Bernoulli
     numbers vanish), each expanded to three coefficients at z = 0 and stored
     as (b + 1 - j, h_m1, h_0, h_1). A merged slot's b is the previous slot's
     b plus that shift. A coefficient is a reduced integer pair (p, q) with
     q > 0, or None when it is exactly zero.
 
     The table keeps one row per slot, the longest one requested, and this
-    returns its prefix up to j = two_j.
+    returns its prefix up to j = j_max.
 
     [b - c z]_{-1} = 1/(b + 1 - c z) has a simple pole iff b = -1. For j >= 1
     the row is built in one pass: the two leading coefficients p0 and
     p1/c_den of the falling factorial prod_{i < j-1} (b - i - c z) are
     carried from j to j + 1 as the integers p0, p1.
     """
-    size = two_j // 2 + 2  # j = 0, 1, 2, 4, ..., two_j
+    size = j_max // 2 + 2  # j = 0, 1, 2, 4, ..., j_max
     key = (b, c_num, c_den)
     row = _germ_cache.get(key)
     if row is not None and len(row) >= size:
@@ -319,7 +315,7 @@ def _germ_row(b: int, c_num: int, c_den: int, two_j: int) -> tuple:
     else:
         out = [(b + 1, None, _pair(1, b + 1), _pair(c_num, c_den * (b + 1) ** 2))]
     p0, p1, fact = 1, 0, 1
-    for j in range(1, two_j + 1):
+    for j in range(1, j_max + 1):
         fact *= j
         if j == 1 or j % 2 == 0:
             bn, bd = bernoulli(j).as_integer_ratio()
@@ -397,8 +393,8 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     All slots but the last must have b >= 0. v is a rational > -1, or the
     polynomial variable ``Poly.x()``: then the residue and the finite part
     come out as polynomials in v.
-    ``j_bump`` widens every germ truncation by that amount (the result must
-    not depend on it; the robustness suite checks this).
+    ``j_bump`` lengthens every germ row by 2 j_bump germ indices (the result
+    must not depend on it; the robustness suite checks this).
 
     >>> nested_fp_res([(1, 1)], 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 12))
@@ -421,6 +417,16 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     return _to_laurent(_nested(exps, w, head), v)
 
 
+def _word_head(word, v):
+    """(word as a tuple, w, head) for the word menu, both validated."""
+    word = tuple(word)
+    if not word or any(type(a) is not int or a < 0 for a in word):
+        raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
+    w, head = _head(v, 0, _WORD)
+    check_recursion_depth(len(word))
+    return word, w, head
+
+
 def strict_fp_res(word, v) -> LaurentData:
     """Residue and finite part at z = 0 of the twisted-regularisation
     expansion of the word (a_1, ..., a_k): the sum over every way of cutting
@@ -432,12 +438,20 @@ def strict_fp_res(word, v) -> LaurentData:
     >>> strict_fp_res((0, 0), 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(3, 8))
     """
-    word = tuple(word)
-    if not word or any(type(a) is not int or a < 0 for a in word):
-        raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
-    w, head = _head(v, 0, _WORD)
-    check_recursion_depth(len(word))
+    word, w, head = _word_head(word, v)
     return _to_laurent(_nested(word + (0,), w, head), v)
+
+
+def weak_fp_res(word, v) -> LaurentData:
+    """The sum of :func:`strict_fp_res` over the 2^(k-1) contractions of the
+    word, one prefix-sum state each: its finite part is the weak value.
+
+    >>> weak_fp_res((0, 0), 0)
+    LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
+    """
+    word, w, head = _word_head(word, v)
+    states = ((x + (0,), _UNIT) for x in contractions(word))
+    return _to_laurent(_weighted_sum(states, True, w, head), v)
 
 
 @lru_cache(maxsize=None)
@@ -465,8 +479,8 @@ def _last_slots(word: tuple, cn: int, cd: int):
 
 
 def _weighted_sum(states, fp_known: bool, w: tuple, head: tuple) -> tuple:
-    """The memo entry of the weighted sum of the states over the pairs
-    (state, weight) ``states``: that of a presum or a prefix-sum state.
+    """(residue, finite part) of the weighted sum over the pairs (state,
+    weight) ``states``: a presum or prefix-sum state, or a weak total.
     Without ``fp_known`` the finite part is NONRATIONAL, so the weights act
     on the residues only."""
     res_terms, fp_terms = [], []
@@ -524,33 +538,31 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
 
     prefix = exps[:-3]
     if head[0]:
-        # every last slot of the prefix word; the letters are the slot
-        # exponents of the structure with one slot per letter, the most
-        # slots any structure has, so they set the truncation
-        bs = prefix + (b_last,)
         slots = _last_slots(prefix, cn_last, cd_last)
         step = 1
     else:
-        bs = exps[::3]
         step = 3
         b_prev, cn_prev, cd_prev = prefix[-3:]
         num = cn_prev * cd_last + cn_last * cd_prev
         den = cd_prev * cd_last
         g = gcd(num, den)
         slots = ((prefix[:-3], b_prev, (num // g, den // g)),)
-    two_j = 2 * (_germ_pairs(bs) + head[1])
+    # a slot's exponent and its stem's add up to the prefix total; the row
+    # runs to j = R + 1 for the reach R, the last germ the cutoff can read
+    total = sum(prefix[::step])
+    reach = b_last + total + len(prefix) // step
     fp_known = b_last >= 0
 
     res_terms = []
     fp_terms = []
-    row = _germ_row(b_last, cn_last, cd_last, two_j)
+    row = _germ_row(b_last, cn_last, cd_last, max(reach + 1, 0) + 2 * head[1])
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included.
     # Shifts fall along the row, so the first child of reach below -1 ends
     # it: from there on every child is (0, NONRATIONAL) and its finite part
     # only meets None coefficients (see the module docstring)
     for stem, b_slot, tail in slots:
-        floor = -1 - b_slot - sum(stem[::step]) - len(stem) // step
+        floor = -1 - total - len(stem) // step
         for shift, h_m1, h_0, h_1 in row:
             if shift < floor:
                 break

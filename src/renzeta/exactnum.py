@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 #: The scalar field of the whole package.
 Rational = Fraction
@@ -30,26 +29,6 @@ def as_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def rational_combination(terms) -> Fraction:
-    """sum_i c_i x_i over the pairs (c_i, x_i) of ints or Fractions, summed
-    as one numerator over a common denominator and reduced once.
-
-    >>> rational_combination([(1, Fraction(1, 6)), (Fraction(-1, 2), Fraction(1, 3))])
-    Fraction(0, 1)
-    """
-    num, den = 0, 1
-    for c, x in terms:
-        n = c.numerator * x.numerator
-        d = c.denominator * x.denominator
-        if d == den:
-            num += n
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return Fraction(num, den)
 
 
 def rat_str(q) -> str:

@@ -4,8 +4,8 @@ arguments, in three variants:
 * ``strict``  -- strict-inequality nested sums, regularisation twisted so
   that the values satisfy the unsigned stuffle relations;
 * ``weak``    -- weak-inequality version (signed stuffle relations): the sum
-  of the strict values of the 2^(k-1) contractions of the word
-  (``combinat.contractions``);
+  of the strict values of the 2^(k-1) contractions of the word, taken by
+  ``emsum.weak_fp_res`` inside the engine;
 * ``alt``     -- the diagonal limit zeta(-a_1+z, ..., -a_k+z; v) at z -> 0,
   which satisfies the Hurwitz shift/derivative identities but not the
   stuffle relations. It coincides with ``strict`` in depths 1 and 2.
@@ -28,9 +28,9 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
 
-from .combinat import bernoulli, bernoulli_poly, compositions, contractions, stirling1
-from .emsum import nested_fp_res, strict_fp_res
-from .exactnum import Poly, as_rational, rat_str, rational_combination
+from .combinat import bernoulli, bernoulli_poly, compositions, stirling1
+from .emsum import nested_fp_res, strict_fp_res, weak_fp_res
+from .exactnum import Poly, as_rational, rat_str
 from .words import SuffixTable, stuffle, word_str
 
 VARIANTS = ("strict", "weak", "alt")
@@ -39,8 +39,9 @@ VARIANTS = ("strict", "weak", "alt")
 class HolomorphyViolation(ArithmeticError):
     """A renormalised value had a nonzero residue. Must never fire: every
     composition term is individually pole-free. Checked on the folded
-    total of the strict expansion and on the one nested sum of an alt
-    value; the tests check it per composition term on the oracle path."""
+    totals of the strict and weak expansions and on the one nested sum of
+    an alt value; the tests check it per composition term on the oracle
+    path."""
 
 
 @dataclass
@@ -159,10 +160,7 @@ def _zeta_strict(a: tuple[int, ...], v: Fraction) -> Fraction:
 def _zeta_weak(a: tuple[int, ...], v: Fraction) -> Fraction:
     if not a:
         return Fraction(1)
-    values = [_zeta_strict(x, v) for x in contractions(a)]
-    if isinstance(v, Poly):
-        return sum(values)
-    return rational_combination((1, x) for x in values)
+    return _pole_free_fp(weak_fp_res(a, v), f"weak expansion of {a} at v={v}")
 
 
 @lru_cache(maxsize=None)
@@ -364,6 +362,8 @@ def verify_hurwitz_identities(a, v=0, variant: str = "strict") -> Report:
          (all a_j >= 1; derivative taken on the polynomial computed over Q[v])
     """
     a = _validate_args(a)
+    if not a:
+        raise ValueError("the Hurwitz identities need a nonempty word")
     v = as_rational(v)
     t0 = time.monotonic()
     report = Report(suite="hurwitz")

@@ -64,7 +64,9 @@ def brute_truncated_nested_sum(bs, v, n_top: int) -> Fraction:
     """sum over 0 < n_k < ... < n_1 <= N of prod (n_i + v)^(b_i), by direct
     dynamic programming; the independent oracle for cut-off sum facts."""
     v = as_rational(v)
-    bs = tuple(int(b) for b in bs)
+    bs = tuple(bs)
+    if any(type(b) is not int for b in bs):
+        raise ValueError(f"exponents must be of type int, got {bs}")
     # inner[n] = nested sum over chains strictly below n for the tail slots
     inner = [Fraction(1)] * (n_top + 2)
     for b in reversed(bs[1:]):

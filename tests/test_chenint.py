@@ -403,3 +403,25 @@ class TestNestedIntegralEvaluator:
         assert convergent_nested_integral((3, 2)) == Fraction(1, 6)
         with pytest.raises(ValueError):
             convergent_nested_integral((1, 1))
+
+
+class TestNonIntRefused:
+    """An exponent or log power that is not an int is refused, not truncated."""
+
+    def test_zeta_symbol(self):
+        for s in (2.5, 2.0, Fraction(5, 2), True):
+            with pytest.raises(ValueError, match="of type int"):
+                zeta_symbol(s)
+
+    def test_power_symbol(self):
+        with pytest.raises(ValueError, match="of type int, got 2.5, 0"):
+            power_symbol(2.5)
+        with pytest.raises(ValueError, match="of type int, got -2, 1.5"):
+            power_symbol(-2, 0, 1.5)
+        with pytest.raises(ValueError, match="of type int"):
+            PowerLogExpr(((Fraction(2), Fraction(1), 0, 1),))
+
+    def test_pure_power_nested_integral(self):
+        for exps in ((-2.7,), (-2.0,), (-3, Fraction(-2))):
+            with pytest.raises(ValueError, match="of type int"):
+                pure_power_nested_integral(exps, 1, None)

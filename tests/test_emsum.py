@@ -20,11 +20,6 @@ from renzeta.emsum import (
 from renzeta.exactnum import Poly
 
 
-def j_truncation(exponents) -> int:
-    """Number of germ pairs kept when peeling the last slot of ``exponents``."""
-    return emsum._germ_pairs(emsum._flatten(exponents)[::3])
-
-
 class InterpolationMismatch(ArithmeticError):
     """Interpolated polynomial failed verification at a fresh node."""
 
@@ -109,13 +104,18 @@ class TestGerms:
         assert emsum._germ_row(4, 2, 1, 2)[2] == (3, None, (1, 3), (-1, 6))
 
 
-class TestJTruncation:
-    def test_examples(self):
-        assert j_truncation([(0, 1), (0, 1)]) == 2
-        assert j_truncation([(2, 1), (1, 1)]) == 4
-
-    def test_negative_b_ignored(self):
-        assert j_truncation([(3, 1), (-5, 2)]) == j_truncation([(3, 1), (0, 2)])
+class TestRowLength:
+    def test_row_sized_by_reach(self):
+        # the state (2, 1), (1, 1) has reach R = 1 + 2 + 1 = 4, so the row
+        # of its last slot runs to j = R + 1 = 5, the last germ whose child
+        # has reach >= -1: j = 0, 1, 2, 4 (odd j > 1 vanish)
+        emsum.clear_cache()
+        try:
+            nested_fp_res([(2, 1), (1, 1)], 0)
+            row = emsum._germ_cache[(1, 1, 1)]
+            assert [shift for shift, *_ in row] == [2, 1, 0, -2]
+        finally:
+            emsum.clear_cache()
 
 
 class TestEngineDepth1:
@@ -324,7 +324,7 @@ class TestSentinelInEngine:
     # peeling (0, 1) from [(0, 1), (0, 1)] merges at j = 2 into the slot
     # (-1, 2), whose finite part is NONRATIONAL; the true h_0 there is 0.
     # The poisoned row of the slot (0, 1/1) gives that germ h_0 = 1.
-    TWO_J = 2 * emsum._germ_pairs((0, 0))
+    TWO_J = 2
 
     def poison_j2(self):
         row = list(emsum._germ_row(0, 1, 1, self.TWO_J))

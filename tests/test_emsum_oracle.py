@@ -14,6 +14,7 @@ from itertools import islice
 from math import factorial, prod
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,8 +239,8 @@ def test_boundary_from_germ_row():
     cs = (Fraction(1), Fraction(3, 2), Fraction(1, 3))
     shifts = (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Poly.x())
     for b in range(-3, 22):
-        engine_two_j = 2 * emsum._germ_pairs((0, b))
-        assert engine_two_j >= b + 1
+        engine_j_max = max(b + 2, 0)  # the reach of the state (0, b), plus 1
+        assert engine_j_max >= b + 1
         for c in cs:
             for v in shifts:
                 w, _ = emsum._head(v, 0, emsum._SLOTS)
@@ -251,5 +252,12 @@ def test_boundary_from_germ_row():
                     continue
                 got = emsum._value(fp, v)
                 assert got == want.fp
-                for two_j in (b + 1, b + 2, b + 5, b + 8, 2 * b + 3, engine_two_j):
+                for two_j in (b + 1, b + 2, b + 5, b + 8, 2 * b + 3, engine_j_max):
                     assert got == boundary_k0(b, two_j, v), (b, c, two_j, v)
+
+
+def test_brute_oracle_refuses_non_int_exponents():
+    assert verify.brute_truncated_nested_sum((1, 0), 0, 3) == 8
+    for bs in ((1.5,), (1, 2.0), (Fraction(1),)):
+        with pytest.raises(ValueError, match="of type int"):
+            verify.brute_truncated_nested_sum(bs, 0, 3)

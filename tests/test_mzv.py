@@ -274,6 +274,10 @@ class TestHurwitz:
             for v in (Fraction(0), Fraction(1, 2)):
                 assert verify_hurwitz_identities(a, v).ok
 
+    def test_empty_word_refused(self):
+        with pytest.raises(ValueError, match="nonempty word"):
+            verify_hurwitz_identities(())
+
     def test_derivative_identity_depth1(self):
         # d/dv zeta(-a; v) = a zeta(-a+1; v)
         for a in range(1, 5):
@@ -446,6 +450,11 @@ class TestFoldedAgainstTerms:
     @given(_DEEP_WORDS)
     def test_polynomial_shift(self, a):
         assert zeta_poly_in_v(a) == mzv._as_poly(oracle_strict(a, Poly.x()))
+        weak = sum(
+            mzv._as_poly(oracle_strict(packet_sums(a, parts), Poly.x()))
+            for parts in compositions(len(a))
+        )
+        assert zeta_poly_in_v(a, "weak") == weak
 
     @settings(max_examples=20, deadline=None)
     @given(_DEEP_WORDS, _SHIFTS)
@@ -477,3 +486,13 @@ def test_holomorphy_checked_on_folded_total(monkeypatch):
             zeta_value((5, 7, 9), Fraction(1, 5))
     finally:
         mzv._zeta_strict.cache_clear()
+
+
+def test_holomorphy_checked_on_weak_total(monkeypatch):
+    monkeypatch.setattr(mzv, "weak_fp_res", lambda a, v: LaurentData(Fraction(1), Fraction(0)))
+    mzv._zeta_weak.cache_clear()
+    try:
+        with pytest.raises(HolomorphyViolation, match="weak expansion"):
+            zeta_value((5, 7, 9), Fraction(1, 5), "weak")
+    finally:
+        mzv._zeta_weak.cache_clear()

@@ -36,3 +36,18 @@ def test_tracer_installs_and_uninstalls():
     # global, not only the top one
     assert metrics["emsum.recursions"] >= len(emsum._cache) > 1
     assert all(isinstance(x, (int, float)) for x in metrics.values())
+
+
+def test_tracer_counts_weak_states():
+    # a weak value is a sum of prefix-sum states; each one must be reached
+    # through the patched module global too, or the tracer undercounts
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        emsum.clear_cache()
+        mzv._zeta_weak.cache_clear()
+        mzv.zeta_value((1, 2, 1), Fraction(1, 3), "weak")
+    finally:
+        tracer.uninstall()
+    states = len(emsum._cache)
+    assert tracer.layer_metrics(states)["emsum.recursions"] >= states > 1

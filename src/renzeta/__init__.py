@@ -13,7 +13,7 @@ touches floating point. The main entry points are
 """
 
 from .exactnum import LaurentSeries, Poly, Rational, RationalFunction
-from .emsum import NONRATIONAL, AffineExponent, LaurentData, nested_fp_res
+from .emsum import NONRATIONAL, LaurentData, nested_fp_res
 from .mzv import (
     hdim_zeta,
     zeta2_closed,
@@ -26,7 +26,6 @@ from .chenint import zeta_tilde_renorm
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineExponent",
     "LaurentData",
     "LaurentSeries",
     "NONRATIONAL",

@@ -39,14 +39,13 @@ Two structural facts are enforced at runtime rather than assumed:
   residue must vanish and the finite part must be rational, and the
   boundary subsum (every exponent nonnegative) must be pole-free;
 * the cancellation argument -- a non-rational finite part may only ever be
-  multiplied by an exactly-zero coefficient. The NONRATIONAL sentinel
-  stands for such a finite part in the memo, and the kernel raises
-  :class:`RationalityLeak` if it meets one. The engine drops every product
-  whose coefficient is exactly zero (a zero germ entry, or the residue of a
-  pole-free subsum), which is exactly the zero the sentinel would have
-  given; every nonzero coefficient still reaches the kernel. Slot weights
-  only ever multiply residues, and finite parts whose last exponent is
-  nonnegative.
+  multiplied by an exactly-zero coefficient. The NONRATIONAL marker stands
+  for such a finite part in the memo; it has no arithmetic. The engine
+  drops every product whose coefficient is exactly zero (a zero germ entry,
+  or the residue of a pole-free subsum), and every other coefficient
+  reaches the kernel, which raises :class:`RationalityLeak` if it meets the
+  marker. Slot weights only ever multiply residues, and finite parts whose
+  last exponent is nonnegative.
 
 A third structural fact bounds the work. The reach of a state with last
 slot (B, C) after the exponents b_1, ..., b_m (the prefix letters under the
@@ -64,7 +63,10 @@ only one with a z^{-1} term, is never cut when it has one, and with B >= 0
 no germ with a nonzero z^0 term is cut, so every state that is computed
 still meets every check above. Of the states that unbounded rows would
 create, the engine computes exactly those of reach >= -1 (and the top
-state, whatever its reach).
+state, whatever its reach). ``j_bump`` lengthens every row by 2 j_bump
+germ indices and lowers that floor by as much, so the peel also computes
+the children of reach down to -1 - 2 j_bump: each is (0, NONRATIONAL) and
+meets only exactly-zero coefficients, so the values must not change.
 
 A fourth structural fact gives the boundary term of a peel. Besides the
 germ products, peeling the last slot (b, c) leaves the boundary subsum (the
@@ -105,7 +107,8 @@ from .exactnum import Poly, as_rational
 
 class StructuralViolation(ValueError):
     """An exponent list breaks the recursion's structural invariant
-    (a slot other than the last has negative b, or c <= 0, or v <= -1)."""
+    (a b not of type int, a slot other than the last has negative b, a c
+    that is a bool or <= 0, or v <= -1)."""
 
 
 class RationalityLeak(ArithmeticError):
@@ -114,47 +117,11 @@ class RationalityLeak(ArithmeticError):
 
 
 class _NonRational:
-    """Absorbing sentinel for finite parts that are not rational numbers.
+    """Marker for finite parts that are not rational numbers. It has no
+    arithmetic: the kernel :func:`_combine` raises RationalityLeak when it
+    meets one, and any other arithmetic on it raises TypeError."""
 
-    Addition absorbs; multiplication by exact zero (a rational or the zero
-    polynomial) gives exact zero, anything else raises RationalityLeak.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            if not other:
-                return Fraction(0)
-            raise RationalityLeak(
-                "non-rational finite part multiplied by nonzero coefficient"
-            )
-        if other is self:
-            raise RationalityLeak("product of two non-rational finite parts")
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)) or other is self:
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("NONRATIONAL")
+    __slots__ = ()
 
     def __repr__(self):
         return "NONRATIONAL"
@@ -162,13 +129,6 @@ class _NonRational:
 
 #: Finite parts that exist but are not rational numbers (last exponent <= -1).
 NONRATIONAL = _NonRational()
-
-
-class AffineExponent(NamedTuple):
-    """One nested-sum slot (n+v)^(b - c z); c must be a positive rational."""
-
-    b: int
-    c: Fraction
 
 
 class LaurentData(NamedTuple):
@@ -276,13 +236,15 @@ def _flatten(exponents) -> tuple:
     denominator)."""
     flat = []
     for b, c in exponents:
-        if b != int(b):
-            raise StructuralViolation(f"exponent b must be an integer, got {b!r}")
+        if type(b) is not int:
+            raise StructuralViolation(f"exponent b must be of type int, got {b!r}")
+        if type(c) is bool:
+            raise StructuralViolation(f"perturbation coefficient must be a rational, got {c!r}")
         if type(c) is not int:  # an int c already has numerator and denominator
             c = as_rational(c)
         if c <= 0:
             raise StructuralViolation(f"perturbation coefficient must be > 0, got {c}")
-        flat += (int(b), c.numerator, c.denominator)
+        flat += (b, c.numerator, c.denominator)
     return tuple(flat)
 
 
@@ -393,8 +355,9 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     All slots but the last must have b >= 0. v is a rational > -1, or the
     polynomial variable ``Poly.x()``: then the residue and the finite part
     come out as polynomials in v.
-    ``j_bump`` lengthens every germ row by 2 j_bump germ indices (the result
-    must not depend on it; the robustness suite checks this).
+    ``j_bump`` lengthens every germ row by 2 j_bump germ indices and peels
+    each row that far, into states of reach down to -1 - 2 j_bump (the
+    result must not depend on it; the robustness suite checks this).
 
     >>> nested_fp_res([(1, 1)], 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 12))
@@ -558,11 +521,12 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     row = _germ_row(b_last, cn_last, cd_last, max(reach + 1, 0) + 2 * head[1])
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included.
-    # Shifts fall along the row, so the first child of reach below -1 ends
-    # it: from there on every child is (0, NONRATIONAL) and its finite part
-    # only meets None coefficients (see the module docstring)
+    # Shifts fall along the row, so the first child of reach below
+    # -1 - 2 j_bump ends it: every child of reach below -1 is
+    # (0, NONRATIONAL) and its finite part only meets None coefficients
+    # (see the module docstring)
     for stem, b_slot, tail in slots:
-        floor = -1 - total - len(stem) // step
+        floor = -1 - total - len(stem) // step - 2 * head[1]
         for shift, h_m1, h_0, h_1 in row:
             if shift < floor:
                 break

@@ -140,51 +140,36 @@ def suite_shuffle_cont() -> Report:
     t0 = time.monotonic()
     report = Report(suite="shuffle-cont")
 
+    # one memo of exact characters, keyed by symbol words, serves the
+    # multiplicativity check and Birkhoff's phi
     exact: dict[tuple, object] = {}
 
-    def char(word_s):
-        hit = exact.get(word_s)
+    def char(word):
+        hit = exact.get(word)
         if hit is None:
-            hit = exact[word_s] = chenint.chen_character_exact(
-                tuple(chenint.zeta_symbol(s) for s in word_s)
-            )
+            hit = exact[word] = chenint.chen_character_exact(word)
         return hit
 
-    words = _words(3, (1, 2, 3))
-    for u in words:
-        for w in words:
-            if len(u) + len(w) > 4:
-                continue
-            lhs = sum(
-                (char(word) * mult for word, mult in shuffle(u, w)),
-                start=chenint.RationalFunction.constant(0),
-            )
-            rhs = char(u) * char(w)
-            ok = lhs == rhs
-            report.record(ok, f"character shuffle {u} x {w}")
+    sym = {s: chenint.zeta_symbol(s) for s in (1, 2, 3)}
+    pairs = [(u, w, tuple(sym[s] for s in u), tuple(sym[s] for s in w))
+             for u in _words(3, (1, 2, 3)) for w in _words(3, (1, 2, 3))]
+    for u, w, su, sw in pairs:
+        if len(u) + len(w) > 4:
+            continue
+        lhs = sum(
+            (char(word) * mult for word, mult in shuffle(su, sw)),
+            start=chenint.RationalFunction.constant(0),
+        )
+        report.record(lhs == char(su) * char(sw), f"character shuffle {u} x {w}")
 
     # renormalised (post-factorisation) shuffle relations
-    series_memo: dict[tuple, object] = {}
-
-    def phi(word):
-        word = tuple(word)
-        hit = series_memo.get(word)
-        if hit is None:
-            hit = series_memo[word] = chenint.chen_character(word, 4)
-        return hit
-
-    bf = chenint.BirkhoffFactorization(phi)
-
-    def renval(word_s):
-        return bf.plus_at_zero(tuple(chenint.zeta_symbol(s) for s in word_s))
-
-    for u in words:
-        for w in words:
-            if len(u) + len(w) > 3:
-                continue
-            lhs = sum(mult * renval(word) for word, mult in shuffle(u, w))
-            rhs = renval(u) * renval(w)
-            report.record(lhs == rhs, f"renormalised shuffle {u} x {w}", lhs, rhs)
+    bf = chenint.BirkhoffFactorization(lambda word: char(word).laurent_expand(4))
+    for u, w, su, sw in pairs:
+        if len(u) + len(w) > 3:
+            continue
+        lhs = sum(mult * bf.plus_at_zero(word) for word, mult in shuffle(su, sw))
+        rhs = bf.plus_at_zero(su) * bf.plus_at_zero(sw)
+        report.record(lhs == rhs, f"renormalised shuffle {u} x {w}", lhs, rhs)
 
     spot = {
         (3, 2): Fraction(1, 6),

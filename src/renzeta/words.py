@@ -107,10 +107,6 @@ class TensorPoly:
     def __len__(self):
         return len(self.terms)
 
-    def apply(self, fn):
-        """Linear extension of a word-level valuation: sum of c * fn(word)."""
-        return sum((c * fn(w) for w, c in self.terms.items()), Fraction(0))
-
     def map_words(self, fn) -> "TensorPoly":
         """Linear extension of a word -> TensorPoly map."""
         out: dict[Word, Fraction] = {}

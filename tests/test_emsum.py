@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renzeta.emsum as emsum
-from renzeta import mzv
+from renzeta import mzv, verify
 from renzeta.emsum import (
     NONRATIONAL,
     LaurentData,
@@ -57,33 +58,31 @@ def safe_degree_bound(exponents) -> int:
     return sum(max(b, 0) + 1 for b in emsum._flatten(exponents)[::3])
 
 
-class TestNonRationalSentinel:
-    def test_absorbing_addition(self):
-        assert NONRATIONAL + Fraction(3) is NONRATIONAL
-        assert Fraction(3) + NONRATIONAL is NONRATIONAL
-        assert -NONRATIONAL is NONRATIONAL
+class TestNonRationalMarker:
+    # the marker has no arithmetic: only the engine kernel reads it
+    OPERANDS = (0, 3, Fraction(0), Fraction(1, 2), Poly.zero(), Poly.x(), NONRATIONAL)
 
-    def test_zero_annihilates(self):
-        assert Fraction(0) * NONRATIONAL == 0
-        assert NONRATIONAL * 0 == 0
+    def test_sum_and_difference_raise_type_error(self):
+        for x in self.OPERANDS:
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(NONRATIONAL, x)
+                with pytest.raises(TypeError):
+                    op(x, NONRATIONAL)
+        with pytest.raises(TypeError):
+            -NONRATIONAL
 
-    def test_leak_raises(self):
-        with pytest.raises(RationalityLeak):
-            Fraction(1, 2) * NONRATIONAL
-        with pytest.raises(RationalityLeak):
-            NONRATIONAL * NONRATIONAL
+    def test_product_raises_type_error(self):
+        for x in self.OPERANDS:
+            with pytest.raises(TypeError):
+                NONRATIONAL * x
+            with pytest.raises(TypeError):
+                x * NONRATIONAL
 
-    def test_polynomial_coefficients(self):
-        # over Q[v] the sentinel keeps its rules: the zero polynomial
-        # annihilates, a nonzero one leaks, addition absorbs
-        assert Poly.zero() * NONRATIONAL == 0
-        assert NONRATIONAL * Poly.zero() == 0
-        assert Poly.x() + NONRATIONAL is NONRATIONAL
-        assert NONRATIONAL + Poly.x() is NONRATIONAL
-        with pytest.raises(RationalityLeak):
-            Poly.x() * NONRATIONAL
-        with pytest.raises(RationalityLeak):
-            NONRATIONAL * Poly.constant(3)
+    def test_bare_marker(self):
+        assert repr(NONRATIONAL) == "NONRATIONAL"
+        assert NONRATIONAL == NONRATIONAL and NONRATIONAL != 0
+        assert not hasattr(NONRATIONAL, "__dict__")
 
 
 class TestGerms:
@@ -152,6 +151,14 @@ class TestEngineDeeper:
             nested_fp_res([(1, 1)], Fraction(-3, 2))
         with pytest.raises(StructuralViolation):
             nested_fp_res([], 0)
+
+    @pytest.mark.parametrize(
+        "exps", [[(2.0, 1)], [(True, 1)], [(Fraction(2), 1)], [(1, True)]], ids=repr
+    )
+    def test_refuses_non_int_exponent(self, exps):
+        # b must be of type int, and c a rational that is not a bool
+        with pytest.raises(StructuralViolation):
+            nested_fp_res(exps, 0)
 
     def test_holomorphy_all_nonnegative(self):
         cs = (Fraction(1), Fraction(2), Fraction(3))
@@ -305,6 +312,25 @@ class TestMemo:
             )
         finally:
             emsum.clear_cache()
+
+    def test_bumped_state_counts(self):
+        # j_bump peels every row 2 j_bump germs further, into children of
+        # reach down to -1 - 2 j_bump. The 200 robustness lists create more
+        # states at each bump, and every state of reach below -1 is
+        # (0, NONRATIONAL)
+        counts = []
+        try:
+            for bump in (0, 1, 2):
+                emsum.clear_cache()
+                for exps, v in random_exponent_lists(200, seed=verify.ENGINE_SEED):
+                    nested_fp_res(exps, v, j_bump=bump)
+                counts.append(len(emsum._cache))
+                for key, value in emsum._cache.items():
+                    if sum(key[4::3]) + len(key[4::3]) - 1 < -1:
+                        assert value == (emsum._ZERO, NONRATIONAL), key
+        finally:
+            emsum.clear_cache()
+        assert counts == [2698, 3117, 3536]
 
     def test_one_prefix_sum_state_per_prefix(self):
         # the strict expansion of each prefix word is a state (a_1..a_m, 0),

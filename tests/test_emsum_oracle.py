@@ -1,11 +1,13 @@
 """Differential tests: the nested-sum engine against a plain recursion.
 
 The oracle below is the engine's recursion in its most literal form: slots
-as AffineExponent tuples, one germ_H call per germ index, every product
-formed, zero coefficients included, and the boundary term summed straight
-from the germ formula, in Fraction and Poly arithmetic. The engine must
-agree with it exactly, at rational shifts and over Q[v], including on which
-finite parts are NONRATIONAL.
+as Slot tuples, one germ_H call per germ index, every product formed, zero
+coefficients included, and the boundary term summed straight from the germ
+formula, in Fraction and Poly arithmetic. Its non-rational finite parts are
+its own sentinel, whose products carry the cancellation rule. The engine
+must agree with it exactly, at rational shifts and over Q[v], and its
+finite part must be the NONRATIONAL marker exactly where the oracle's is
+the sentinel.
 """
 
 from fractions import Fraction
@@ -22,7 +24,6 @@ from renzeta import emsum, verify
 from renzeta.combinat import bernoulli, bernoulli_poly
 from renzeta.emsum import (
     NONRATIONAL,
-    AffineExponent,
     LaurentData,
     RationalityLeak,
     nested_fp_res,
@@ -31,6 +32,47 @@ from renzeta.emsum import (
 from renzeta.exactnum import Poly
 
 _ORACLE_MEMO: dict = {}
+
+
+class Slot(NamedTuple):
+    """One nested-sum slot (n+v)^(b - c z); c is a positive rational."""
+
+    b: int
+    c: Fraction
+
+
+class _Sentinel:
+    """The oracle's non-rational finite part. A product with an exact zero
+    (a rational or the zero polynomial) is exact zero; any other product
+    raises RationalityLeak. The oracle only ever multiplies it."""
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Poly)):
+            if not other:
+                return Fraction(0)
+            raise RationalityLeak(
+                "non-rational finite part multiplied by nonzero coefficient"
+            )
+        if other is self:
+            raise RationalityLeak("product of two non-rational finite parts")
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return "SENTINEL"
+
+
+SENTINEL = _Sentinel()
+
+
+def test_sentinel_rules():
+    assert Fraction(0) * SENTINEL == 0
+    assert SENTINEL * 0 == 0
+    assert Poly.zero() * SENTINEL == 0
+    for nonzero in (Fraction(1, 2), Poly.x(), Poly.constant(3), SENTINEL):
+        with pytest.raises(RationalityLeak):
+            nonzero * SENTINEL
 
 
 class LocalGerm(NamedTuple):
@@ -119,9 +161,9 @@ def oracle_nested(exps, v, bump):
             fp = bernoulli_poly(b_last + 1, 1 + v) * Fraction(-1, b_last + 1)
             data = LaurentData(Fraction(0), fp)
         elif b_last == -1:
-            data = LaurentData(1 / c_last, NONRATIONAL)
+            data = LaurentData(1 / c_last, SENTINEL)
         else:
-            data = LaurentData(Fraction(0), NONRATIONAL)
+            data = LaurentData(Fraction(0), SENTINEL)
         _ORACLE_MEMO[key] = data
         return data
 
@@ -137,7 +179,7 @@ def oracle_nested(exps, v, bump):
         if j > 1 and j % 2 == 1:
             continue
         germ = germ_H(j, b_last, c_last)
-        merged = AffineExponent(b_prev + b_last + 1 - j, c_prev + c_last)
+        merged = Slot(b_prev + b_last + 1 - j, c_prev + c_last)
         sub = oracle_nested(prefix + (merged,), v, bump)
         res_total += germ.h_m1 * sub.fp + germ.h_0 * sub.res
         if fp_known:
@@ -152,14 +194,14 @@ def oracle_nested(exps, v, bump):
         fp_total += boundary_k0(b_last, two_j, v) * sub_k.fp
     if b_last >= 0 and res_total != 0:
         raise RationalityLeak(f"nonnegative last exponent has residue {res_total}")
-    data = LaurentData(res_total, fp_total if fp_known else NONRATIONAL)
+    data = LaurentData(res_total, fp_total if fp_known else SENTINEL)
     _ORACLE_MEMO[key] = data
     return data
 
 
 def oracle_fp_res(exponents, v, bump=0):
     """The oracle at a rational shift v, or over Q[v] at v = Poly.x()."""
-    exps = tuple(AffineExponent(b, Fraction(c)) for b, c in exponents)
+    exps = tuple(Slot(b, Fraction(c)) for b, c in exponents)
     return oracle_nested(exps, v if isinstance(v, Poly) else Fraction(v), bump)
 
 
@@ -167,8 +209,10 @@ def assert_agrees(exps, v, bump):
     got = nested_fp_res(exps, v, j_bump=bump)
     want = oracle_fp_res(exps, v, bump)
     assert got.res == want.res, (exps, v, bump)
-    assert (got.fp is NONRATIONAL) == (want.fp is NONRATIONAL), (exps, v, bump)
-    assert got.fp == want.fp, (exps, v, bump)
+    if want.fp is SENTINEL:
+        assert got.fp is NONRATIONAL, (exps, v, bump)
+    else:
+        assert got.fp == want.fp, (exps, v, bump)
 
 
 def test_robustness_lists_all_bumps():
@@ -186,13 +230,13 @@ def reach(exps) -> int:
 
 def assert_reach_lemma(states) -> int:
     """Every oracle state (key, data) of reach below -1 has residue 0 and a
-    NONRATIONAL finite part. Returns how many states of reach exactly -1
+    non-rational finite part. Returns how many states of reach exactly -1
     have a nonzero residue."""
     at_bound = 0
     for (exps, _, _), data in states:
         r = reach(exps)
         if r < -1:
-            assert data.res == 0 and data.fp is NONRATIONAL, exps
+            assert data.res == 0 and data.fp is SENTINEL, exps
         elif r == -1 and data.res != 0:
             at_bound += 1
     return at_bound
@@ -200,7 +244,7 @@ def assert_reach_lemma(states) -> int:
 
 def test_reach_lemma_on_robustness_lists():
     # the engine never peels into a state of reach below -1; the oracle
-    # visits them all, and each is (0, NONRATIONAL). The bound is tight:
+    # visits them all, and each is (0, SENTINEL). The bound is tight:
     # states of reach exactly -1 can have a pole, so a cutoff at reach < 0
     # is wrong
     for exps, v in random_exponent_lists(200, seed=verify.ENGINE_SEED):
@@ -248,7 +292,7 @@ def test_boundary_from_germ_row():
                 want = oracle_fp_res([(b, c)], v)
                 assert emsum._value(res, v) == want.res
                 if b < 0:
-                    assert fp is NONRATIONAL and want.fp is NONRATIONAL
+                    assert fp is NONRATIONAL and want.fp is SENTINEL
                     continue
                 got = emsum._value(fp, v)
                 assert got == want.fp

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, mzv, words
@@ -25,6 +25,7 @@ from renzeta.mzv import (
     zeta_weak_renorm,
 )
 from test_combinat import packet_sums
+from test_words import valuation
 
 
 def strict_from_weak(a, v=0) -> Fraction:
@@ -187,6 +188,81 @@ class TestDeepAnchors:
         assert zeta_value((1, 1, 1)) == expected
 
 
+def newton(power_sum, k: int, signed: bool):
+    """e_k (``signed``) or h_k of the power sums p_n = power_sum(n), by
+    Newton's identities: m e_m = sum_{n <= m} (-1)^(n-1) p_n e_(m-n), and
+    m h_m = sum_{n <= m} p_n h_(m-n)."""
+    e = [1]
+    for m in range(1, k + 1):
+        acc = 0
+        for n in range(1, m + 1):
+            term = power_sum(n) * e[m - n]
+            acc = acc + (-term if signed and n % 2 == 0 else term)
+        e.append(acc * Fraction(1, m))
+    return e[k]
+
+
+# the deepest k per (variant, letter) that the Newton tests draw
+_NEWTON_DEPTH = {
+    ("strict", 0): 20, ("strict", 1): 16, ("strict", 2): 12, ("strict", 3): 10,
+    ("weak", 0): 10, ("weak", 1): 8, ("weak", 2): 6, ("weak", 3): 6,
+}
+_NEWTON_CASES = st.sampled_from(sorted(_NEWTON_DEPTH)).flatmap(
+    lambda key: st.tuples(st.just(key), st.integers(1, _NEWTON_DEPTH[key]))
+)
+
+
+class TestNewtonIdentities:
+    """A deep oracle from depth-1 values alone: the strict value of a^k is
+    the elementary symmetric function e_k of the power sums
+    p_n = zeta(n a; v), the weak value the complete one h_k."""
+
+    # the draws rarely reach the deepest cases: the deepest rational one is
+    # pinned here, and the polynomial test draws strict 0^20
+    @settings(max_examples=12, deadline=None)
+    @given(_NEWTON_CASES, st.fractions(min_value=Fraction(-19, 20), max_value=4,
+                                       max_denominator=60))
+    @example((("strict", 1), 16), Fraction(2, 7))
+    def test_rational_shift(self, case, v):
+        (variant, a), k = case
+        want = newton(lambda n: zeta_value((n * a,), v), k, variant == "strict")
+        assert zeta_value((a,) * k, v, variant) == want
+
+    @settings(max_examples=12, deadline=None)
+    @given(_NEWTON_CASES)
+    @example((("strict", 3), 10))
+    @example((("weak", 1), 8))
+    def test_polynomial_shift(self, case):
+        (variant, a), k = case
+        want = newton(lambda n: zeta_poly_in_v((n * a,)), k, variant == "strict")
+        assert zeta_poly_in_v((a,) * k, variant) == want
+        if variant == "weak":
+            assert want == reflected((a,) * k)
+
+
+def reflected(a, variant: str = "strict") -> Poly:
+    """(-1)^(k + |a|) zeta(a; -1 - v) as a polynomial in v."""
+    return (-1) ** (len(a) + sum(a)) * zeta_poly_in_v(a, variant)(Poly((-1, -1)))
+
+
+class TestReflection:
+    """The weak value is the strict one reflected at v -> -1 - v:
+    zeta_weak(a; v) = (-1)^(k + |a|) zeta_strict(a; -1 - v) in Q[v]."""
+
+    def test_small_words(self):
+        words = words_up_to(4, 5)
+        assert len(words) == 209
+        for a in words:
+            assert zeta_poly_in_v(a, "weak") == reflected(a), a
+
+    def test_alt_fails_at_depth_3(self):
+        # alt agrees with strict through depth 2, so its reflection is the
+        # weak value there too; at depth 3 it is not
+        for a in words_up_to(2, 4):
+            assert zeta_poly_in_v(a, "weak") == reflected(a, "alt"), a
+        assert zeta_poly_in_v((0, 1, 1), "weak") != reflected((0, 1, 1), "alt")
+
+
 class TestStuffleSuite:
     def test_small_strict(self):
         report = verify_stuffle(4, 0, "strict", max_depth=2)
@@ -244,7 +320,7 @@ class TestStuffleSuite:
             for w in pool:
                 if sum(u) + sum(w) > 4:
                     continue
-                lhs = words.stuffle(u, w, variant).apply(lambda x: faulty(x, v, variant))
+                lhs = valuation(words.stuffle(u, w, variant), lambda x: faulty(x, v, variant))
                 rhs = faulty(u, v, variant) * faulty(w, v, variant)
                 if lhs != rhs:
                     want.append({
@@ -470,7 +546,7 @@ class TestStuffleAboveWeight8:
     @given(_pairs_of_weight(9, 12), st.sampled_from(("strict", "weak")), _SHIFTS)
     def test_drawn_pairs(self, pair, variant, v):
         u, w = pair
-        lhs = words.stuffle(u, w, variant).apply(lambda x: zeta_value(x, v, variant))
+        lhs = valuation(words.stuffle(u, w, variant), lambda x: zeta_value(x, v, variant))
         assert lhs == zeta_value(u, v, variant) * zeta_value(w, v, variant)
 
 

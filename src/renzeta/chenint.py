@@ -236,12 +236,6 @@ def _zeta_subword_characters(s) -> dict[tuple[int, ...], RationalFunction]:
     return out
 
 
-def chen_character(word, order: int) -> LaurentSeries:
-    """Laurent expansion of :func:`chen_character_exact` valid through
-    z**order. The pole order is at most the word's depth."""
-    return chen_character_exact(word).laurent_expand(order)
-
-
 class BirkhoffFactorization:
     """Minimal-subtraction factorisation of a Laurent-valued character with
     respect to the deconcatenation coproduct.

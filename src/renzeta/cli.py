@@ -20,7 +20,7 @@ from functools import cache
 
 from . import chenint, mzv, verify
 from .emsum import RationalityLeak, StructuralViolation
-from .exactnum import LaurentWindowError, parse_rational, rat_str
+from .exactnum import LaurentWindowError, parse_int, parse_rational, rat_str
 from .mzv import HolomorphyViolation
 
 DEFAULT_LIMIT_DEPTH = 6
@@ -32,16 +32,23 @@ class InputError(ValueError):
     pass
 
 
-def _parse_args_list(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(parse_int(x) for x in text.split(","))
     except ValueError as exc:
-        raise InputError(f"argument list must be comma-separated integers: {text!r}") from exc
-    if not parts:
-        raise InputError("empty argument list")
-    if any(x < 0 for x in parts):
+        raise InputError(f"{what} must be comma-separated integers: {text!r}") from exc
+
+
+def _parse_args_list(args) -> tuple[int, ...]:
+    """The ``-a`` word of a command, within the depth and weight limits."""
+    a = _parse_ints(args.args, "argument list")
+    if any(x < 0 for x in a):
         raise InputError("arguments are exponents of nonpositive integers: need a_i >= 0")
-    return parts
+    if len(a) > args.limit_depth:
+        raise InputError(f"depth {len(a)} exceeds limit {args.limit_depth} (raise --limit-depth)")
+    if sum(a) > args.limit_weight:
+        raise InputError(f"weight {sum(a)} exceeds limit {args.limit_weight} (raise --limit-weight)")
+    return a
 
 
 def _parse_v(text: str) -> Fraction:
@@ -54,16 +61,8 @@ def _parse_v(text: str) -> Fraction:
     return v
 
 
-def _guard(args, a) -> None:
-    if len(a) > args.limit_depth:
-        raise InputError(f"depth {len(a)} exceeds limit {args.limit_depth} (raise --limit-depth)")
-    if sum(a) > args.limit_weight:
-        raise InputError(f"weight {sum(a)} exceeds limit {args.limit_weight} (raise --limit-weight)")
-
-
 def cmd_zeta(args) -> int:
-    a = _parse_args_list(args.args)
-    _guard(args, a)
+    a = _parse_args_list(args)
     v = _parse_v(args.v)
     result = mzv._zeta_result(a, v, args.variant, args.poly_v)
     payload = {
@@ -83,14 +82,6 @@ def cmd_zeta(args) -> int:
     return 0
 
 
-def _table_values(max_a: int):
-    return {
-        (a, b): mzv.zeta_value((a, b), 0, "strict")
-        for a in range(max_a + 1)
-        for b in range(max_a + 1)
-    }
-
-
 def _latex_rat(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -101,8 +92,8 @@ def _latex_rat(q: Fraction) -> str:
 def cmd_table(args) -> int:
     if args.max < 0 or args.max > 12:
         raise InputError("--max must lie in 0..12")
-    values = _table_values(args.max)
     cols = list(range(args.max + 1))
+    values = {(a, b): mzv.zeta_value((a, b), 0, "strict") for a in cols for b in cols}
     if args.format == "json":
         print(
             json.dumps(
@@ -128,8 +119,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_hdim(args) -> int:
-    a = _parse_args_list(args.args)
-    _guard(args, a)
+    a = _parse_args_list(args)
     if args.dim < 1 or args.dim > args.limit_dim:
         raise InputError(f"--dim must lie in 1..{args.limit_dim} (raise --limit-dim)")
     v = _parse_v(args.v)
@@ -150,19 +140,14 @@ def cmd_hdim(args) -> int:
 
 
 def cmd_chen(args) -> int:
-    try:
-        word = tuple(int(x) for x in args.word.split(","))
-    except ValueError as exc:
-        raise InputError(f"--word must be comma-separated integers: {args.word!r}") from exc
-    if not word or any(s < 1 for s in word):
+    word = _parse_ints(args.word, "--word")
+    if any(s < 1 for s in word):
         raise InputError("--word entries must be positive integers")
     if len(word) > args.limit_depth:
         raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth}")
     exact, series, value = chenint._zeta_character_and_value(word)
-    order = max(1, len(word))  # the window the character comes with
-    if args.laurent_order is not None and args.laurent_order != order:
-        order = args.laurent_order
-        series = exact.laurent_expand(order)
+    if args.laurent_order not in (None, series.order):
+        series = exact.laurent_expand(args.laurent_order)
     if args.format == "json":
         print(
             json.dumps(
@@ -170,7 +155,7 @@ def cmd_chen(args) -> int:
                     "word": list(word),
                     "character": exact.to_str(),
                     "laurent": series.to_str(),
-                    "laurent_order": order,
+                    "laurent_order": series.order,
                     "renormalised": rat_str(value),
                 }
             )
@@ -218,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="one renormalised value")
     p.add_argument("-a", "--args", required=True, help="comma-separated a_i >= 0 for zeta(-a_1,...,-a_k)")
     p.add_argument("--v", default="0", help="Hurwitz shift as p/q (> -1)")
-    p.add_argument("--variant", choices=("strict", "weak", "alt"), default="strict")
+    p.add_argument("--variant", choices=mzv.VARIANTS, default="strict")
     p.add_argument("--poly-v", action="store_true", help="also emit the value as a polynomial in v")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_zeta)

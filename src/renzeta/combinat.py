@@ -1,9 +1,11 @@
 """Bernoulli numbers and polynomials, Stirling numbers of the first kind,
-compositions and contractions (packet sums).
+and contractions (packet sums).
 
-Compositions come out in lexicographic order by parts, so that CLI output
-and memo keys are reproducible. Shuffles and quasi-shuffles are not
-enumerated here: ``words`` expands them by a first-letter recursion.
+Contractions are the one enumeration of packet cuts: the contractions of
+(1, ..., 1) are the compositions of k, lexicographic by parts, and those of
+any word of k letters come in the same order, so that CLI output and memo
+keys are reproducible. Shuffles and quasi-shuffles are not enumerated
+here: ``words`` expands them by a first-letter recursion.
 """
 
 from __future__ import annotations
@@ -69,27 +71,6 @@ def stirling1(n: int, k: int) -> int:
     return stirling1(n - 1, k - 1) - (n - 1) * stirling1(n - 1, k)
 
 
-def compositions(n: int) -> list[tuple[int, ...]]:
-    """All 2^(n-1) compositions of n, lexicographic by parts.
-
-    >>> compositions(3)
-    [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    """
-    if n < 1:
-        raise ValueError("compositions are defined for n >= 1")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, acc: tuple[int, ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(1, remaining + 1):
-            rec(remaining - part, acc + (part,))
-
-    rec(n, ())
-    return out
-
-
 def check_recursion_depth(depth: int) -> None:
     """Refuse at once a depth sure to overflow the recursion limit (the
     engine descends at least one frame per letter or slot), before any work."""
@@ -102,17 +83,19 @@ def check_recursion_depth(depth: int) -> None:
 
 def contractions(word) -> list[tuple]:
     """The 2^(k-1) words obtained from a word of k letters by summing
-    consecutive packets, in the order of their packet sizes in
-    ``compositions(k)``, built letter by letter (each next letter is
-    appended or added to the last letter).
+    consecutive packets, built letter by letter (each next letter is
+    appended or added to the last letter). The i-th word sums the packets
+    whose sizes are the letters of the i-th contraction of (1,) * k.
 
-    A word as long as the interpreter's recursion limit is refused at once,
-    as ``compositions`` refuses it: the strict values of its contractions
-    recurse one frame per letter and could not be computed anyway, and
-    enumerating the 2^(k-1) words first would not end.
+    A word as long as the interpreter's recursion limit is refused at once:
+    the strict values of its contractions recurse one frame per letter and
+    could not be computed anyway, and enumerating the 2^(k-1) words first
+    would not end.
 
     >>> contractions((1, 2, 3))
     [(1, 2, 3), (1, 5), (3, 3), (6,)]
+    >>> contractions((1, 1, 1))
+    [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
     word = tuple(word)
     if not word:

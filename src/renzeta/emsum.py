@@ -573,17 +573,21 @@ _C_PALETTE = (
 )
 
 
-def random_exponent_lists(count: int, seed: int, max_depth: int = 4, max_abs_b: int = 4):
+_RANDOM_MAX_DEPTH = 4
+_RANDOM_MAX_ABS_B = 4
+
+
+def random_exponent_lists(count: int, seed: int):
     """Deterministic pseudo-random exponent lists satisfying the structural
     invariant, for robustness suites. Returns [(exponents, v), ...]."""
     rng = random.Random(seed)
     out = []
     v_choices = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
     for _ in range(count):
-        depth = rng.randint(1, max_depth)
+        depth = rng.randint(1, _RANDOM_MAX_DEPTH)
         exps = []
         for i in range(depth):
-            lo = -max_abs_b if i == depth - 1 else 0
-            exps.append((rng.randint(lo, max_abs_b), rng.choice(_C_PALETTE)))
+            lo = -_RANDOM_MAX_ABS_B if i == depth - 1 else 0
+            exps.append((rng.randint(lo, _RANDOM_MAX_ABS_B), rng.choice(_C_PALETTE)))
         out.append((tuple(exps), rng.choice(v_choices)))
     return out

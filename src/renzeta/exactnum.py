@@ -15,7 +15,9 @@ from fractions import Fraction
 #: The scalar field of the whole package.
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_INT = r"[+-]?[0-9]+"  # ASCII digits: int() would also take "1_0" and other scripts' digits
+_INT_RE = re.compile(_INT, re.ASCII)
+_RATIONAL_RE = re.compile(_INT + r"(/[1-9][0-9]*)?", re.ASCII)
 
 
 class LaurentWindowError(ArithmeticError):
@@ -36,10 +38,19 @@ def rat_str(q) -> str:
     return str(as_rational(q))
 
 
-def parse_rational(s: str) -> Fraction:
-    """Parse the ``p/q`` wire format. Rejects decimals and floats."""
+def parse_int(s: str) -> int:
+    """Parse a decimal integer: an optional sign, then ASCII digits."""
     s = s.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _INT_RE.fullmatch(s):
+        raise ValueError(f"not an integer: {s!r}")
+    return int(s)
+
+
+def parse_rational(s: str) -> Fraction:
+    """Parse the ``p/q`` wire format: an integer, then optionally ``/`` and
+    a positive denominator. Rejects decimals and floats."""
+    s = s.strip()
+    if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a p/q rational: {s!r}")
     return Fraction(s)
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
 
-from .combinat import bernoulli, bernoulli_poly, compositions, stirling1
+from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
 from .emsum import nested_fp_res, strict_fp_res, weak_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import SuffixTable, stuffle, word_str
@@ -79,12 +79,14 @@ class Report:
                 entry["rhs"] = rat_str(rhs)
             self.failures.append(entry)
 
-    def merged_with(self, other: "Report") -> "Report":
-        return Report(
-            suite=f"{self.suite}+{other.suite}" if self.suite else other.suite,
-            cases=self.cases + other.cases,
-            failures=self.failures + other.failures,
-            seconds=self.seconds + other.seconds,
+    @classmethod
+    def combined(cls, suite: str, reports: list) -> "Report":
+        """Cases and seconds of ``reports`` summed, failures concatenated."""
+        return cls(
+            suite=suite,
+            cases=sum(r.cases for r in reports),
+            failures=[f for r in reports for f in r.failures],
+            seconds=sum(r.seconds for r in reports),
         )
 
 
@@ -113,7 +115,7 @@ def _composition_structures(k: int):
     (start, end, c) over letter indices.
     """
     out = []
-    for lengths in compositions(k):
+    for lengths in contractions((1,) * k):
         bounds = [0]
         for n in lengths:
             bounds.append(bounds[-1] + n)

@@ -16,6 +16,9 @@ from .mzv import Report
 from .words import shuffle
 
 ENGINE_SEED = 20260810
+ENGINE_LISTS = 200  # random exponent lists of the engine suite
+STUFFLE_SHIFTS = (Fraction(0), Fraction(1, 2))
+HURWITZ_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(3, 4))
 
 
 def suite_table() -> Report:
@@ -31,14 +34,12 @@ def suite_table() -> Report:
     return report
 
 
-def suite_stuffle(max_weight: int = 8, vs=(Fraction(0), Fraction(1, 2))) -> Report:
+def suite_stuffle(max_weight: int = 8, vs=STUFFLE_SHIFTS) -> Report:
     """Stuffle relations for both sign conventions at each Hurwitz shift."""
-    report = Report(suite="stuffle")
-    for v in vs:
-        for variant in ("strict", "weak"):
-            report = report.merged_with(mzv.verify_stuffle(max_weight, v, variant))
-    report.suite = "stuffle"
-    return report
+    reports = [
+        mzv.verify_stuffle(max_weight, v, variant) for v in vs for variant in ("strict", "weak")
+    ]
+    return Report.combined("stuffle", reports)
 
 
 def _words(max_len: int, alphabet) -> list:
@@ -47,17 +48,11 @@ def _words(max_len: int, alphabet) -> list:
     return [w for ln in range(1, max_len + 1) for w in iproduct(alphabet, repeat=ln)]
 
 
-def suite_hurwitz(max_depth: int = 3, max_entry: int = 3,
-                  vs=(Fraction(0), Fraction(1, 2), Fraction(3, 4))) -> Report:
+def suite_hurwitz(max_depth: int = 3, max_entry: int = 3, vs=HURWITZ_SHIFTS) -> Report:
     """Hurwitz shift and derivative identities across small argument lists."""
-    report = Report(suite="hurwitz")
-    t0 = time.monotonic()
-    for a in _words(max_depth, range(max_entry + 1)):
-        for v in vs:
-            report = report.merged_with(mzv.verify_hurwitz_identities(a, v))
-    report.suite = "hurwitz"
-    report.seconds = time.monotonic() - t0
-    return report
+    words = _words(max_depth, range(max_entry + 1))
+    reports = [mzv.verify_hurwitz_identities(a, v) for a in words for v in vs]
+    return Report.combined("hurwitz", reports)
 
 
 def brute_truncated_nested_sum(bs, v, n_top: int) -> Fraction:
@@ -79,13 +74,13 @@ def brute_truncated_nested_sum(bs, v, n_top: int) -> Fraction:
     return sum((n + v) ** bs[0] * inner[n] for n in range(1, n_top + 1))
 
 
-def suite_engine(count: int = 200) -> Report:
+def suite_engine() -> Report:
     """Engine robustness: germ-truncation stability, holomorphy, the
     finite-part vanishing oracle, and the depth-2 closed formula."""
     t0 = time.monotonic()
     report = Report(suite="engine")
 
-    for exps, v in random_exponent_lists(count, ENGINE_SEED):
+    for exps, v in random_exponent_lists(ENGINE_LISTS, ENGINE_SEED):
         base = nested_fp_res(exps, v)
         for bump in (1, 2):
             again = nested_fp_res(exps, v, j_bump=bump)
@@ -203,20 +198,19 @@ def suite_shuffle_cont() -> Report:
     return report
 
 
+def _with_shift(vs: tuple, v: Fraction) -> tuple:
+    """A suite's shift grid with the requested shift v added, if new."""
+    return vs if v in vs else vs + (v,)
+
+
 def run_suite(name: str, max_weight: int = 8, v=Fraction(0)) -> Report:
     v = as_rational(v)
     if name == "table":
         return suite_table()
     if name == "stuffle":
-        vs = (Fraction(0), Fraction(1, 2))
-        if v not in vs:
-            vs = vs + (v,)
-        return suite_stuffle(max_weight, vs)
+        return suite_stuffle(max_weight, _with_shift(STUFFLE_SHIFTS, v))
     if name == "hurwitz":
-        vs = (Fraction(0), Fraction(1, 2), Fraction(3, 4))
-        if v not in vs:
-            vs = vs + (v,)
-        return suite_hurwitz(vs=vs)
+        return suite_hurwitz(vs=_with_shift(HURWITZ_SHIFTS, v))
     if name == "engine":
         return suite_engine()
     if name == "shuffle-cont":
@@ -226,10 +220,7 @@ def run_suite(name: str, max_weight: int = 8, v=Fraction(0)) -> Report:
             run_suite(part, max_weight, v)
             for part in ("table", "engine", "stuffle", "hurwitz", "shuffle-cont")
         ]
-        merged = Report(suite="all")
-        for part in parts:
-            merged = merged.merged_with(part)
-        merged.suite = "all"
+        merged = Report.combined("all", parts)
         merged.parts = parts
         return merged
     raise ValueError(f"unknown suite {name!r}")

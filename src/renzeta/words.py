@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .combinat import compositions, contractions
+from .combinat import contractions
 from .exactnum import as_rational
 
 Word = tuple  # tuple of int letters; () is the unit word
@@ -234,8 +234,8 @@ def _hoffman_word(w: Word, bullet_sign: str, mode: str) -> TensorPoly:
     if n == 0:
         return TensorPoly.unit()
     out: dict[Word, Fraction] = {}
-    # contractions(w) lists the packet sums of w in the order of compositions(n)
-    for parts, word in zip(compositions(n), contractions(w)):
+    # the packet sizes are the contractions of (1,) * n, in the same order
+    for parts, word in zip(contractions((1,) * n), contractions(w)):
         merges = n - len(parts)  # the weak bullet flips the sign once per merge
         sign = (-1) ** merges if bullet_sign == "-" else 1
         if mode == "exp":

@@ -11,7 +11,6 @@ from renzeta.chenint import (
     BirkhoffFactorization,
     InsufficientOrder,
     PowerLogExpr,
-    chen_character,
     chen_character_exact,
     convergent_nested_integral,
     cutoff_integral,
@@ -26,6 +25,12 @@ from renzeta.chenint import (
 from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
 from renzeta.words import shuffle
 from test_exactnum import agrees_with, pole_order_at_zero
+
+
+def chen_character(word, order: int) -> LaurentSeries:
+    """Laurent expansion of :func:`chen_character_exact` valid through
+    z**order. The pole order is at most the word's depth."""
+    return chen_character_exact(word).laurent_expand(order)
 
 
 def bir_factorize(phi, w) -> tuple:

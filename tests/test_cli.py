@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from renzeta import chenint, cli
 from renzeta.exactnum import rat_str
 from renzeta.mzv import Report
+from test_chenint import chen_character
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +66,9 @@ class TestZetaCommand:
         assert run_cli(capsys, "zeta", "-a", "1", "--v", "0.5")[0] == 2
         assert run_cli(capsys, "zeta", "-a", "1", "--v", "-2")[0] == 2
         assert run_cli(capsys, "zeta", "-a", "-1,2")[0] == 2
+
+    def test_spaces_around_letters(self, capsys):
+        assert run_cli(capsys, "zeta", "-a", "1, 2")[:2] == run_cli(capsys, "zeta", "-a", "1,2")[:2]
 
     def test_depth_guard(self, capsys):
         assert run_cli(capsys, "zeta", "-a", "0,0,0,0,0,0,0")[0] == 2
@@ -128,6 +139,27 @@ class TestHdimCommand:
 
     def test_dim_guard(self, capsys):
         assert run_cli(capsys, "hdim", "--dim", "6", "-a", "0")[0] == 2
+
+
+class TestIntegerGrammar:
+    """Integers on the command line are ASCII digits with an optional sign:
+    Python's int() would also take underscores and other scripts' digits."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("zeta", "-a", "1_0"), "argument list must be comma-separated integers: '1_0'"),
+            (("zeta", "-a", "\u0663"), "argument list must be comma-separated integers: '\u0663'"),
+            (("chen", "--word", "1_2"), "--word must be comma-separated integers: '1_2'"),
+            (("zeta", "-a", "1", "--v", "\u0663"), "not a p/q rational: '\u0663'"),
+            (("zeta", "-a", "1", "--v", "1_0"), "not a p/q rational: '1_0'"),
+            (("zeta", "-a", "1", "--v", "\u0661/\u0663"), "not a p/q rational: '\u0661/\u0663'"),
+        ],
+        ids=["a-underscore", "a-arabic-digit", "word-underscore",
+             "v-arabic-digit", "v-underscore", "v-arabic-fraction"],
+    )
+    def test_refused(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestChenCommand:
@@ -203,9 +235,7 @@ class TestChenCommand:
         exact = chenint.chen_character_exact(word)
         order = order_arg if order_arg is not None else max(1, len(s))
         series = exact.laurent_expand(order)
-        bf = chenint.BirkhoffFactorization(
-            lambda w: chenint.chen_character(w, max(1, len(s)))
-        )
+        bf = chenint.BirkhoffFactorization(lambda w: chen_character(w, max(1, len(s))))
         value = rat_str(bf.plus_at_zero(word))
         if fmt == "json":
             payload = {
@@ -230,6 +260,24 @@ class TestChenCommand:
                     argv = ["chen", "--word", ",".join(map(str, s)), "--format", fmt, *extra]
                     want = self.reference_output(s, order, fmt)
                     assert run_cli(capsys, *argv)[:2] == (0, want), argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        st.one_of(st.none(), st.integers(-3, 8)),
+    )
+    def test_laurent_order_is_the_printed_window(self, word, order):
+        argv = ["chen", "--word", ",".join(map(str, word)), "--format", "json"]
+        if order is not None:
+            argv += ["--laurent-order", str(order)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        payload = json.loads(out.getvalue())
+        printed = re.fullmatch(r".* \+ O\(z\^(-?\d+)\)", payload["laurent"])
+        assert payload["laurent_order"] == int(printed.group(1)) - 1
+        if order is not None:
+            assert payload["laurent_order"] == order
 
     def test_laurent_window_error_exit_1(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -286,6 +334,18 @@ class TestVerifyCommand:
         cases = [int(line.split(": ")[1].split(" cases")[0]) for line in lines]
         assert sum(cases[:-1]) == cases[-1] == 2484
         assert all(line.endswith("s") and " 0 failures, " in line for line in lines)
+
+    def test_shift_joins_the_suite_grid(self):
+        # --v adds one shift to a suite's own grid, unless the grid has it
+        verify, v = cli.verify, Fraction(1, 3)
+
+        def cases(name, shift):
+            return verify.run_suite(name, max_weight=2, v=shift).cases
+
+        assert cases("stuffle", Fraction(1, 2)) == verify.suite_stuffle(2).cases
+        assert cases("stuffle", v) == verify.suite_stuffle(2, verify.STUFFLE_SHIFTS + (v,)).cases
+        assert cases("hurwitz", Fraction(3, 4)) == verify.suite_hurwitz().cases
+        assert cases("hurwitz", v) == verify.suite_hurwitz(vs=verify.HURWITZ_SHIFTS + (v,)).cases
 
     def test_internal_violation_exit_1(self, capsys, monkeypatch):
         from renzeta.mzv import HolomorphyViolation

@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renzeta import words
-from renzeta.combinat import (
-    bernoulli,
-    bernoulli_poly,
-    compositions,
-    contractions,
-    stirling1,
-)
+from renzeta.combinat import bernoulli, bernoulli_poly, contractions, stirling1
 from renzeta.exactnum import Poly, RationalFunction, as_rational
 from renzeta.mzv import zeta_value
 from renzeta.words import TensorPoly
@@ -253,6 +247,29 @@ class TestFaulhaber:
                     assert faulhaber_interp(b, v, n) == acc
 
 
+def compositions(n: int) -> list[tuple[int, ...]]:
+    """All 2^(n-1) compositions of n, lexicographic by parts, by recursion
+    on the first part: the oracle that ``combinat.contractions`` of
+    (1,) * n is checked against.
+
+    >>> compositions(3)
+    [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    """
+    if n < 1:
+        raise ValueError("compositions are defined for n >= 1")
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, acc: tuple[int, ...]):
+        if remaining == 0:
+            out.append(acc)
+            return
+        for part in range(1, remaining + 1):
+            rec(remaining - part, acc + (part,))
+
+    rec(n, ())
+    return out
+
+
 def packet_sums(values, parts) -> tuple:
     """Contract consecutive packets of ``values`` (packet sizes ``parts``)
     to their sums: one contraction at a time, the definition that
@@ -284,6 +301,11 @@ class TestCompositions:
         with pytest.raises(ValueError):
             packet_sums((1, 2), (3,))
 
+    def test_are_the_contractions_of_ones(self):
+        # words and mzv read the packet cuts from contractions((1,) * n)
+        for n in range(1, 11):
+            assert contractions((1,) * n) == compositions(n)
+
 
 class TestContractions:
     @settings(max_examples=100, deadline=None)
@@ -294,8 +316,9 @@ class TestContractions:
 
     def test_order_of_compositions(self):
         # the i-th contraction sums the packets of the i-th composition
-        # (words._hoffman_word pairs them so): with letters 2^i every
-        # contraction is a different word, so the order is pinned
+        # (words._hoffman_word pairs contractions(w) with those of (1,) * n):
+        # with letters 2^i every contraction is a different word, so the
+        # order is pinned
         for n in range(1, 12):
             word = tuple(2**i for i in range(n))
             want = [packet_sums(word, parts) for parts in compositions(n)]

@@ -10,6 +10,7 @@ from renzeta.exactnum import (
     Poly,
     RationalFunction,
     as_rational,
+    parse_int,
     parse_rational,
     rat_str,
 )
@@ -89,6 +90,18 @@ class TestRationals:
 
     def test_parse_rejects_floats(self):
         for bad in ("0.5", "1e-3", "1/0", "nan", "3 / 8"):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
+
+    def test_integer_grammar(self):
+        # one grammar for every integer on the command line: ASCII digits
+        # after an optional sign, surrounding whitespace allowed
+        assert [parse_int(s) for s in ("12", " -3 ", "+0", "007")] == [12, -3, 0, 7]
+        for bad in ("1_0", "\u0663", "", "-", "1.0", "0x1", "1 2", "1e3"):
+            with pytest.raises(ValueError):
+                parse_int(bad)
+        assert parse_rational(" -12/5 ") == Fraction(-12, 5)
+        for bad in ("1_0", "\u0663", "\u0661/\u0663", "1/1\u0663", "1/1_0"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 

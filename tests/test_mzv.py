@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, mzv, words
-from renzeta.combinat import compositions
 from renzeta.emsum import LaurentData, nested_fp_res
 from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
@@ -24,7 +23,7 @@ from renzeta.mzv import (
     zeta_value,
     zeta_weak_renorm,
 )
-from test_combinat import packet_sums
+from test_combinat import compositions, packet_sums
 from test_words import valuation
 
 
@@ -330,6 +329,15 @@ class TestStuffleSuite:
                     })
         assert report.cases == sum(1 for u in pool for w in pool if sum(u) + sum(w) <= 4)
         assert want and report.failures == want
+
+    def test_reports_combine(self):
+        parts = [verify_stuffle(3, 0, variant, max_depth=2) for variant in ("strict", "weak")]
+        parts[1].failures.append({"case": "forced"})
+        merged = mzv.Report.combined("stuffle", parts)
+        assert (merged.suite, merged.parts) == ("stuffle", [])
+        assert merged.cases == parts[0].cases + parts[1].cases > 0
+        assert merged.failures == [{"case": "forced"}] and not merged.ok
+        assert merged.seconds == parts[0].seconds + parts[1].seconds
 
     def test_classic_relations(self):
         # zeta(0)^2 = 2 zeta(0,0) + zeta(0)

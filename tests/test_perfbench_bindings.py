@@ -1,21 +1,68 @@
-"""The benchmark tracer binds package names from outside the package.
+"""The benchmark binds package names from outside the package.
 
 ``perfbench/tracing.py`` wraps module-level functions and methods of
-``renzeta`` by name and reads some engine tables. A change to ``src/`` that
-renames or deletes one of them must fail here, not on the first traced
-benchmark run. Nothing in ``perfbench/`` is changed by this test.
+``renzeta`` by name and reads some engine tables, and ``perfbench/child.py``
+calls package functions by name and keyword. A change to ``src/`` that
+renames or deletes one of them, or a keyword it is called with, must fail
+here, not on the first benchmark run. Nothing in ``perfbench/`` is changed by
+this test.
 """
 
+import ast
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from renzeta import emsum, mzv
+from renzeta import chenint, cli, emsum, mzv, verify
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import tracing  # noqa: E402
 
 sys.path.pop(0)
+
+#: the package modules child.py imports, by the names it uses for them
+MODULES = {"chenint": chenint, "cli": cli, "emsum": emsum, "mzv": mzv, "verify": verify}
+
+
+def _child_tree():
+    return ast.parse((PERFBENCH / "child.py").read_text())
+
+
+def _package_attribute(node):
+    """(module name, attribute) when node reads an attribute of one of the
+    package modules, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in MODULES
+    ):
+        return node.value.id, node.attr
+    return None
+
+
+def test_child_names_exist():
+    used = {a for node in ast.walk(_child_tree()) if (a := _package_attribute(node))}
+    # the scan sees the calls the workloads are built on
+    assert {("mzv", "verify_stuffle"), ("verify", "suite_hurwitz"), ("cli", "main")} <= used
+    missing = sorted(f"{m}.{attr}" for m, attr in used if not hasattr(MODULES[m], attr))
+    assert missing == []
+
+
+def test_child_calls_bind():
+    calls = 0
+    for node in ast.walk(_child_tree()):
+        if not isinstance(node, ast.Call) or not (target := _package_attribute(node.func)):
+            continue
+        module, attr = target
+        assert not any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg: None for k in node.keywords}
+        assert None not in keywords  # no **kwargs: every keyword is checked by name
+        signature = inspect.signature(getattr(MODULES[module], attr))
+        signature.bind_partial(*range(len(node.args)), **keywords)  # TypeError if stale
+        calls += 1
+    assert calls > 0
 
 
 def test_tracer_installs_and_uninstalls():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -187,6 +188,18 @@ class TestHoffman:
                     t = TensorPoly.from_word(w)
                     assert hoffman_log(hoffman_exp(t, sign), sign) == t
                     assert hoffman_exp(hoffman_log(t, sign), sign) == t
+
+    def test_terms_pinned(self):
+        # the terms, in order, of exp and log on every word of length <= 5
+        # over {0, 1, 2, 3} with both bullet signs, recorded while the packet
+        # sizes still came from a separate compositions enumerator
+        h = hashlib.sha256()
+        for word in (w for n in range(6) for w in iproduct(range(4), repeat=n)):
+            for sign in ("+", "-"):
+                for fn in (hoffman_exp, hoffman_log):
+                    terms = list(fn(TensorPoly.from_word(word), sign).terms.items())
+                    h.update(repr(terms).encode())
+        assert h.hexdigest() == "8e2b277a40b6006036a2cdb7741410eab0a795dd51eb2419bf4e00568a7c56da"
 
     def test_hopf_morphism(self):
         # exp(u shuffle w) = exp(u) stuffle exp(w), with matching signs

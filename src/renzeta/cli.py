@@ -39,6 +39,15 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise InputError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
+def _int_option(text: str) -> int:
+    """An integer option, in the grammar of ``parse_int``; a refusal reads
+    as argparse's own ``invalid int value``."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_args_list(args) -> tuple[int, ...]:
     """The ``-a`` word of a command, within the depth and weight limits."""
     a = _parse_ints(args.args, "argument list")
@@ -195,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="renzeta",
         description="Exact renormalised multiple (Hurwitz) zeta values at nonpositive integers.",
     )
-    parser.add_argument("--limit-depth", type=int, default=DEFAULT_LIMIT_DEPTH)
-    parser.add_argument("--limit-weight", type=int, default=DEFAULT_LIMIT_WEIGHT)
-    parser.add_argument("--limit-dim", type=int, default=DEFAULT_LIMIT_DIM)
+    parser.add_argument("--limit-depth", type=_int_option, default=DEFAULT_LIMIT_DEPTH)
+    parser.add_argument("--limit-weight", type=_int_option, default=DEFAULT_LIMIT_WEIGHT)
+    parser.add_argument("--limit-dim", type=_int_option, default=DEFAULT_LIMIT_DIM)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeta", help="one renormalised value")
@@ -209,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_zeta)
 
     p = sub.add_parser("table", help="the depth-2 value table zeta(-a,-b)")
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=_int_option, default=6)
     p.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("hdim", help="higher-dimensional (sup-norm) values")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_option, required=True)
     p.add_argument("-a", "--args", required=True)
     p.add_argument("--v", default="0")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chen", help="continuous-side character and renormalised value")
     p.add_argument("--word", required=True, help="comma-separated positive integers s_1,...,s_k")
-    p.add_argument("--laurent-order", type=int, default=None)
+    p.add_argument("--laurent-order", type=_int_option, default=None)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_chen)
 
@@ -232,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("stuffle", "hurwitz", "table", "shuffle-cont", "engine", "all"),
         default="all",
     )
-    p.add_argument("--max-weight", type=int, default=8)
+    p.add_argument("--max-weight", type=_int_option, default=8)
     p.add_argument("--v", default="0")
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -419,43 +419,26 @@ class RationalFunction:
     def laurent_expand(self, order: int) -> "LaurentSeries":
         """Laurent series at z = 0, valid through z**order.
 
-        The pole order at 0 equals the multiplicity of z in the (reduced)
-        denominator.
+        With num = z^kn * N(z) and den = z^kd * D(z), N(0) and D(0) nonzero,
+        the series is z^(kn - kd) * sum c_n z^n, and long division of N by D
+        gives c_n = (N_n - sum_{j >= 1} D_j c_{n-j}) / D_0. The pole order at
+        0 is the multiplicity of z in the (reduced) denominator.
 
         >>> RationalFunction(1, Poly((1, -1))).laurent_expand(2)   # 1/(1-z)
         LaurentSeries(1 + z + z^2 + O(z^3))
         """
         if self.is_zero:
             return LaurentSeries.zero(order)
-
-        def split_z_power(p: Poly):
-            k = 0
-            while p.coefficient(k) == 0:
-                k += 1
-            return k, Poly(p.coeffs[k:])
-
-        kn, num = split_z_power(self.num)
-        kd, den = split_z_power(self.den)
+        kn = next(k for k, c in enumerate(self.num.coeffs) if c)
+        kd = next(k for k, c in enumerate(self.den.coeffs) if c)
+        num, den = self.num.coeffs[kn:], self.den.coeffs[kd:]
         shift = kn - kd  # valuation at 0
-        # invert the unit part of the denominator as a power series
-        length = order - shift + 1
-        if length <= 0:
-            return LaurentSeries.zero(order)
-        inv = [Fraction(0)] * length
-        d0 = den.coeffs[0]
-        inv[0] = 1 / d0
-        for n in range(1, length):
-            s = Fraction(0)
-            for j in range(1, min(n, den.degree) + 1):
-                s += den.coefficient(j) * inv[n - j]
-            inv[n] = -s / d0
-        out = [Fraction(0)] * length
-        for i in range(length):
-            a = num.coefficient(i)
-            if a == 0:
-                continue
-            for j in range(length - i):
-                out[i + j] += a * inv[j]
+        out = []
+        for n in range(order - shift + 1):
+            c = num[n] if n < len(num) else 0
+            for j in range(1, min(n, len(den) - 1) + 1):
+                c -= den[j] * out[n - j]
+            out.append(c / den[0])
         return LaurentSeries(shift, out, order)
 
     def to_str(self, var: str = "z") -> str:
@@ -522,42 +505,28 @@ class LaurentSeries:
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
 
-    @staticmethod
-    def _min_order(a: int | None, b: int | None):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other):
+        """Coefficient-wise sum, valid as far as both windows reach.
+
+        >>> LaurentSeries(0, (1, 1, 1), 5) + LaurentSeries.zero(1)
+        LaurentSeries(1 + z + O(z^2))
+        """
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.constant(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        order = self._min_order(self.order, other.order)
-        if not self.coeffs:
-            return LaurentSeries(other.min_exponent, other.coeffs, order)
-        if not other.coeffs:
-            return LaurentSeries(self.min_exponent, self.coeffs, order)
+        order = min((s.order for s in (self, other) if s.order is not None), default=None)
         lo = min(self.min_exponent, other.min_exponent)
-        hi = max(
-            self.min_exponent + len(self.coeffs),
-            other.min_exponent + len(other.coeffs),
-        )
+        hi = max(s.min_exponent + len(s.coeffs) for s in (self, other))
         if order is not None:
             hi = min(hi, order + 1)
-        cs = [
-            (self.coefficient(k) if self._stored(k) else 0)
-            + (other.coefficient(k) if other._stored(k) else 0)
-            for k in range(lo, hi)
-        ]
-        return LaurentSeries(lo, cs, order)
+        out = [Fraction(0)] * max(0, hi - lo)
+        for s in (self, other):
+            for k, c in zip(range(s.min_exponent - lo, len(out)), s.coeffs):
+                out[k] += c
+        return LaurentSeries(lo, out, order)
 
     __radd__ = __add__
-
-    def _stored(self, k: int) -> bool:
-        return self.min_exponent <= k < self.min_exponent + len(self.coeffs)
 
     def __neg__(self):
         return LaurentSeries(self.min_exponent, tuple(-c for c in self.coeffs), self.order)
@@ -582,45 +551,27 @@ class LaurentSeries:
         # which makes the plain window rule below correct for it too.
         if (self.is_zero and self.order is None) or (other.is_zero and other.order is None):
             return LaurentSeries.zero(None)  # an exactly-zero factor
-        candidates = []
-        if self.order is not None:
-            candidates.append(self.order + other.min_exponent)
-        if other.order is not None:
-            candidates.append(other.order + self.min_exponent)
-        order = min(candidates) if candidates else None
-        if self.is_zero or other.is_zero:
-            return LaurentSeries.zero(order)
+        pairs = ((self, other), (other, self))
+        order = min((a.order + b.min_exponent for a, b in pairs if a.order is not None), default=None)
         lo = self.min_exponent + other.min_exponent
-        hi = lo + len(self.coeffs) + len(other.coeffs) - 2
+        size = len(self.coeffs) + len(other.coeffs) - 1
         if order is not None:
-            hi = min(hi, order)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            ka = self.min_exponent + i
-            for j, cb in enumerate(other.coeffs):
-                if cb == 0:
-                    continue
-                k = ka + other.min_exponent + j
-                if k <= hi:
-                    out[k - lo] += ca * cb
+            size = min(size, order - lo + 1)
+        out = [Fraction(0)] * max(0, size)
+        for i, a in enumerate(self.coeffs):
+            for k, b in zip(range(i, len(out)), other.coeffs):
+                out[k] += a * b
         return LaurentSeries(lo, out, order)
 
     __rmul__ = __mul__
 
     def pole_part(self) -> "LaurentSeries":
-        """The z^{<0} part. Exact: finitely many terms, valid everywhere."""
-        neg = [
-            (k, self.coefficient(k)) for k in range(self.min_exponent, 0) if self._stored(k)
-        ]
-        if not neg:
-            return LaurentSeries.zero(None)
-        lo = neg[0][0]
-        cs = [Fraction(0)] * (0 - lo)
-        for k, c in neg:
-            cs[k - lo] = c
-        return LaurentSeries(lo, cs, None)
+        """The z^{<0} part. Exact: finitely many terms, valid everywhere.
+
+        >>> LaurentSeries(-2, (1, 0, 3, 4), 3).pole_part()
+        LaurentSeries(z^-2)
+        """
+        return LaurentSeries(self.min_exponent, self.coeffs[: max(0, -self.min_exponent)], None)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -154,12 +154,31 @@ class TestIntegerGrammar:
             (("zeta", "-a", "1", "--v", "\u0663"), "not a p/q rational: '\u0663'"),
             (("zeta", "-a", "1", "--v", "1_0"), "not a p/q rational: '1_0'"),
             (("zeta", "-a", "1", "--v", "\u0661/\u0663"), "not a p/q rational: '\u0661/\u0663'"),
+            (("chen", "--word", "1", "--laurent-order", "1_0"),
+             "argument --laurent-order: invalid int value: '1_0'"),
+            (("--limit-depth", "\u0669", "zeta", "-a", "0"),
+             "argument --limit-depth: invalid int value: '\u0669'"),
+            (("--limit-weight", "1_0", "zeta", "-a", "0"),
+             "argument --limit-weight: invalid int value: '1_0'"),
+            (("--limit-dim", "\u0663", "hdim", "--dim", "1", "-a", "0"),
+             "argument --limit-dim: invalid int value: '\u0663'"),
+            (("hdim", "--dim", "1_0", "-a", "0"), "argument --dim: invalid int value: '1_0'"),
+            (("table", "--max", "\u0661"), "argument --max: invalid int value: '\u0661'"),
+            (("verify", "--suite", "table", "--max-weight", "1_0"),
+             "argument --max-weight: invalid int value: '1_0'"),
         ],
         ids=["a-underscore", "a-arabic-digit", "word-underscore",
-             "v-arabic-digit", "v-underscore", "v-arabic-fraction"],
+             "v-arabic-digit", "v-underscore", "v-arabic-fraction",
+             "laurent-order-underscore", "limit-depth-arabic-digit", "limit-weight-underscore",
+             "limit-dim-arabic-digit", "dim-underscore", "max-arabic-digit",
+             "max-weight-underscore"],
     )
     def test_refused(self, capsys, argv, message):
-        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(capsys, *argv)
+        if message.startswith("argument --"):  # refused by argparse, after its usage text
+            assert err.startswith("usage: renzeta")
+            err = "error: " + err.split(": error: ", 1)[1]
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestChenCommand:
@@ -319,8 +338,9 @@ class TestVerifyCommand:
     def test_all_suites_report_per_part_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-weight", "2")
         assert code == 0
-        # recorded before per-suite lines were added: stdout must not move
-        assert out == '{"suite": "all", "cases": 2484, "failures": []}\n'
+        # 49 fewer than 2484 since the engine suite stopped repeating the
+        # table suite's depth-2 checks; nothing else on stdout moved
+        assert out == '{"suite": "all", "cases": 2435, "failures": []}\n'
         lines = err.splitlines()
         names = [line.split(":")[0] for line in lines]
         assert names == [
@@ -332,7 +352,7 @@ class TestVerifyCommand:
             "suite all",
         ]
         cases = [int(line.split(": ")[1].split(" cases")[0]) for line in lines]
-        assert sum(cases[:-1]) == cases[-1] == 2484
+        assert sum(cases[:-1]) == cases[-1] == 2435
         assert all(line.endswith("s") and " 0 failures, " in line for line in lines)
 
     def test_shift_joins_the_suite_grid(self):

@@ -350,6 +350,53 @@ class TestLaurent:
         rhs = fa.laurent_expand(order + kb) * fb.laurent_expand(order + ka)
         assert agrees_with(lhs, rhs) or agrees_with(rhs, lhs)
 
+    def test_sum_cuts_at_the_shorter_window(self):
+        # a summand that is zero on its window still cuts the sum there
+        a, zero = LaurentSeries(0, (1, 1, 1), 5), LaurentSeries.zero(1)
+        one_plus_z = LaurentSeries(0, (1, 1), 1)
+        assert a + zero == one_plus_z and zero + a == one_plus_z
+        assert a - zero == one_plus_z and zero - a == -one_plus_z
+        assert (a + LaurentSeries.zero(-2)) == LaurentSeries.zero(-2)
+        assert a + LaurentSeries.zero(None) == a
+
+    @given(
+        st.lists(_scalars, min_size=1, max_size=3),
+        st.lists(_scalars, min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=-3, max_value=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_expand_against_sympy_series(self, ns, ds, pole, order):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+        if ds[0] == 0:
+            ds[0] = Fraction(1)  # a unit denominator part: the pole is exactly z^pole
+        f = RationalFunction(Poly(ns), Poly([0] * pole + ds))
+        got = f.laurent_expand(order)
+        assert got.order == order
+        expr = sum(sympy.Rational(c) * z**i for i, c in enumerate(ns)) / sum(
+            sympy.Rational(c) * z ** (pole + i) for i, c in enumerate(ds)
+        )
+        theirs = sympy.expand(sympy.series(expr, z, 0, 7).removeO())
+        for k in range(-3, order + 1):
+            assert got.coefficient(k) == Fraction(str(theirs.coeff(z, k)))
+
+    @given(
+        st.lists(_scalars, min_size=1, max_size=3),
+        st.lists(_scalars, min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=-3, max_value=6),
+        st.integers(min_value=-3, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_expand_is_additive(self, ns, ms, shift, ka, kb):
+        # g = z^shift * (...) is zero on every window below its valuation
+        f = RationalFunction(Poly(ns), Poly((0, 1)))
+        g = RationalFunction(Poly([0] * shift + ms), Poly((1, 2)))
+        lhs = (f + g).laurent_expand(min(ka, kb))
+        assert lhs == f.laurent_expand(ka) + g.laurent_expand(kb)
+        assert lhs == g.laurent_expand(kb) + f.laurent_expand(ka)
+
     def test_pole_and_holomorphic_parts(self):
         s = LaurentSeries(-2, (1, 2, 3, 4), order=3)
         pp = s.pole_part()

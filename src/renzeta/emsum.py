@@ -31,7 +31,11 @@ contractions: the weak value, from exactly the states their strict values
 create.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
-finite part used here depend only on gamma'(0) = 1.
+finite part used here depend only on gamma'(0) = 1. Scaling every c_i by
+one L > 0 is z -> Lz, which keeps the finite part and divides the residue
+by L. So every direction in the engine is a positive int: ``nested_fp_res``
+multiplies its c_i once by the lcm L of their denominators, and its residue
+by L. A slot is the pair (b, c).
 
 Two structural facts are enforced at runtime rather than assumed:
 
@@ -232,9 +236,9 @@ def _to_laurent(data: tuple, v) -> LaurentData:
 
 def _flatten(exponents) -> tuple:
     """Validate an exponent list and return it in the engine's flat form
-    (b_1, c_1 numerator, c_1 denominator, ..., b_l, c_l numerator, c_l
-    denominator)."""
-    flat = []
+    (b_1, L c_1, ..., b_l, L c_l), together with the lcm L of the c_i's
+    denominators: every direction becomes a positive int."""
+    slots = []
     for b, c in exponents:
         if type(b) is not int:
             raise StructuralViolation(f"exponent b must be of type int, got {b!r}")
@@ -244,62 +248,60 @@ def _flatten(exponents) -> tuple:
             c = as_rational(c)
         if c <= 0:
             raise StructuralViolation(f"perturbation coefficient must be > 0, got {c}")
-        flat += (b, c.numerator, c.denominator)
-    return tuple(flat)
+        slots.append((b, c))
+    scale = lcm(*(c.denominator for _, c in slots))
+    return tuple(x for b, c in slots for x in (b, c.numerator * (scale // c.denominator))), scale
 
 
 _germ_cache: dict = {}
 
 
-def _germ_row(b: int, c_num: int, c_den: int, j_max: int) -> tuple:
-    """The local germs (B_j/j!) [b - c z]_{j-1} of the last slot (b, c) with
-    c = c_num/c_den, for j = 0 .. j_max (odd j > 1 left out: their Bernoulli
-    numbers vanish), each expanded to three coefficients at z = 0 and stored
-    as (b + 1 - j, h_m1, h_0, h_1). A merged slot's b is the previous slot's
-    b plus that shift. A coefficient is a reduced integer pair (p, q) with
-    q > 0, or None when it is exactly zero.
+def _germ_row(b: int, c: int, j_max: int) -> tuple:
+    """The local germs (B_j/j!) [b - c z]_{j-1} of the last slot (b, c), for
+    j = 0 .. j_max (odd j > 1 left out: their Bernoulli numbers vanish), each
+    expanded to three coefficients at z = 0 and stored as (b + 1 - j, h_m1,
+    h_0, h_1). A merged slot's b is the previous slot's b plus that shift. A
+    coefficient is a reduced integer pair (p, q) with q > 0, or None when it
+    is exactly zero.
 
     The table keeps one row per slot, the longest one requested, and this
     returns its prefix up to j = j_max.
 
     [b - c z]_{-1} = 1/(b + 1 - c z) has a simple pole iff b = -1. For j >= 1
-    the row is built in one pass: the two leading coefficients p0 and
-    p1/c_den of the falling factorial prod_{i < j-1} (b - i - c z) are
-    carried from j to j + 1 as the integers p0, p1.
+    the row is built in one pass: the two leading coefficients p0 and p1
+    of the falling factorial prod_{i < j-1} (b - i - c z) are carried from
+    j to j + 1 as integers.
     """
     size = j_max // 2 + 2  # j = 0, 1, 2, 4, ..., j_max
-    key = (b, c_num, c_den)
-    row = _germ_cache.get(key)
+    row = _germ_cache.get((b, c))
     if row is not None and len(row) >= size:
         return row[:size]
     if b == -1:
-        out = [(0, (-c_den, c_num), None, None)]
+        out = [(0, (-1, c), None, None)]
     else:
-        out = [(b + 1, None, _pair(1, b + 1), _pair(c_num, c_den * (b + 1) ** 2))]
+        out = [(b + 1, None, _pair(1, b + 1), _pair(c, (b + 1) ** 2))]
     p0, p1, fact = 1, 0, 1
     for j in range(1, j_max + 1):
         fact *= j
         if j == 1 or j % 2 == 0:
             bn, bd = bernoulli(j).as_integer_ratio()
-            out.append((b + 1 - j, None, _pair(bn * p0, bd * fact),
-                        _pair(bn * p1, bd * fact * c_den)))
-        p1 = p1 * (b + 1 - j) - c_num * p0
+            out.append((b + 1 - j, None, _pair(bn * p0, bd * fact), _pair(bn * p1, bd * fact)))
+        p1 = p1 * (b + 1 - j) - c * p0
         p0 *= b + 1 - j
-    row = _germ_cache[key] = tuple(out)
+    row = _germ_cache[(b, c)] = tuple(out)
     return row
 
 
 _boundary_cache: dict = {}
 
 
-def _depth1(b: int, c_num: int, c_den: int, w: tuple) -> tuple:
-    """The depth-1 data (residue, finite part) of the slot (b, c) with
-    c = c_num/c_den, for the engine value w = 1 + v: residue 1/c at b = -1
-    and 0 otherwise; finite part -B_{b+1}(1+v)/(b+1) when b >= 0 and
-    NONRATIONAL otherwise. The finite part does not depend on c and is
-    kept under (b, w)."""
+def _depth1(b: int, c: int, w: tuple) -> tuple:
+    """The depth-1 data (residue, finite part) of the slot (b, c), for the
+    engine value w = 1 + v: residue 1/c at b = -1 and 0 otherwise; finite
+    part -B_{b+1}(1+v)/(b+1) when b >= 0 and NONRATIONAL otherwise. The
+    finite part does not depend on c and is kept under (b, w)."""
     if b < 0:
-        return (c_num, (c_den,)) if b == -1 else _ZERO, NONRATIONAL
+        return (c, (1,)) if b == -1 else _ZERO, NONRATIONAL
     fp = _boundary_cache.get((b, w))
     if fp is None:
         # B_k(x) = sum_i C(k, i) B_{k-i} x^i with k = b + 1
@@ -365,19 +367,22 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     Fraction(3, 8)
     >>> nested_fp_res([(1, 1)], Poly.x()).fp.to_str("v")
     '-1/2*v^2 - 1/2*v - 1/12'
+    >>> nested_fp_res([(-1, Fraction(1, 2))], 0).res  # c = 1/2 is z -> z/2
+    Fraction(2, 1)
     """
-    exps = _flatten(exponents)
+    exps, scale = _flatten(exponents)
     if not exps:
         raise StructuralViolation("empty exponent list")
     w, head = _head(v, j_bump, _SLOTS)
-    check_recursion_depth(len(exps) // 3)
-    for b in exps[:-3:3]:
+    check_recursion_depth(len(exps) // 2)
+    for b in exps[:-2:2]:
         if b < 0:
             raise StructuralViolation(
                 f"non-last slot with negative exponent {b}: the recursion only "
                 "peels the deepest slot"
             )
-    return _to_laurent(_nested(exps, w, head), v)
+    res, fp = _nested(exps, w, head)
+    return _to_laurent((_combine([((scale, 1), res)]), fp), v)
 
 
 def _word_head(word, v):
@@ -427,18 +432,18 @@ def _slot_weights(length: int) -> tuple:
     )
 
 
-def _last_slots(word: tuple, cn: int, cd: int):
+def _last_slots(word: tuple, c: int):
     """(letters before the slot, slot exponent, rest of the state key) for
     every last slot word[k-L:] of a word of length k, each to be merged with
-    a slot of multiplicity cn/cd. A one-letter slot has the single
-    multiplicity 1, of weight 1, so its state is the plain slot state; a
-    longer one is a presum state."""
+    a slot of multiplicity c. A one-letter slot has the single multiplicity
+    1, of weight 1, so its state is the plain slot state; a longer one is a
+    presum state."""
     cut = len(word) - 1
     b = word[cut]
-    yield word[:cut], b, (cn + cd, cd)
+    yield word[:cut], b, (c + 1,)
     for cut in range(cut - 1, -1, -1):
         b += word[cut]
-        yield word[:cut], b, (cn, cd, cut - len(word))
+        yield word[:cut], b, (c, cut - len(word))
 
 
 def _weighted_sum(states, fp_known: bool, w: tuple, head: tuple) -> tuple:
@@ -461,17 +466,17 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     two engine values, or a value and NONRATIONAL. ``w`` is the engine value
     1 + v and ``head`` = (menu, j_bump, key of v) the part of the memo key
     shared by the whole recursion. Every entry of ``exps`` is an integer,
-    and a slot is (b, c numerator, c denominator).
+    and a slot is (b, c).
 
-    Under the fixed menu ``exps`` = (b_1, c_1 num, c_1 den, ..., b_l, c_l
-    num, c_l den) is one nested sum. Under the word menu a key has one of
-    three shapes, told apart by its last entry (c den >= 1, -L < 0, or 0):
+    Under the fixed menu ``exps`` = (b_1, c_1, ..., b_l, c_l) is one nested
+    sum. Under the word menu a key has one of three shapes, told apart by
+    its last entry (c >= 1, -L < 0, or 0):
 
-    * (a_1, ..., a_m, b, c num, c den), the slot state: the weighted sum
-      over the slot structures of the prefix word a_1..a_m of their nested
-      sums followed by the slot (b, c);
-    * (a_1, ..., a_m, b, c num, c den, -L), the presum state: the weighted
-      sum over the multiplicities c' of an L-letter slot of the slot states
+    * (a_1, ..., a_m, b, c), the slot state: the weighted sum over the slot
+      structures of the prefix word a_1..a_m of their nested sums followed
+      by the slot (b, c);
+    * (a_1, ..., a_m, b, c, -L), the presum state: the weighted sum over
+      the multiplicities c' of an L-letter slot of the slot states
       (a_1, ..., a_m, b, c + c');
     * (a_1, ..., a_m, 0), the prefix-sum state: the sum over the last slots
       of the word a_1..a_m, that is the weighted sum over all its slot
@@ -484,32 +489,26 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
         return hit
 
     if exps[-1] < 0:
-        stem = exps[:-4]
-        b, cn, cd, neg_length = exps[-4:]
-        # c + cn/cd stays in lowest terms
-        states = (
-            (stem + (b, cn + c * cd, cd), weight) for c, weight in _slot_weights(-neg_length)
-        )
+        stem = exps[:-3]
+        b, c, neg_length = exps[-3:]
+        states = ((stem + (b, c_slot + c), weight) for c_slot, weight in _slot_weights(-neg_length))
         return _memoize(key, _weighted_sum(states, b >= 0, w, head))
     if not exps[-1]:
         # every slot of the word has b >= 0, so its finite part is rational
-        states = ((stem + (b,) + tail, _UNIT) for stem, b, tail in _last_slots(exps[:-1], 0, 1))
+        states = ((stem + (b,) + tail, _UNIT) for stem, b, tail in _last_slots(exps[:-1], 0))
         return _memoize(key, _weighted_sum(states, True, w, head))
-    b_last, cn_last, cd_last = exps[-3:]
-    if len(exps) == 3:
-        return _memoize(key, _depth1(b_last, cn_last, cd_last, w))
+    b_last, c_last = exps[-2:]
+    if len(exps) == 2:
+        return _memoize(key, _depth1(b_last, c_last, w))
 
-    prefix = exps[:-3]
+    prefix = exps[:-2]
     if head[0]:
-        slots = _last_slots(prefix, cn_last, cd_last)
+        slots = _last_slots(prefix, c_last)
         step = 1
     else:
-        step = 3
-        b_prev, cn_prev, cd_prev = prefix[-3:]
-        num = cn_prev * cd_last + cn_last * cd_prev
-        den = cd_prev * cd_last
-        g = gcd(num, den)
-        slots = ((prefix[:-3], b_prev, (num // g, den // g)),)
+        step = 2
+        b_prev, c_prev = prefix[-2:]
+        slots = ((prefix[:-2], b_prev, (c_prev + c_last,)),)
     # a slot's exponent and its stem's add up to the prefix total; the row
     # runs to j = R + 1 for the reach R, the last germ the cutoff can read
     total = sum(prefix[::step])
@@ -518,7 +517,7 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
 
     res_terms = []
     fp_terms = []
-    row = _germ_row(b_last, cn_last, cd_last, max(reach + 1, 0) + 2 * head[1])
+    row = _germ_row(b_last, c_last, max(reach + 1, 0) + 2 * head[1])
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included.
     # Shifts fall along the row, so the first child of reach below
@@ -548,7 +547,7 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     sub_res, sub_fp = _nested(prefix + (0,) if head[0] else prefix, w, head)
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
-    one_res, one_fp = _depth1(b_last, cn_last, cd_last, w)
+    one_res, one_fp = _depth1(b_last, c_last, w)
     res_terms.append((_UNIT, _times(one_res, sub_fp)))
     res_total = _combine(res_terms)
     if not fp_known:

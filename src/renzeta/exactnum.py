@@ -400,6 +400,8 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, n: int):

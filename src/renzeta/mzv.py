@@ -169,7 +169,7 @@ def _zeta_weak(a: tuple[int, ...], v: Fraction) -> Fraction:
 def _zeta_alt(a: tuple[int, ...], v: Fraction) -> Fraction:
     if not a:
         return Fraction(1)
-    exps = tuple((x, Fraction(1)) for x in a)
+    exps = tuple((x, 1) for x in a)
     return _pole_free_fp(nested_fp_res(exps, v), f"diagonal sum {a} at v={v}")
 
 

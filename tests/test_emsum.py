@@ -44,7 +44,7 @@ def poly_in_v(exponents, degree_bound: int) -> Poly:
     degree_bound+1 integer nodes and verified at two fresh ones; needs the
     last exponent's b >= 0 (rational finite part)."""
     exps = tuple(exponents)
-    if emsum._flatten(exps)[-3] < 0:
+    if exps[-1][0] < 0:
         raise ValueError("finite part is only polynomial in v when the last b >= 0")
     if degree_bound < len(exps):
         raise ValueError("degree bound below the depth")
@@ -55,7 +55,14 @@ def poly_in_v(exponents, degree_bound: int) -> Poly:
 
 def safe_degree_bound(exponents) -> int:
     """Degree bound sum(max(b_i,0)+1) that always dominates the true degree."""
-    return sum(max(b, 0) + 1 for b in emsum._flatten(exponents)[::3])
+    return sum(max(b, 0) + 1 for b, _ in exponents)
+
+
+def fixed_menu_reach(key) -> int:
+    """The reach b_1 + ... + b_l + l - 1 of a fixed-menu memo key: the key
+    is (menu, j_bump, v num, v den) and then the slots (b, c)."""
+    bs = key[4::2]
+    return sum(bs) + len(bs) - 1
 
 
 class TestNonRationalMarker:
@@ -89,18 +96,18 @@ class TestGerms:
     # a row entry is (b + 1 - j, h_m1, h_0, h_1), each coefficient a reduced
     # integer pair (p, q), an exact zero stored as None
     def test_examples(self):
-        assert emsum._germ_row(-1, 2, 1, 2)[0] == (0, (-1, 2), None, None)
-        assert emsum._germ_row(5, 1, 1, 2)[1] == (5, None, (-1, 2), None)
+        assert emsum._germ_row(-1, 2, 2)[0] == (0, (-1, 2), None, None)
+        assert emsum._germ_row(5, 1, 2)[1] == (5, None, (-1, 2), None)
         # odd j > 1 germs vanish and are left out of the row: j = 0, 1, 2, 4
-        row = emsum._germ_row(0, 1, 1, 4)
+        row = emsum._germ_row(0, 1, 4)
         assert [shift for shift, *_ in row] == [1, 0, -1, -3]
 
     def test_regular_j0(self):
-        assert emsum._germ_row(2, 3, 1, 2)[0] == (3, None, (1, 3), (1, 3))
+        assert emsum._germ_row(2, 3, 2)[0] == (3, None, (1, 3), (1, 3))
 
     def test_j2(self):
         # (B_2/2!)(b - cz): constant b/12, slope -c/12
-        assert emsum._germ_row(4, 2, 1, 2)[2] == (3, None, (1, 3), (-1, 6))
+        assert emsum._germ_row(4, 2, 2)[2] == (3, None, (1, 3), (-1, 6))
 
 
 class TestRowLength:
@@ -111,7 +118,7 @@ class TestRowLength:
         emsum.clear_cache()
         try:
             nested_fp_res([(2, 1), (1, 1)], 0)
-            row = emsum._germ_cache[(1, 1, 1)]
+            row = emsum._germ_cache[(1, 1)]
             assert [shift for shift, *_ in row] == [2, 1, 0, -2]
         finally:
             emsum.clear_cache()
@@ -266,8 +273,7 @@ class TestMemo:
                 for exps, coeff in mzv._composition_terms((1,) * 7)
             )
             assert len(emsum._cache) == 1926
-            # a key is (menu, j_bump, v num, v den) and then the slots
-            assert all(sum(key[4::3]) + len(key[4::3]) - 1 >= -1 for key in emsum._cache)
+            assert all(fixed_menu_reach(key) >= -1 for key in emsum._cache)
             assert value == Fraction(534703531, 902961561600)
         finally:
             emsum.clear_cache()
@@ -326,11 +332,12 @@ class TestMemo:
                     nested_fp_res(exps, v, j_bump=bump)
                 counts.append(len(emsum._cache))
                 for key, value in emsum._cache.items():
-                    if sum(key[4::3]) + len(key[4::3]) - 1 < -1:
+                    if fixed_menu_reach(key) < -1:
                         assert value == (emsum._ZERO, NONRATIONAL), key
         finally:
             emsum.clear_cache()
-        assert counts == [2698, 3117, 3536]
+        # lists whose directions agree up to scale share their states
+        assert counts == [2630, 3034, 3439]
 
     def test_one_prefix_sum_state_per_prefix(self):
         # the strict expansion of each prefix word is a state (a_1..a_m, 0),
@@ -349,14 +356,14 @@ class TestMemo:
 class TestSentinelInEngine:
     # peeling (0, 1) from [(0, 1), (0, 1)] merges at j = 2 into the slot
     # (-1, 2), whose finite part is NONRATIONAL; the true h_0 there is 0.
-    # The poisoned row of the slot (0, 1/1) gives that germ h_0 = 1.
+    # The poisoned row of the slot (0, 1) gives that germ h_0 = 1.
     TWO_J = 2
 
     def poison_j2(self):
-        row = list(emsum._germ_row(0, 1, 1, self.TWO_J))
+        row = list(emsum._germ_row(0, 1, self.TWO_J))
         assert row[2] == (-1, None, None, (-1, 12))
         row[2] = (-1, None, (1, 1), (-1, 12))
-        emsum._germ_cache[(0, 1, 1)] = tuple(row)
+        emsum._germ_cache[(0, 1)] = tuple(row)
 
     def test_nonzero_germ_meets_sentinel(self):
         emsum.clear_cache()
@@ -449,3 +456,31 @@ class TestPolyEngineAgainstInterpolation:
         )
         assert poly == want
         assert poly(v) == value
+
+
+_DIRECTIONS = st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)
+
+
+@st.composite
+def _exponent_lists(draw, max_depth=3):
+    """An exponent list of depth <= max_depth with rational directions;
+    only the last slot may have a negative b."""
+    depth = draw(st.integers(1, max_depth))
+    bs = [draw(st.integers(0, 3)) for _ in range(depth - 1)] + [draw(st.integers(-3, 3))]
+    return tuple((b, draw(_DIRECTIONS)) for b in bs)
+
+
+class TestDirectionScaling:
+    """Scaling every direction by lambda > 0 is z -> lambda z: the finite
+    part stays and the residue is divided by lambda."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_exponent_lists(), _DIRECTIONS, st.one_of(_SHIFTS, st.just(Poly.x())))
+    def test_scaled_directions(self, exps, lam, v):
+        base = nested_fp_res(exps, v)
+        scaled = nested_fp_res([(b, lam * c) for b, c in exps], v)
+        assert scaled.res * lam == base.res
+        if base.fp is NONRATIONAL:
+            assert scaled.fp is NONRATIONAL
+        else:
+            assert scaled.fp == base.fp

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,17 @@ class TestRationalFunctionArithmetic:
             f / zero
         with pytest.raises(ZeroDivisionError):
             zero**-1
+
+    def test_foreign_operand_raises_type_error(self):
+        # an operand it cannot coerce is NotImplemented on both sides, so
+        # Python raises TypeError rather than recursing
+        f = RationalFunction(1, Poly((0, 1)))
+        assert 2 / f == RationalFunction(Poly((0, 2)))
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(1.5, f)
+            with pytest.raises(TypeError):
+                op(f, 1.5)
 
     def test_gcd_with_constant_is_one(self):
         assert Poly.gcd(Poly((Fraction(3, 2),)), Poly((1, 2, 1))) == Poly.one()

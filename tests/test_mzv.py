@@ -371,6 +371,34 @@ class TestHurwitz:
                 assert dpoly(v) == a * zeta_value((a - 1,), v)
 
 
+class TestIdentitiesInQv:
+    """The stuffle relations and the Hurwitz shift identity as identities in
+    Q[v], which holds them at every shift at once; the point checks above
+    stay."""
+
+    def test_stuffle(self):
+        # sum_x c_x P_x = P_u P_w for every stuffle u * w, P_x the value of
+        # x as a polynomial in v
+        pairs = [(u, w) for u in words_up_to(2, 4) for w in words_up_to(2, 4)]
+        for variant in ("strict", "weak"):
+            for u, w in pairs:
+                if sum(u) + sum(w) > 4:
+                    continue
+                lhs = sum(
+                    (c * zeta_poly_in_v(x, variant) for x, c in words.stuffle(u, w, variant)),
+                    Poly.zero(),
+                )
+                rhs = zeta_poly_in_v(u, variant) * zeta_poly_in_v(w, variant)
+                assert lhs == rhs, (variant, u, w)
+
+    def test_shift(self):
+        # P_a(v + 1) = P_a(v) - (1 + v)^{a_k} P_{a'}(v + 1), a' = a_1..a_{k-1}
+        up = Poly((1, 1))
+        for a in words_up_to(3, 4):
+            lhs = zeta_poly_in_v(a)(up)
+            assert lhs == zeta_poly_in_v(a) - up ** a[-1] * zeta_poly_in_v(a[:-1])(up), a
+
+
 class TestHigherDimensional:
     def test_sphere_counts(self):
         assert sup_sphere_count_coeffs(1) == {0: 2}

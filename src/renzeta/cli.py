@@ -247,10 +247,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The subcommands, and those of them that take a shift ``--v``.
+_COMMANDS = ("zeta", "table", "hdim", "chen", "verify")
+_SHIFT_COMMANDS = ("zeta", "hdim", "verify")
+
+
+def _is_signed_shift(text: str) -> bool:
+    """A ``p/q`` token with a leading minus sign, such as ``-1/2``."""
+    if not text.startswith("-"):
+        return False
+    try:
+        parse_rational(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_shift(argv) -> list:
+    """argv with each ``--v -p/q`` after a command that takes ``--v``
+    written as ``--v=-p/q``: argparse reads a token such as ``-1/2`` as an
+    option, not as the value of ``--v``. Every other token is left as it
+    is, so argparse refuses it as before."""
+    out = list(argv)
+    if "--v" not in out:
+        return out
+    start = next((i for i, a in enumerate(out) if a in _COMMANDS), None)
+    if start is None or out[start] not in _SHIFT_COMMANDS:
+        return out
+    # from the end, so that joining a pair leaves the indices before it
+    for i in range(len(out) - 1, start + 1, -1):
+        if out[i - 1] == "--v" and _is_signed_shift(out[i]):
+            out[i - 1 : i + 1] = [f"--v={out[i]}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_shift(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

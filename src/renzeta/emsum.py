@@ -92,6 +92,9 @@ denominator: (D, (n_0, ..., n_d)) is sum_k n_k v^k / D, a rational being
 the case d = 0. A state's residue and finite part each come from one call
 of the kernel :func:`_combine`, a linear combination of such values with
 integer-pair coefficients p/q: one lcm, integer multiply-adds and one gcd.
+The kernel drops each term whose value is exactly zero before the lcm
+(never the NONRATIONAL marker, which still raises), and when every value
+left has degree 0, as at every rational shift, it sums into one integer.
 Germ entries and slot weights are stored as those integer pairs. Values
 become ``Fraction`` or ``Poly`` only where ``nested_fp_res``,
 ``strict_fp_res`` and ``weak_fp_res`` return them.
@@ -153,32 +156,50 @@ def _combine(terms) -> tuple:
     reduced: one lcm of the denominators q_i D_i, integer multiply-adds and
     one gcd. Values of different degree mix freely. Every coefficient is
     nonzero (the engine drops exact zeros first), so an x_i that is
-    NONRATIONAL raises RationalityLeak.
+    NONRATIONAL raises RationalityLeak, whatever the other terms are. A term
+    whose value is exactly zero adds nothing and is dropped before the lcm;
+    when every value left has degree 0 (every rational shift) the sum is one
+    integer accumulator.
 
-    (1 + 2v)/6 - v^2/3 + 1/6 + 5 * 0, reduced to (1 + v - v^2)/3:
+    (1 + 2v)/6 - v^2/3 + 1/6 + 5 * 0, reduced to (1 + v - v^2)/3; then
+    2 * 1/3 - 2/3, which cancels, and 1/2 + 1/6 + 3 * 0 = 2/3:
 
     >>> _combine([((1, 2), (3, (1, 2))), ((-1, 3), (1, (0, 0, 1))),
     ...           ((1, 6), (1, (1,))), ((5, 1), _ZERO)])
     (3, (1, 1, -1))
     >>> _combine([((2, 1), (3, (1,))), ((-1, 3), (1, (2,)))])
     (1, ())
+    >>> _combine([((1, 2), (1, (1,))), ((1, 6), (1, (1,))), ((3, 1), _ZERO)])
+    (3, (2,))
     >>> _combine([((1, 2), NONRATIONAL)])
     Traceback (most recent call last):
     ...
     renzeta.emsum.RationalityLeak: non-rational finite part multiplied by nonzero coefficient
     """
-    dens = []
+    live = []
     size = 0
-    for (_, q), x in terms:
+    for term in terms:
+        x = term[1]
         if x is NONRATIONAL:
             raise RationalityLeak("non-rational finite part multiplied by nonzero coefficient")
-        dens.append(q * x[0])
-        if len(x[1]) > size:
-            size = len(x[1])
-    den = lcm(*dens)
+        if x[1]:
+            live.append(term)
+            if len(x[1]) > size:
+                size = len(x[1])
+    if not live:
+        return _ZERO
+    den = lcm(*[q * x[0] for (_, q), x in live])
+    if size == 1:
+        acc = 0
+        for (p, q), (d, (n,)) in live:
+            acc += p * (den // (q * d)) * n
+        if not acc:
+            return _ZERO
+        g = gcd(den, acc)
+        return den // g, (acc // g,)
     acc = [0] * size
-    for ((p, _), (_, nums)), d in zip(terms, dens):
-        f = p * (den // d)
+    for (p, q), (d, nums) in live:
+        f = p * (den // (q * d))
         for k, n in enumerate(nums):
             acc[k] += f * n
     while acc and not acc[-1]:
@@ -548,7 +569,8 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
     one_res, one_fp = _depth1(b_last, c_last, w)
-    res_terms.append((_UNIT, _times(one_res, sub_fp)))
+    if one_res[1]:
+        res_terms.append((_UNIT, _times(one_res, sub_fp)))
     res_total = _combine(res_terms)
     if not fp_known:
         return _memoize(key, (res_total, NONRATIONAL))

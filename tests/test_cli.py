@@ -181,6 +181,59 @@ class TestIntegerGrammar:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+class TestNegativeShift:
+    """A negative fractional shift may follow ``--v`` as its own token:
+    argparse alone would read ``-1/2`` as an option."""
+
+    @pytest.mark.parametrize(
+        "head, shift",
+        [
+            (("zeta", "-a", "3"), "-1/2"),
+            (("zeta", "-a", "0,1", "--poly-v", "--format", "json"), "-2/3"),
+            (("hdim", "--dim", "2", "-a", "1"), "-1/3"),
+            (("verify", "--suite", "table"), "-1/3"),
+        ],
+        ids=["zeta", "zeta-json", "hdim", "verify"],
+    )
+    def test_spaced_form_is_the_equals_form(self, capsys, head, shift):
+        spaced = run_cli(capsys, *head, "--v", shift)
+        joined = run_cli(capsys, *head, f"--v={shift}")
+        assert spaced[0] == 0 and spaced[1]
+        # verify prints its timing on stderr, which differs from run to run
+        assert spaced[:2] == joined[:2]
+
+    def test_before_other_options(self, capsys):
+        assert run_cli(capsys, "zeta", "--v", "-1/2", "-a", "3") == (
+            0, "zeta(-3; v=-1/2) [strict] = -7/960\n", ""
+        )
+
+    def test_from_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["renzeta", "zeta", "-a", "3", "--v", "-1/2"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "zeta(-3; v=-1/2) [strict] = -7/960\n"
+
+    @pytest.mark.parametrize("shift", ["-1", "-3/2"])
+    def test_out_of_range(self, capsys, shift):
+        assert run_cli(capsys, "zeta", "-a", "3", "--v", shift) == (
+            2, "", f"error: Hurwitz shift must satisfy v > -1, got {shift}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("zeta", "-a", "3", "--v", "-x"), "argument --v: expected one argument"),
+            (("zeta", "-a", "3", "--v", "-1/0"), "argument --v: expected one argument"),
+            (("zeta", "-a", "--v", "-1/2"), "argument -a/--args: expected one argument"),
+            (("chen", "--word", "1", "--v", "-1/2"), "unrecognized arguments: --v -1/2"),
+        ],
+        ids=["not-a-number", "zero-denominator", "missing-args", "no-shift-option"],
+    )
+    def test_other_refusals_unchanged(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: renzeta") and err.endswith(f": error: {message}\n")
+
+
 class TestChenCommand:
     def test_single(self, capsys):
         code, out, _ = run_cli(capsys, "chen", "--word", "1", "--format", "json")

@@ -92,6 +92,72 @@ class TestNonRationalMarker:
         assert not hasattr(NONRATIONAL, "__dict__")
 
 
+_COEFFS = st.tuples(st.integers(-40, 40).filter(bool), st.integers(1, 40))
+
+
+@st.composite
+def _engine_values(draw, max_degree=3):
+    """An engine value (D, (n_0, ..., n_d)) with d <= max_degree and no
+    trailing zero, not necessarily reduced; the empty tuple is zero."""
+    size = draw(st.integers(0, max_degree + 1))
+    nums = [draw(st.integers(-30, 30)) for _ in range(size)]
+    if nums and not nums[-1]:
+        nums[-1] = draw(st.integers(1, 30))
+    return draw(st.integers(1, 30)), tuple(nums)
+
+
+@st.composite
+def _kernel_terms(draw, max_degree=3):
+    """0..8 kernel terms, exact zeros among them, and sometimes the
+    negation of some of them, so that the sum partly or wholly cancels."""
+    values = st.one_of(st.just(emsum._ZERO), _engine_values(max_degree))
+    terms = draw(st.lists(st.tuples(_COEFFS, values), max_size=8))
+    negated = [((-p, q), x) for (p, q), x in terms if draw(st.booleans())]
+    return draw(st.permutations(terms + negated[: 8 - len(terms)]))
+
+
+def _as_poly(x) -> Poly:
+    den, nums = x
+    return Poly(tuple(Fraction(n, den) for n in nums))
+
+
+class TestKernel:
+    """The kernel ``_combine`` against the same sum taken in Fraction and
+    Poly arithmetic, on drawn terms of degree 0..3."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_kernel_terms(), _kernel_terms(max_degree=0)))
+    def test_against_poly_sum(self, terms):
+        got = emsum._combine(terms)
+        want = sum((Fraction(p, q) * _as_poly(x) for (p, q), x in terms), Poly.zero())
+        assert _as_poly(got) == want
+        den, nums = got
+        # reduced: positive denominator, coprime to the numerators, no trailing zero
+        assert den > 0
+        assert gcd(den, *nums) == 1
+        assert not nums or nums[-1]
+        if not want.coeffs:
+            assert got == emsum._ZERO
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            _kernel_terms(),
+            _kernel_terms(max_degree=0),
+            st.lists(st.tuples(_COEFFS, st.just(emsum._ZERO)), max_size=7),
+        ),
+        _COEFFS,
+        st.integers(0, 8),
+    )
+    def test_marker_raises(self, terms, coeff, at):
+        # the marker raises whatever the other terms are: all exact zeros,
+        # all of degree 0, or mixed
+        terms = list(terms[:7])
+        terms.insert(at % (len(terms) + 1), (coeff, NONRATIONAL))
+        with pytest.raises(RationalityLeak, match="non-rational finite part"):
+            emsum._combine(terms)
+
+
 class TestGerms:
     # a row entry is (b + 1 - j, h_m1, h_0, h_1), each coefficient a reduced
     # integer pair (p, q), an exact zero stored as None
@@ -291,6 +357,21 @@ class TestMemo:
             assert all(gcd(den, *nums) == 1 for den, nums in values)
             assert poly(Fraction(0)) == mzv.zeta_value((1,) * 6, 0)
             assert poly.coeffs[-1] == Fraction(1, 46080)
+        finally:
+            emsum.clear_cache()
+
+    def test_rational_state_count(self):
+        # the twin at a rational shift: the same states, and every stored
+        # value reduced, over a positive denominator, of degree <= 0
+        emsum.clear_cache()
+        mzv._zeta_strict.cache_clear()
+        try:
+            value = mzv.zeta_value((1,) * 6, Fraction(2, 7))
+            assert len(emsum._cache) == 406
+            values = [x for entry in emsum._cache.values() for x in entry if x is not NONRATIONAL]
+            assert all(den > 0 and gcd(den, *nums) == 1 for den, nums in values)
+            assert all(len(nums) <= 1 for _, nums in values)
+            assert value == mzv.zeta_poly_in_v((1,) * 6)(Fraction(2, 7))
         finally:
             emsum.clear_cache()
 

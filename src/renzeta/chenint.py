@@ -5,13 +5,14 @@ multiplicative character on tensor words of symbols, its minimal-subtraction
 
 A symbol is a finite sum of terms q(z) * t^(b - c z) * (log t)^m, q in Q(z).
 The lower integration bound is fixed at 1 so every boundary value stays in
-Q(z). Zeta words get their characters from a product formula, not symbols.
+Q(z). Zeta words get their characters, and the Laurent windows of every
+subword, from a product formula, one linear factor at a time, not symbols.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
 from .exactnum import (
@@ -212,27 +213,75 @@ def chen_character_exact(word) -> RationalFunction:
     return cutoff_integral(acc)
 
 
-def _zeta_subword_characters(s) -> dict[tuple[int, ...], RationalFunction]:
-    """The character of every contiguous subword of the zeta word
-    t^(-s_1 - z) x ... x t^(-s_k - z), keyed by its integer letters.
+def _zeta_word_character(s) -> RationalFunction:
+    """The character of the zeta word t^(-s_1 - z) x ... x t^(-s_k - z):
+    integrating the outermost variable first (continued analytically in z)
+    leaves one power per step, so it is the product over r of 1/(r z + e_r),
+    e_r = S_r - r, S_r the r-th partial sum of s. The denominator is
+    multiplied out in integers; its leading coefficient is k!, and the
+    numerator is a constant, so no gcd is taken.
 
-    Integrating the outermost variable first (continued analytically in z)
-    leaves one power per step, so s[i:j] gives the product over m of
-    1/((S_m - m) + m z), S_m the m-th partial sum of s[i:]: no gcd is taken.
-
-    >>> _zeta_subword_characters((3, 2))[(3, 2)]
+    >>> _zeta_word_character((3, 2))
     RationalFunction((1/2) / (z^2 + 7/2*z + 3))
-    >>> _zeta_subword_characters((1, 1))[(1, 1)]
+    >>> _zeta_word_character((1, 1))
     RationalFunction((1/2) / (z^2))
     """
-    out: dict[tuple[int, ...], RationalFunction] = {}
+    den, e = [1], 0  # coefficients of the product of (r z + e_r), lowest first
+    for r, x in enumerate(s, start=1):
+        e += x - 1
+        den = [e * a + r * b for a, b in zip(den + [0], [0] + den)]
+    lead = factorial(len(s))
+    return RationalFunction._reduced(
+        Poly.constant(Fraction(1, lead)), Poly(Fraction(c, lead) for c in den)
+    )
+
+
+def _zeta_subword_series(s, order: int) -> dict[tuple[int, ...], LaurentSeries]:
+    """The Laurent window through z**order of the character of every
+    nonempty contiguous subword of the zeta word with letters s, keyed by
+    its letters.
+
+    The character of s[i:i+m] is the product over r <= m of 1/(r z + e_r),
+    e_r = S_r - r >= 0, S_r the r-th partial sum of s[i:]. Each start i
+    carries one window, integer numerators over one integer denominator,
+    and extends it one letter at a time: a factor with e_r = 0 is 1/(r z),
+    a shift of the window; any other is the division y_n = (x_n - r y_{n-1})
+    / e_r, made exact by scaling by e_r to the number of terms kept, then
+    reduced by one gcd. The e_r are nondecreasing, so the zero ones are
+    those of the leading ones of s[i:]; each chain starts that many terms
+    past z**order, so that every prefix still reaches z**order after its
+    poles.
+
+    >>> _zeta_subword_series((1, 2), 2)[(1, 2)]
+    LaurentSeries(z^-1 - 2 + 4*z - 8*z^2 + O(z^3))
+    >>> _zeta_subword_series((3, 2), 1)[(3, 2)]
+    LaurentSeries(1/6 - 7/36*z + O(z^2))
+    """
+    out: dict[tuple[int, ...], LaurentSeries] = {}
     for i in range(len(s)):
-        den, partial = Poly.one(), 0
-        for m, x in enumerate(s[i:], start=1):
-            partial += x
-            den = den * Poly((Fraction(partial - m, m), 1))
-            num = Poly.constant(Fraction(1, factorial(m)))
-            out[s[i : i + m]] = RationalFunction._reduced(num, den)
+        ones = next((n for n, x in enumerate(s[i:]) if x != 1), len(s) - i)
+        # z**lo * (xs[0] + xs[1] z + ...) / den, valid through z**(lo + len(xs) - 1)
+        xs = [1] + [0] * (order + ones)
+        lo, den, e = 0, 1, 0
+        for r, x in enumerate(s[i:], start=1):
+            e += x - 1
+            if e == 0:
+                lo -= 1
+                den *= r
+            else:
+                scale, prev = e ** (len(xs) - 1), 0
+                for n, c in enumerate(xs):
+                    prev = scale * c - r * prev // e  # e * scale * y_n
+                    xs[n] = prev
+                den *= scale * e
+                g = gcd(den, *xs)
+                if g > 1:
+                    den //= g
+                    xs = [c // g for c in xs]
+            sub = s[i : i + r]
+            if sub not in out:  # a repeated subword has the same window
+                window = [Fraction(c, den) for c in xs[: max(0, order - lo + 1)]]
+                out[sub] = LaurentSeries(lo, window, order)
     return out
 
 
@@ -309,18 +358,14 @@ def _positive_letters(s) -> tuple[int, ...]:
 
 def _zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
     """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z),
-    its Laurent window through z**max(1, k), and its renormalised value,
-    from the product formula on its subwords."""
+    its Laurent window through z**max(1, k), and its renormalised value:
+    the factorisation reads the integer-built window of every subword."""
     s = _positive_letters(s)
-    exact = _zeta_subword_characters(s)
     order = max(1, len(s))
-    # the factorisation of the word reads the character of every subword
-    series = {w: f.laurent_expand(order) for w, f in exact.items()}
+    series = _zeta_subword_series(s, order)
     value = BirkhoffFactorization(series.__getitem__).plus_at_zero(s)
-    if s not in exact:  # the empty word
-        character = RationalFunction.constant(1)
-        return character, character.laurent_expand(order), value
-    return exact[s], series[s], value
+    window = series[s] if s else LaurentSeries.constant(1, order)
+    return _zeta_word_character(s), window, value
 
 
 def zeta_tilde_renorm(s) -> Fraction:

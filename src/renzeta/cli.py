@@ -60,6 +60,26 @@ def _parse_args_list(args) -> tuple[int, ...]:
     return a
 
 
+class _AllDigits:
+    """Lifts Python's limit on the digits of an int converted to or from a
+    string (4,300 by default) inside a ``with`` block, and restores it
+    after. Results are formatted inside such a block, because an exact
+    value may be longer; arguments are parsed outside one, so an overlong
+    integer stays malformed input. A limit of 0 (as on interpreters that
+    have none) means no limit and is left alone."""
+
+    __slots__ = ("limit",)
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 def _parse_v(text: str) -> Fraction:
     try:
         v = parse_rational(text)
@@ -74,20 +94,21 @@ def cmd_zeta(args) -> int:
     a = _parse_args_list(args)
     v = _parse_v(args.v)
     result = mzv._zeta_result(a, v, args.variant, args.poly_v)
-    payload = {
-        "args": [-x for x in a],
-        "v": rat_str(v),
-        "variant": args.variant,
-        "value": rat_str(result.value),
-    }
-    if args.poly_v:
-        payload["poly_v"] = [rat_str(c) for c in result.as_poly_in_v.coeffs] or ["0"]
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(f"zeta({', '.join(str(-x) for x in a)}; v={rat_str(v)}) [{args.variant}] = {rat_str(result.value)}")
+    with _AllDigits():
+        payload = {
+            "args": [-x for x in a],
+            "v": rat_str(v),
+            "variant": args.variant,
+            "value": rat_str(result.value),
+        }
         if args.poly_v:
-            print(f"as polynomial in v: {result.as_poly_in_v.to_str('v')}")
+            payload["poly_v"] = [rat_str(c) for c in result.as_poly_in_v.coeffs] or ["0"]
+        if args.format == "json":
+            print(json.dumps(payload))
+        else:
+            print(f"zeta({', '.join(str(-x) for x in a)}; v={rat_str(v)}) [{args.variant}] = {rat_str(result.value)}")
+            if args.poly_v:
+                print(f"as polynomial in v: {result.as_poly_in_v.to_str('v')}")
     return 0
 
 
@@ -133,18 +154,19 @@ def cmd_hdim(args) -> int:
         raise InputError(f"--dim must lie in 1..{args.limit_dim} (raise --limit-dim)")
     v = _parse_v(args.v)
     result = mzv.hdim_zeta(args.dim, a, v)
-    payload = {
-        "dim": args.dim,
-        "args": [-x for x in a],
-        "v": rat_str(v),
-        "value": rat_str(result.value),
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(
-            f"zeta_{args.dim}({', '.join(str(-x) for x in a)}; v={rat_str(v)}) = {rat_str(result.value)}"
-        )
+    with _AllDigits():
+        payload = {
+            "dim": args.dim,
+            "args": [-x for x in a],
+            "v": rat_str(v),
+            "value": rat_str(result.value),
+        }
+        if args.format == "json":
+            print(json.dumps(payload))
+        else:
+            print(
+                f"zeta_{args.dim}({', '.join(str(-x) for x in a)}; v={rat_str(v)}) = {rat_str(result.value)}"
+            )
     return 0
 
 
@@ -157,22 +179,23 @@ def cmd_chen(args) -> int:
     exact, series, value = chenint._zeta_character_and_value(word)
     if args.laurent_order not in (None, series.order):
         series = exact.laurent_expand(args.laurent_order)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "word": list(word),
-                    "character": exact.to_str(),
-                    "laurent": series.to_str(),
-                    "laurent_order": series.order,
-                    "renormalised": rat_str(value),
-                }
+    with _AllDigits():
+        if args.format == "json":
+            print(
+                json.dumps(
+                    {
+                        "word": list(word),
+                        "character": exact.to_str(),
+                        "laurent": series.to_str(),
+                        "laurent_order": series.order,
+                        "renormalised": rat_str(value),
+                    }
+                )
             )
-        )
-    else:
-        print(f"character(z)   = {exact.to_str()}")
-        print(f"laurent window = {series.to_str()}")
-        print(f"renormalised   = {rat_str(value)}")
+        else:
+            print(f"character(z)   = {exact.to_str()}")
+            print(f"laurent window = {series.to_str()}")
+            print(f"renormalised   = {rat_str(value)}")
     return 0
 
 

@@ -22,11 +22,11 @@ list per term; the tests evaluate it term by term as an independent oracle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
+from typing import NamedTuple
 
 from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
 from .emsum import nested_fp_res, strict_fp_res, weak_fp_res
@@ -44,26 +44,21 @@ class HolomorphyViolation(ArithmeticError):
     path."""
 
 
-@dataclass
-class ZetaValue:
+class ZetaValue(NamedTuple):
     value: Fraction
     as_poly_in_v: Poly | None = None
 
-    def __iter__(self):  # allow tuple-unpacking in callers
-        yield self.value
-        yield self.as_poly_in_v
 
-
-@dataclass
 class Report:
     """Machine-readable outcome of one verification suite. ``parts`` holds
     the reports a combined run was merged from, for per-suite diagnostics."""
 
-    suite: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
-    parts: list = field(default_factory=list)
+    def __init__(self, suite: str, cases: int = 0, failures=None, seconds: float = 0.0, parts=None):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
+        self.parts = [] if parts is None else parts
 
     @property
     def ok(self) -> bool:

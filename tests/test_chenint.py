@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import chenint, cli
@@ -20,7 +20,7 @@ from renzeta.chenint import (
     zeta_symbol,
     zeta_tilde_renorm,
     _zeta_character_and_value,
-    _zeta_subword_characters,
+    _zeta_subword_series,
 )
 from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
 from renzeta.words import shuffle
@@ -226,16 +226,17 @@ class TestSharedSubwordPass:
 
 
 class TestZetaSubwordCharacters:
-    """The product formula on every contiguous subword against the symbol
-    algebra (ptilde chain, cut-off integral), and the value it yields
-    against a Birkhoff factorisation over the symbol algebra's series."""
+    """The integer-built Laurent window of every contiguous subword against
+    the symbol algebra (ptilde chain, cut-off integral) expanded by long
+    division, and the value it yields against a Birkhoff factorisation over
+    the symbol algebra's series."""
 
     @staticmethod
-    def check_subwords(s, engine):
-        got = _zeta_subword_characters(s)
+    def check_subwords(s, order, engine):
+        got = _zeta_subword_series(s, order)
         assert set(got) == contiguous_subwords(s)
-        for sub, value in got.items():
-            assert value == engine(sub), sub
+        for sub, window in got.items():
+            assert window == engine(sub).laurent_expand(order), (sub, order)
 
     @staticmethod
     def symbol_value(s, series):
@@ -260,20 +261,29 @@ class TestZetaSubwordCharacters:
 
         for k in range(1, 5):
             for s in product((1, 2, 3, 4), repeat=k):
-                self.check_subwords(s, engine)
+                self.check_subwords(s, k, engine)
                 assert _zeta_character_and_value(s) == (
                     engine(s), engine(s).laurent_expand(k), self.symbol_value(s, series)
                 )
 
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=7))
-    @settings(max_examples=20, deadline=None)
-    def test_drawn_words(self, s):
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 6), max_size=7),
+            st.integers(0, 7).map(lambda k: [1] * k),  # pole order = depth
+        ),
+        st.integers(0, 4),
+    )
+    @example([1] * 7, 4)
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_words(self, s, extra):
         s = tuple(s)
-        self.check_subwords(s, lambda sub: chen_character_exact(tuple(zeta_symbol(x) for x in sub)))
+        self.check_subwords(
+            s, len(s) + extra, lambda sub: chen_character_exact(tuple(zeta_symbol(x) for x in sub))
+        )
         assert _zeta_character_and_value(s)[2] == self.symbol_value(s, chen_character)
 
     def test_empty_word(self):
-        assert _zeta_subword_characters(()) == {}
+        assert _zeta_subword_series((), 1) == {}
         one = RationalFunction.constant(1)
         assert _zeta_character_and_value(()) == (one, one.laurent_expand(1), 1)
 

@@ -141,6 +141,9 @@ class TestHdimCommand:
         assert run_cli(capsys, "hdim", "--dim", "6", "-a", "0")[0] == 2
 
 
+_OVERLONG = "1" * 5000
+
+
 class TestIntegerGrammar:
     """Integers on the command line are ASCII digits with an optional sign:
     Python's int() would also take underscores and other scripts' digits."""
@@ -166,12 +169,18 @@ class TestIntegerGrammar:
             (("table", "--max", "\u0661"), "argument --max: invalid int value: '\u0661'"),
             (("verify", "--suite", "table", "--max-weight", "1_0"),
              "argument --max-weight: invalid int value: '1_0'"),
+            # past Python's 4,300-digit limit, which holds while arguments are parsed
+            (("zeta", "-a", _OVERLONG),
+             f"argument list must be comma-separated integers: '{_OVERLONG}'"),
+            (("chen", "--word", _OVERLONG), f"--word must be comma-separated integers: '{_OVERLONG}'"),
+            (("chen", "--word", "1", "--laurent-order", _OVERLONG),
+             f"argument --laurent-order: invalid int value: '{_OVERLONG}'"),
         ],
         ids=["a-underscore", "a-arabic-digit", "word-underscore",
              "v-arabic-digit", "v-underscore", "v-arabic-fraction",
              "laurent-order-underscore", "limit-depth-arabic-digit", "limit-weight-underscore",
              "limit-dim-arabic-digit", "dim-underscore", "max-arabic-digit",
-             "max-weight-underscore"],
+             "max-weight-underscore", "a-overlong", "word-overlong", "laurent-order-overlong"],
     )
     def test_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -350,6 +359,24 @@ class TestChenCommand:
         assert payload["laurent_order"] == int(printed.group(1)) - 1
         if order is not None:
             assert payload["laurent_order"] == order
+
+    def test_values_past_the_digit_limit(self, capsys):
+        # 1/(z + 99999) = sum over n of (-1)^n z^n / 99999^(n+1): the last
+        # denominator of the window has 5,005 digits, past Python's default
+        # limit of 4,300 on int-to-string conversion
+        limit = sys.get_int_max_str_digits()
+        argv = ("chen", "--word", "100000", "--laurent-order", "1000", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # restored for the next caller
+        payload = json.loads(out)
+        last = re.fullmatch(r".* \+ 1/([0-9]+)\*z\^1000 \+ O\(z\^1001\)", payload["laurent"])
+        sys.set_int_max_str_digits(0)
+        try:
+            assert last.group(1) == str(99999**1001)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["renormalised"] == "1/99999"
 
     def test_laurent_window_error_exit_1(self, capsys, monkeypatch):
         def boom(*a, **k):

@@ -307,7 +307,9 @@ class BirkhoffFactorization:
         return out
 
     def bar(self, w) -> LaurentSeries:
-        """phi(w) + sum over proper splits of minus(prefix) * phi(suffix)."""
+        """phi(w) + sum over proper splits of minus(prefix) * phi(suffix).
+        A minus part is exact (``order=None``), so one with no coefficients,
+        as on every prefix of a convergent word, adds exactly nothing."""
         w = tuple(w)
         hit = self._bar.get(w)
         if hit is not None:
@@ -315,7 +317,10 @@ class BirkhoffFactorization:
         try:
             total = self._phi_of(w)
             for i in range(1, len(w)):
-                total = total + self.minus(w[:i]) * self._phi_of(w[i:])
+                pole = self.minus(w[:i])
+                phi = self._phi_of(w[i:])
+                if not pole.is_zero:
+                    total = total + pole * phi
         except LaurentWindowError as exc:
             raise InsufficientOrder(str(exc)) from exc
         self._bar[w] = total

@@ -55,8 +55,11 @@ def _parse_args_list(args) -> tuple[int, ...]:
         raise InputError("arguments are exponents of nonpositive integers: need a_i >= 0")
     if len(a) > args.limit_depth:
         raise InputError(f"depth {len(a)} exceeds limit {args.limit_depth} (raise --limit-depth)")
-    if sum(a) > args.limit_weight:
-        raise InputError(f"weight {sum(a)} exceeds limit {args.limit_weight} (raise --limit-weight)")
+    weight = sum(a)
+    if weight > args.limit_weight:
+        with _AllDigits():  # letters under the digit limit may sum past it
+            message = f"weight {weight} exceeds limit {args.limit_weight} (raise --limit-weight)"
+        raise InputError(message)
     return a
 
 

@@ -6,10 +6,10 @@ A letter is a plain int: the exponent a of one nested-sum slot (the zeta
 argument it denotes is -a). The bullet product of two letters adds their
 values; in the weak ("-") convention every binary merge also flips the sign
 of the coefficient. Shuffle and stuffle are one first-letter recursion, the
-shuffle without the merge branch, memoised on pairs of word suffixes; both
-stuffle conventions read their coefficients off the same multiplicities.
-The memo lives for one call, or for as long as the caller keeps the
-:class:`SuffixTable` it passes to ``stuffle``.
+shuffle without the merge branch, on interned words with one cell of integer
+multiplicities per pair of words (:class:`QuasiShuffleTable`); both stuffle
+conventions read their coefficients off the same multiplicities. A one-off
+product uses a throwaway table; a stuffle sweep keeps one for a whole pass.
 """
 
 from __future__ import annotations
@@ -121,66 +121,105 @@ class TensorPoly:
         return "TensorPoly(" + " + ".join(bits) + ")"
 
 
-class SuffixTable:
-    """Quasi-shuffle multiplicities memoised on suffix pairs, for a caller
-    that multiplies many words sharing suffixes (a stuffle sweep keeps one
-    for a whole pass). ``cells`` maps a pair (u[i:], w[j:]) to its
-    {word: multiplicity} dict; ``words`` interns the words the cells hold,
-    so equal words are one tuple, not a copy per cell."""
+class QuasiShuffleTable:
+    """Shuffle or quasi-shuffle multiplicities on interned words, one cell
+    per pair of words, for a caller that multiplies many words sharing
+    suffixes (a stuffle sweep keeps one table for a whole pass).
 
-    __slots__ = ("cells", "words")
+    A word is an int: 0 is the unit word, and a nonempty word x is its first
+    letter ``head[x]`` followed by the word ``tail[x]``. The cell of a pair
+    (x, y) maps the index of each word of the product to its integer
+    multiplicity, by Hoffman's first-letter recursion
 
-    def __init__(self):
-        self.cells: dict = {}
-        self.words: dict = {}
+        a.u' * b.w' = a.(u' * b.w') + b.(a.u' * w') + (a+b).(u' * w'),
 
-    def drop(self, u: Word, w: Word) -> None:
-        """Forget the entry of the pair (u, w) itself; its suffix pairs stay."""
-        self.cells.pop((u, w), None)
-
-
-def _first_letter(u: Word, w: Word, merge: bool, table: SuffixTable | None = None) -> dict:
-    """The multiplicity of each word in the shuffle of u and w or, with
-    ``merge``, in their quasi-shuffle, by Hoffman's first-letter recursion
-
-        a.u' * b.w' = a.(u' * b.w') + b.(a.u' * w') + (a+b).(u' * w').
-
-    The memo has one entry per pair of suffixes (u[i:], w[j:]). It is built
-    row by row from the ends of the words, reusing every pair ``table``
-    already holds. Without a table it lives for this call only; a table
-    must only ever see one value of ``merge``. Words come out in the order
-    in which a depth-first walk trying take-left, take-right, then merge
-    first meets them, which depends on the suffix pair alone. The returned
-    dict may be the table's own entry: callers must not change it.
+    the last (merge) branch only with ``merge``. A cell is built once, from
+    the cells of (tail x, y), (x, tail y) and (tail x, tail y); its words
+    come in the order in which a depth-first walk trying take-left,
+    take-right, then merge first meets them, which depends on the pair
+    alone. Words and cells are made without recursion, so word length is
+    bounded by memory only.
     """
-    if table is None:
-        table = SuffixTable()
-    cells, interned = table.cells, table.words
-    k, l = len(u), len(w)
-    us = [u[i:] for i in range(k + 1)]
-    ws = [w[j:] for j in range(l + 1)]
-    below = [{x: 1} for x in ws]  # i = k: only w[j:] is left
-    for i in range(k - 1, -1, -1):
-        a = u[i]
-        row = [None] * l + [{us[i]: 1}]
-        for j in range(l - 1, -1, -1):
-            key = (us[i], ws[j])
-            acc = cells.get(key)
-            if acc is None:
-                b = w[j]
-                branches = [(a, below[j]), (b, row[j + 1])]
-                if merge:
-                    branches.append((a + b, below[j + 1]))
-                acc = {}
-                for head, tails in branches:
-                    for tail, m in tails.items():
-                        x = (head,) + tail
-                        x = interned.setdefault(x, x)
-                        acc[x] = acc.get(x, 0) + m
-                cells[key] = acc
-            row[j] = acc
-        below = row
-    return below[0]
+
+    __slots__ = ("merge", "head", "tail", "_index", "cells")
+
+    def __init__(self, merge: bool):
+        self.merge = merge
+        self.head: list = [None]
+        self.tail: list = [0]
+        self._index: dict = {}  # first letter -> {tail index: word index}
+        self.cells: dict = {}  # (x, y) -> {word index: multiplicity}
+
+    def _cons(self, a, x: int) -> int:
+        """The index of the word a.x, interned on first sight."""
+        row = self._index.setdefault(a, {})
+        y = row.get(x)
+        if y is None:
+            y = row[x] = len(self.head)
+            self.head.append(a)
+            self.tail.append(x)
+        return y
+
+    def intern(self, word) -> int:
+        """The index of ``word`` (a sequence of letters), and of its suffixes."""
+        x = 0
+        for a in reversed(word):
+            x = self._cons(a, x)
+        return x
+
+    def word(self, x: int) -> Word:
+        """The letters of the word with index x."""
+        out = []
+        while x:
+            out.append(self.head[x])
+            x = self.tail[x]
+        return tuple(out)
+
+    def product(self, x: int, y: int) -> dict:
+        """The cell of (x, y), building it and any missing suffix cells. The
+        dict is the table's own: callers must not change it."""
+        cells, head, tail, index, merge = self.cells, self.head, self.tail, self._index, self.merge
+        todo = [(x, y)]
+        while todo:
+            key = todo[-1]
+            if key in cells:
+                todo.pop()
+                continue
+            i, j = key
+            if not i or not j:
+                cells[key] = {i or j: 1}
+                todo.pop()
+                continue
+            ti, tj = tail[i], tail[j]
+            branches = [(head[i], (ti, j)), (head[j], (i, tj))]
+            if merge:
+                branches.append((head[i] + head[j], (ti, tj)))
+            missing = [k for _, k in branches if k not in cells]
+            if missing:
+                todo.extend(missing)  # each is a shorter pair: they finish first
+                continue
+            acc: dict = {}
+            for a, k in branches:
+                row = index.get(a, {})
+                for t, m in cells[k].items():
+                    z = row.get(t)
+                    if z is None:
+                        z = self._cons(a, t)
+                    acc[z] = acc.get(z, 0) + m
+            cells[key] = acc
+            todo.pop()
+        return cells[(x, y)]
+
+    def drop(self, x: int, y: int) -> None:
+        """Forget the cell of the pair (x, y) itself; its suffix cells stay."""
+        self.cells.pop((x, y), None)
+
+
+def _multiplicities(u, w, merge: bool) -> list:
+    """(word, multiplicity) for each term of u * w, on a throwaway table."""
+    table = QuasiShuffleTable(merge)
+    cell = table.product(table.intern(u), table.intern(w))
+    return [(table.word(x), m) for x, m in cell.items()]
 
 
 def shuffle(u, w) -> TensorPoly:
@@ -189,16 +228,17 @@ def shuffle(u, w) -> TensorPoly:
     >>> sorted(shuffle((1,), (2,)).terms.items())
     [((1, 2), Fraction(1, 1)), ((2, 1), Fraction(1, 1))]
     """
-    counts = _first_letter(tuple(u), tuple(w), False)
-    return TensorPoly._wrap({x: Fraction(m) for x, m in counts.items()})
+    counts = _multiplicities(tuple(u), tuple(w), False)
+    return TensorPoly._wrap({x: Fraction(m) for x, m in counts})
 
 
-def stuffle(u, w, sign_mode: str = "strict", table: SuffixTable | None = None) -> TensorPoly:
+def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
     """Stuffle (quasi-shuffle) product: interleavings plus merges, merged
     letters adding their values. Every quasi-shuffle giving a word x makes
     |u| + |w| - |x| merges, so in ``weak`` mode the coefficient of x is its
-    multiplicity times (-1)**(|u| + |w| - |x|). Both modes read the same
-    multiplicities, so one ``table`` (see :class:`SuffixTable`) serves both.
+    multiplicity times (-1)**(|u| + |w| - |x|). The multiplicities come from
+    a throwaway :class:`QuasiShuffleTable`; a caller multiplying many words
+    keeps one table instead.
 
     >>> sorted(stuffle((1,), (2,)).terms)
     [(1, 2), (2, 1), (3,)]
@@ -206,12 +246,11 @@ def stuffle(u, w, sign_mode: str = "strict", table: SuffixTable | None = None) -
     if sign_mode not in ("strict", "weak"):
         raise ValueError("sign_mode must be 'strict' or 'weak'")
     u, w = tuple(u), tuple(w)
-    counts = _first_letter(u, w, True, table)
     n = len(u) + len(w)
     weak = sign_mode == "weak"
     coeffs: dict = {}  # one Fraction per distinct coefficient: most terms share a few
     terms = {}
-    for x, m in counts.items():
+    for x, m in _multiplicities(u, w, True):
         if weak and (n - len(x)) % 2:
             m = -m
         c = coeffs.get(m)

@@ -142,6 +142,7 @@ class TestHdimCommand:
 
 
 _OVERLONG = "1" * 5000
+_NINES = "9" * 4300  # the longest integer a token may hold
 
 
 class TestIntegerGrammar:
@@ -175,12 +176,16 @@ class TestIntegerGrammar:
             (("chen", "--word", _OVERLONG), f"--word must be comma-separated integers: '{_OVERLONG}'"),
             (("chen", "--word", "1", "--laurent-order", _OVERLONG),
              f"argument --laurent-order: invalid int value: '{_OVERLONG}'"),
+            # letters within the limit whose weight is past it: 2 (10^4300 - 1)
+            (("--limit-weight", "1", "zeta", "-a", f"{_NINES},{_NINES}"),
+             f"weight 1{'9' * 4299}8 exceeds limit 1 (raise --limit-weight)"),
         ],
         ids=["a-underscore", "a-arabic-digit", "word-underscore",
              "v-arabic-digit", "v-underscore", "v-arabic-fraction",
              "laurent-order-underscore", "limit-depth-arabic-digit", "limit-weight-underscore",
              "limit-dim-arabic-digit", "dim-underscore", "max-arabic-digit",
-             "max-weight-underscore", "a-overlong", "word-overlong", "laurent-order-overlong"],
+             "max-weight-underscore", "a-overlong", "word-overlong", "laurent-order-overlong",
+             "weight-overlong"],
     )
     def test_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -272,33 +272,33 @@ class TestStuffleSuite:
         assert report.ok
 
     def test_one_lookup_per_word(self, monkeypatch):
-        # one expansion per word pair, one value per distinct word: the
-        # benchmark's per-layer hooks wrap these two module names
-        calls = {"stuffle": [], "zeta_value": []}
+        # one product per word pair, one value per distinct word: the
+        # benchmark's per-layer hook wraps mzv.zeta_value
+        products, values = [], []
+        real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
 
-        def counting(name):
-            real = getattr(mzv, name)
+        def product(table, x, y):
+            products.append((table.word(x), table.word(y)))
+            return real_product(table, x, y)
 
-            def wrapped(*args, **kwargs):
-                calls[name].append(args)
-                return real(*args, **kwargs)
+        def value(*args):
+            values.append(args)
+            return real_value(*args)
 
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(mzv, name, counting(name))
+        monkeypatch.setattr(words.QuasiShuffleTable, "product", product)
+        monkeypatch.setattr(mzv, "zeta_value", value)
         v = Fraction(1, 3)
         report = verify_stuffle(4, v, "strict")
         pool = words_up_to(3, 4)
         pairs = [(u, w) for u in pool for w in pool if sum(u) + sum(w) <= 4]
         assert report.ok and report.cases == len(pairs)
-        assert calls["stuffle"] == [(u, w, "strict") for u, w in pairs]
+        assert products == pairs
         needed = {x for u, w in pairs for x in (u, w)}
         needed |= {x for u, w in pairs for x, _ in words.stuffle(u, w)}
-        looked_up = [args[0] for args in calls["zeta_value"]]
+        looked_up = [args[0] for args in values]
         assert len(looked_up) == len(set(looked_up))
         assert set(looked_up) == needed
-        assert all(args[1:] == (v, "strict") for args in calls["zeta_value"])
+        assert all(args[1:] == (v, "strict") for args in values)
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_failures_reported_as_the_rational_check_gives(self, variant, monkeypatch):

@@ -98,3 +98,19 @@ def test_tracer_counts_weak_states():
         tracer.uninstall()
     states = len(emsum._cache)
     assert tracer.layer_metrics(states)["emsum.recursions"] >= states > 1
+
+
+def test_tracer_runs_a_stuffle_pass():
+    # a traced stuffle_sweep child makes this call; the tracer also wraps
+    # mzv.stuffle by name, so the name must stay bound in mzv
+    assert "stuffle" in vars(mzv)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = mzv.verify_stuffle(2, Fraction(1, 7), "weak", max_depth=2)
+    finally:
+        tracer.uninstall()
+    assert report.ok and report.cases > 0
+    metrics = tracer.layer_metrics(len(emsum._cache))
+    assert metrics["verify.self_s"] > 0
+    assert metrics["mzv.values"] > 0

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_combinat import oracle_shuffle, oracle_stuffle
+
 from renzeta.chenint import chen_character_exact, zeta_symbol
 from renzeta.mzv import words_up_to
 from renzeta.words import (
-    SuffixTable,
+    QuasiShuffleTable,
     TensorPoly,
     Word,
     _add_into,
@@ -84,6 +88,15 @@ class TestShuffle:
                     assert lhs == rhs
 
 
+_DRAWN_WORDS = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+
+
+def table_terms(table: QuasiShuffleTable, u, w) -> list:
+    """(word, multiplicity) of each term of u * w on ``table``, in order."""
+    cell = table.product(table.intern(u), table.intern(w))
+    return [(table.word(x), m) for x, m in cell.items()]
+
+
 class TestStuffle:
     def test_strict_example(self):
         # the classical depth 1 x 1 relation: two interleavings plus a merge
@@ -139,17 +152,45 @@ class TestStuffle:
             lhs = valuation(stuffle(u, w), nested)
             assert lhs == nested(u) * nested(w)
 
+    def test_long_words_need_no_recursion(self):
+        # words and cells are built iteratively: no RecursionError at any length
+        long = (1,) * 5000
+        assert stuffle((), long) == TensorPoly.from_word(long)
+        got = shuffle((1,) * 2000, (2,))
+        assert len(got) == 2001 and set(c for _, c in got) == {1}
+        assert ((1,) * 2000 + (2,), 1) in got
+
     def test_shared_table_gives_the_same_products(self):
-        # one table for every pair and both sign modes: same terms,
-        # coefficients and term order as a stuffle with its own memo
+        # one table for every pair, as a stuffle sweep keeps it: the same
+        # words, multiplicities and term order as a throwaway table per pair
         pool = [()] + words_up_to(3, 6)
-        table = SuffixTable()
-        for mode in ("strict", "weak"):
+        for merge in (False, True):
+            shared = QuasiShuffleTable(merge)
             for u in pool:
                 for w in pool:
-                    got = stuffle(u, w, mode, table=table)
-                    want = stuffle(u, w, mode)
-                    assert list(got.terms.items()) == list(want.terms.items())
+                    want = table_terms(QuasiShuffleTable(merge), u, w)
+                    assert table_terms(shared, u, w) == want
+
+    def test_dropped_cells_are_rebuilt(self):
+        table = QuasiShuffleTable(True)
+        u, w = (1, 2, 3), (4, 5)
+        want = table_terms(table, u, w)
+        table.drop(table.intern(u), table.intern(w))
+        assert table_terms(table, u, w) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_DRAWN_WORDS, _DRAWN_WORDS), min_size=1, max_size=6))
+    def test_drawn_pairs_on_one_table(self, pairs):
+        # shared tables against the enumeration of (quasi-)shuffles; the
+        # shuffle table gets symbol letters, which have no order and no sum
+        sym = {s: zeta_symbol(s) for s in range(5)}
+        stuffles, shuffles = QuasiShuffleTable(True), QuasiShuffleTable(False)
+        for u, w in pairs:
+            want = [(x, int(c)) for x, c in oracle_stuffle(u, w).terms.items()]
+            assert table_terms(stuffles, u, w) == want
+            su, sw = (tuple(sym[a] for a in x) for x in (u, w))
+            want = [(x, int(c)) for x, c in oracle_shuffle(su, sw).terms.items()]
+            assert table_terms(shuffles, su, sw) == want
 
 
 class TestDeconcat:

@@ -91,10 +91,11 @@ def _validate_args(a) -> tuple[int, ...]:
     """The exponent word as a tuple, every letter an int >= 0; anything
     else (a float, a Fraction, a string, a bool) is refused, not truncated."""
     a = tuple(a)
-    if any(type(x) is not int or x < 0 for x in a):
-        raise ValueError(
-            f"arguments must be nonpositive integers: exponents a_i >= 0 of type int, got {a}"
-        )
+    for x in a:  # a plain loop: this runs on every memo hit of zeta_value
+        if type(x) is not int or x < 0:
+            raise ValueError(
+                f"arguments must be nonpositive integers: exponents a_i >= 0 of type int, got {a}"
+            )
     return a
 
 
@@ -303,6 +304,13 @@ def words_up_to(max_depth: int, max_weight: int):
     return out
 
 
+def _over_one_denominator(values: dict) -> tuple[int, dict]:
+    """D and the integer numerators N_x with values[x] = N_x / D, D the least
+    common denominator of the rational values."""
+    den = lcm(*(q.denominator for q in values.values()))
+    return den, {x: q.numerator * (den // q.denominator) for x, q in values.items()}
+
+
 def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3) -> Report:
     """Check zeta(u * u'; v) = zeta(u; v) zeta(u'; v) for all ordered word
     pairs with per-word depth <= max_depth and combined weight <= max_weight.
@@ -329,11 +337,8 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     # weight of u and w together, and each such word is a term (multiplicity
     # >= 1, so nonzero in both sign modes) of the product of its two halves.
     values = {x: zeta_value(x, v, variant) for x in words_up_to(2 * max_depth, max_weight)}
-    den = lcm(*(q.denominator for q in values.values()))
-    signed = {}  # word index -> S_x
-    for x, q in values.items():
-        n = q.numerator * (den // q.denominator)
-        signed[table.intern(x)] = -n if weak and len(x) % 2 else n
+    den, nums = _over_one_denominator(values)
+    signed = {table.intern(x): -n if weak and len(x) % 2 else n for x, n in nums.items()}  # S_x
     for u, iu, weight_u in words:
         for w, iw, weight_w in words:
             if weight_u + weight_w > max_weight:
@@ -354,37 +359,6 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
                     Fraction(total, den),
                     values[u] * values[w],
                 )
-    report.seconds = time.monotonic() - t0
-    return report
-
-
-def verify_hurwitz_identities(a, v=0, variant: str = "strict") -> Report:
-    """Check the two Hurwitz-parameter identities on renormalised values:
-
-    (i)  zeta(-a_1..-a_k; v+1) = zeta(-a_1..-a_k; v)
-                                  - (v+1)^{a_k} zeta(-a_1..-a_{k-1}; v+1)
-    (ii) d/dv zeta(-a_1..-a_k; v) = sum_j a_j zeta(..., -a_j+1, ...; v)
-         (all a_j >= 1; derivative taken on the polynomial computed over Q[v])
-    """
-    a = _validate_args(a)
-    if not a:
-        raise ValueError("the Hurwitz identities need a nonempty word")
-    v = as_rational(v)
-    t0 = time.monotonic()
-    report = Report(suite="hurwitz")
-    lhs = zeta_value(a, v + 1, variant)
-    rhs = zeta_value(a, v, variant) - (1 + v) ** a[-1] * zeta_value(a[:-1], v + 1, variant)
-    report.record(lhs == rhs, f"shift identity at a={a}, v={v} ({variant})", lhs, rhs)
-    if all(x >= 1 for x in a):
-        poly = zeta_poly_in_v(a, variant)
-        lhs = poly.derivative()(v)
-        rhs = sum(
-            a[j] * zeta_value(a[:j] + (a[j] - 1,) + a[j + 1 :], v, variant)
-            for j in range(len(a))
-        )
-        report.record(
-            lhs == rhs, f"derivative identity at a={a}, v={v} ({variant})", lhs, rhs
-        )
     report.seconds = time.monotonic() - t0
     return report
 

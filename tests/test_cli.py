@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renzeta import chenint, cli
+from renzeta.combinat import bernoulli
 from renzeta.exactnum import rat_str
 from renzeta.mzv import Report
 from test_chenint import chen_character
@@ -60,6 +61,21 @@ class TestZetaCommand:
         assert code == 0
         # -B_2(3/2)/2 = -(9/4 - 3/2 + 1/6)/2
         assert Fraction(json.loads(out)["value"]) == Fraction(-11, 24)
+
+    def test_value_past_the_digit_limit(self, capsys):
+        # zeta(-2063) = -B_2064/2064 has a 4,309-digit numerator, past Python's
+        # default limit of 4,300 digits on int-to-string conversion
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "--limit-weight", "2063", "zeta", "-a", "2063")
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        printed = re.fullmatch(r"zeta\(-2063; v=0\) \[strict\] = ([0-9]+)/([0-9]+)\n", out)
+        want = -bernoulli(2064) / 2064
+        sys.set_int_max_str_digits(0)
+        try:
+            assert printed.groups() == (str(want.numerator), str(want.denominator))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(printed.group(1)) == 4309
 
     def test_malformed_input(self, capsys):
         assert run_cli(capsys, "zeta", "-a", "0,x")[0] == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renzeta import words
+from renzeta import combinat, words
 from renzeta.combinat import bernoulli, bernoulli_poly, contractions, stirling1
 from renzeta.exactnum import Poly, RationalFunction, as_rational
 from renzeta.mzv import zeta_value
@@ -161,7 +161,42 @@ def quasi_shuffle_type_count(k: int, l: int, r: int) -> int:
     return comb(k + l - r, r) * comb(k + l - 2 * r, k - r)
 
 
+def oracle_bernoulli(n: int) -> list:
+    """B_0..B_n from sum_{i<=k} C(k+1, i) B_i = 0, one index at a time in
+    Fractions: the recurrence the library used before the tangent numbers."""
+    out = [Fraction(1), Fraction(-1, 2)]
+    while len(out) <= n:
+        k = len(out)
+        out.append(Fraction(-sum(comb(k + 1, i) * out[i] for i in range(k)), k + 1))
+    return out[: n + 1]
+
+
+def von_staudt_denominator(k: int) -> int:
+    """Denominator of B_k for even k >= 2 (von Staudt-Clausen): the product of
+    the primes p with p - 1 dividing k."""
+    return prod(p for p in range(2, k + 2) if k % (p - 1) == 0 and all(p % d for d in range(2, p)))
+
+
 class TestBernoulli:
+    def test_against_the_rational_recurrence(self):
+        assert [bernoulli(k) for k in range(301)] == oracle_bernoulli(300)
+
+    def test_table_doubles_on_demand(self, monkeypatch):
+        table = [Fraction(1), Fraction(-1, 2)]
+        monkeypatch.setattr(combinat, "_BERNOULLI", table)
+        sizes = []
+        for k in (1, 5, 6, 11, 12, 40):
+            bernoulli(k)
+            sizes.append(len(table))
+        assert sizes == [2, 6, 12, 12, 24, 48]
+        assert table == oracle_bernoulli(47)
+
+    def test_high_index(self):
+        # B_2064 is the largest Bernoulli number zeta(-2063) needs
+        b = bernoulli(2064)
+        assert b < 0 and b.denominator == von_staudt_denominator(2064)
+        assert bernoulli(2063) == 0
+
     def test_values(self):
         assert bernoulli(1) == Fraction(-1, 2)
         assert bernoulli(2) == Fraction(1, 6)

@@ -12,7 +12,6 @@ from renzeta.mzv import (
     HolomorphyViolation,
     hdim_zeta,
     sup_sphere_count_coeffs,
-    verify_hurwitz_identities,
     verify_stuffle,
     words_up_to,
     zeta2_closed,
@@ -23,6 +22,7 @@ from renzeta.mzv import (
     zeta_value,
     zeta_weak_renorm,
 )
+from renzeta.verify import verify_hurwitz_identities
 from test_combinat import compositions, packet_sums
 from test_words import valuation
 
@@ -356,11 +356,99 @@ class TestHurwitz:
     def test_reports(self):
         for a in ((1, 1), (2, 1), (1, 2, 1)):
             for v in (Fraction(0), Fraction(1, 2)):
-                assert verify_hurwitz_identities(a, v).ok
+                assert verify_hurwitz_identities([a], [v]).ok
 
     def test_empty_word_refused(self):
         with pytest.raises(ValueError, match="nonempty word"):
             verify_hurwitz_identities(())
+        with pytest.raises(ValueError, match="nonempty word"):
+            verify_hurwitz_identities([(1,), ()], [Fraction(0)])
+
+    def test_one_lookup_per_word_and_shift(self, monkeypatch):
+        # the benchmark's per-layer hooks wrap mzv.zeta_value and
+        # mzv.zeta_poly_in_v; shifts 0 and 1 share the values at v = 1
+        values, polys = [], []
+        real_value, real_poly = mzv.zeta_value, mzv.zeta_poly_in_v
+
+        def value(a, v=0, variant="strict"):
+            values.append((tuple(a), v))
+            return real_value(a, v, variant)
+
+        def poly(a, variant="strict"):
+            polys.append(tuple(a))
+            return real_poly(a, variant)
+
+        monkeypatch.setattr(mzv, "zeta_value", value)
+        monkeypatch.setattr(mzv, "zeta_poly_in_v", poly)
+        pool = words_up_to(3, 4)
+        vs = (Fraction(0), Fraction(1), Fraction(2, 3))
+        report = verify_hurwitz_identities(pool, vs)
+        above = [a for a in pool if min(a) >= 1]
+        assert report.ok and report.cases == len(vs) * (len(pool) + len(above))
+        assert len(values) == len(set(values))
+        assert {v for _, v in values} == set(vs) | {v + 1 for v in vs}
+        assert polys == above
+
+    @pytest.mark.parametrize("fault", ["value", "poly"])
+    def test_failures_reported_as_the_rational_check_gives(self, fault, monkeypatch):
+        # one value off by 1/7 at one (word, shift), or one word's polynomial
+        # off by v^2/7: the failures must be those of a check in Fractions,
+        # entry for entry and word by word, each at every shift
+        real_value, real_poly = mzv.zeta_value, mzv.zeta_poly_in_v
+        off = Fraction(1, 7)
+
+        def value(a, v=0, variant="strict"):
+            got = real_value(a, v, variant)
+            return got + off if fault == "value" and (tuple(a), v) == ((1, 1), Fraction(1, 2)) else got
+
+        def poly(a, variant="strict"):
+            got = real_poly(a, variant)
+            return got + Poly((0, 0, off)) if fault == "poly" and tuple(a) == (1, 2) else got
+
+        monkeypatch.setattr(mzv, "zeta_value", value)
+        monkeypatch.setattr(mzv, "zeta_poly_in_v", poly)
+        pool = words_up_to(3, 4)
+        vs = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
+        report = verify_hurwitz_identities(pool, vs)
+        want = []
+        for a in pool:
+            for v in vs:
+                lhs = value(a, v + 1)
+                rhs = value(a, v) - (1 + v) ** a[-1] * value(a[:-1], v + 1)
+                if lhs != rhs:
+                    want.append({"case": f"shift identity at a={a}, v={v} (strict)",
+                                 "lhs": rat_str(lhs), "rhs": rat_str(rhs)})
+                if min(a) < 1:
+                    continue
+                lhs = poly(a).derivative()(v)
+                rhs = sum(a[j] * value(a[:j] + (a[j] - 1,) + a[j + 1:], v) for j in range(len(a)))
+                if lhs != rhs:
+                    want.append({"case": f"derivative identity at a={a}, v={v} (strict)",
+                                 "lhs": rat_str(lhs), "rhs": rat_str(rhs)})
+        above = sum(1 for a in pool if min(a) >= 1)
+        assert report.cases == len(vs) * (len(pool) + above)
+        assert want and report.failures == want
+        kinds = {entry["case"].split()[0] for entry in want}
+        assert kinds == ({"shift", "derivative"} if fault == "value" else {"derivative"})
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple), min_size=1, max_size=4),
+        st.lists(
+            st.integers(1, 60).flatmap(
+                lambda q: st.integers(1 - q, 3 * q).map(lambda p: Fraction(p, q))
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_drawn_words_and_shifts(self, pool, vs):
+        # off the fixed grids: one shift case per word, one derivative case
+        # per word with every letter >= 1, at each shift
+        report = verify_hurwitz_identities(pool, vs)
+        above = sum(1 for a in pool if min(a) >= 1)
+        assert report.ok, report.failures[:3]
+        assert report.cases == len(vs) * (len(pool) + above)
 
     def test_derivative_identity_depth1(self):
         # d/dv zeta(-a; v) = a zeta(-a+1; v)

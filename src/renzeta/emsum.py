@@ -84,20 +84,33 @@ factor is the depth-1 value of the last slot, and one function
 The boundary subsum is a state: the prefix itself under the fixed menu,
 and under the word menu the prefix-sum state of the prefix word.
 
-The engine runs over Q (v a rational) and over Q[v] (v the polynomial
-variable ``Poly.x()``, values the Hurwitz polynomials themselves) with one
-arithmetic. It depends on v only through powers of 1 + v (B_{b+1}(1+v)
-included), and every value it stores is integer numerators over one shared
-denominator: (D, (n_0, ..., n_d)) is sum_k n_k v^k / D, a rational being
-the case d = 0. A state's residue and finite part each come from one call
-of the kernel :func:`_combine`, a linear combination of such values with
+The engine computes in one of three rings, with one arithmetic:
+
+* Q -- v one rational;
+* lanes -- v a tuple of S rationals (v_1, ..., v_S), each a lane: one
+  recursion computes the value at every shift at once, since the states,
+  germ rows, reaches and floors do not depend on v;
+* Q[v] -- v the polynomial variable ``Poly.x()``, values the Hurwitz
+  polynomials themselves.
+
+Q is the one-lane case of lanes. The engine depends on v only through
+B_{b+1}(1+v), which every ring expands the same way in powers of v
+(:func:`_depth1`). Every value it stores is integer numerators over one
+shared denominator, (D, (n_1, ..., n_S)): lane s holds n_s/D; over Q[v]
+the same shape (D, (n_0, ..., n_d)) is sum_k n_k v^k / D. Trailing zero
+numerators are dropped, so () is zero in every ring. Only two things tell
+the rings apart: the product :func:`_times` (lane by lane, or a
+convolution over Q[v]) and the units (1 in each of S lanes, or the
+constant 1). A state's residue and finite part each come from one call of
+the kernel :func:`_combine`, a linear combination of such values with
 integer-pair coefficients p/q: one lcm, integer multiply-adds and one gcd.
-The kernel drops each term whose value is exactly zero before the lcm
-(never the NONRATIONAL marker, which still raises), and when every value
-left has degree 0, as at every rational shift, it sums into one integer.
-Germ entries and slot weights are stored as those integer pairs. Values
-become ``Fraction`` or ``Poly`` only where ``nested_fp_res``,
-``strict_fp_res`` and ``weak_fp_res`` return them.
+The kernel is linear, so it serves every ring unchanged. It drops each
+term whose value is exactly zero before the lcm (never the NONRATIONAL
+marker, which still raises), and when every value left has one entry, as
+at every single rational shift, it sums into one integer. Germ entries and
+slot weights are stored as those integer pairs. Values become ``Fraction``
+(one per lane for a tuple of shifts) or ``Poly`` only where
+``nested_fp_res``, ``strict_fp_res`` and ``weak_fp_res`` return them.
 """
 
 from __future__ import annotations
@@ -115,7 +128,7 @@ from .exactnum import Poly, as_rational
 class StructuralViolation(ValueError):
     """An exponent list breaks the recursion's structural invariant
     (a b not of type int, a slot other than the last has negative b, a c
-    that is a bool or <= 0, or v <= -1)."""
+    that is a bool or <= 0, a shift v <= -1, or an empty tuple of shifts)."""
 
 
 class RationalityLeak(ArithmeticError):
@@ -141,8 +154,8 @@ NONRATIONAL = _NonRational()
 class LaurentData(NamedTuple):
     """The z^{-1} and z^0 coefficients of a nested sum at z = 0."""
 
-    res: object  # Fraction, or Poly over Q[v]
-    fp: object  # Fraction, Poly or NONRATIONAL
+    res: object  # Fraction, a tuple of them (one per shift), or Poly over Q[v]
+    fp: object  # the same, or NONRATIONAL
 
 
 #: The engine value zero, and the kernel coefficient 1/1.
@@ -152,14 +165,15 @@ _UNIT = (1, 1)
 
 def _combine(terms) -> tuple:
     """The kernel: sum_i (p_i/q_i) x_i over the terms ((p_i, q_i), x_i), each
-    x_i an engine value (D, (n_0, ..., n_d)) = sum_k n_k v^k / D, returned
-    reduced: one lcm of the denominators q_i D_i, integer multiply-adds and
-    one gcd. Values of different degree mix freely. Every coefficient is
-    nonzero (the engine drops exact zeros first), so an x_i that is
-    NONRATIONAL raises RationalityLeak, whatever the other terms are. A term
-    whose value is exactly zero adds nothing and is dropped before the lcm;
-    when every value left has degree 0 (every rational shift) the sum is one
-    integer accumulator.
+    x_i an engine value (D, (n_0, ..., n_d)), returned reduced: one lcm of
+    the denominators q_i D_i, integer multiply-adds and one gcd. It is
+    linear, so it reads (D, (n_0, ..., n_d)) as sum_k n_k v^k / D or as the
+    lanes n_0/D, ..., n_d/D alike. Values of different length mix freely.
+    Every coefficient is nonzero (the engine drops exact zeros first), so
+    an x_i that is NONRATIONAL raises RationalityLeak, whatever the other
+    terms are. A term whose value is exactly zero adds nothing and is
+    dropped before the lcm; when every value left has one entry (every
+    single rational shift) the sum is one integer accumulator.
 
     (1 + 2v)/6 - v^2/3 + 1/6 + 5 * 0, reduced to (1 + v - v^2)/3; then
     2 * 1/3 - 2/3, which cancels, and 1/2 + 1/6 + 3 * 0 = 2/3:
@@ -210,23 +224,42 @@ def _combine(terms) -> tuple:
     return den // g, tuple(n // g for n in acc)
 
 
-def _times(x: tuple, y: tuple) -> tuple:
-    """The product of two engine values, not reduced (the kernel reduces)."""
+def _times(x: tuple, y: tuple, lanes: int) -> tuple:
+    """The product of two engine values, not reduced (the kernel reduces):
+    lane by lane when ``lanes`` >= 1, ``zip`` dropping the lanes past the
+    shorter value's end (they are zero), or a convolution over Q[v]
+    (``lanes`` = 0)."""
     (dx, xs), (dy, ys) = x, y
     if not xs or not ys:
         return _ZERO
+    if lanes:
+        return dx * dy, tuple([a * b for a, b in zip(xs, ys)])
     out = [0] * (len(xs) + len(ys) - 1)
     for i, a in enumerate(xs):
-        for k, b in enumerate(ys):
-            out[i + k] += a * b
+        if a:  # a power v^i of _powers is one nonzero numerator
+            for k, b in enumerate(ys):
+                out[i + k] += a * b
     return dx * dy, tuple(out)
 
 
-def _powers(w: tuple, n: int) -> list:
-    """[w^0, ..., w^n] for the engine value w = 1 + v."""
-    out = [(1, (1,))]
+class _Ring(NamedTuple):
+    """The ring of one recursion: ``lanes`` rational shifts (S >= 1), or
+    Q[v] (``lanes`` = 0); its unit ``one``; and the shift ``v`` as an
+    engine value."""
+
+    lanes: int
+    one: tuple
+    v: tuple
+
+
+_QV = _Ring(0, (1, (1,)), (1, (0, 1)))
+
+
+def _powers(ring: _Ring, n: int) -> list:
+    """[v^0, ..., v^n] for the shift v of the ring."""
+    out = [ring.one]
     for _ in range(n):
-        out.append(_times(out[-1], w))
+        out.append(_times(out[-1], ring.v, ring.lanes))
     return out
 
 
@@ -242,15 +275,19 @@ def _pair(num: int, den: int) -> tuple:
 
 
 def _value(x: tuple, v):
-    """The engine value x as a Fraction, or as a Poly when v = ``Poly.x()``."""
+    """The engine value x in the shape of the shift v: a Poly when v =
+    ``Poly.x()``, one Fraction per lane when v is a tuple of shifts, and
+    one Fraction when v is one shift."""
     den, nums = x
     if isinstance(v, Poly):
         return Poly(tuple(Fraction(n, den) for n in nums))
+    if type(v) is tuple:
+        return tuple([Fraction(n, den) for n in nums] + [Fraction(0)] * (len(v) - len(nums)))
     return Fraction(nums[0], den) if nums else Fraction(0)
 
 
 def _to_laurent(data: tuple, v) -> LaurentData:
-    """A memo entry as LaurentData over the ring of the shift v."""
+    """A memo entry as LaurentData in the shape of the shift v."""
     res, fp = data
     return LaurentData(_value(res, v), fp if fp is NONRATIONAL else _value(fp, v))
 
@@ -316,24 +353,34 @@ def _germ_row(b: int, c: int, j_max: int) -> tuple:
 _boundary_cache: dict = {}
 
 
-def _depth1(b: int, c: int, w: tuple) -> tuple:
-    """The depth-1 data (residue, finite part) of the slot (b, c), for the
-    engine value w = 1 + v: residue 1/c at b = -1 and 0 otherwise; finite
+def _depth1(b: int, c: int, ring: _Ring) -> tuple:
+    """The depth-1 data (residue, finite part) of the slot (b, c) in the
+    ring of the recursion: residue 1/c at b = -1 and 0 otherwise; finite
     part -B_{b+1}(1+v)/(b+1) when b >= 0 and NONRATIONAL otherwise. The
-    finite part does not depend on c and is kept under (b, w)."""
+    finite part does not depend on c and is kept under (b, ring).
+
+    Every ring expands B_k(1+v) in powers of v, so a Q[v] value costs
+    O(k^2) integer operations (powers of 1 + v cost O(k^3)), and at v = 0
+    only one term is left. The terms go to the kernel highest power first:
+    over Q[v] a power v^i is i zeros and a 1, and each zero then meets a
+    numerator the kernel has not filled yet."""
     if b < 0:
-        return (c, (1,)) if b == -1 else _ZERO, NONRATIONAL
-    fp = _boundary_cache.get((b, w))
+        return (c, ring.one[1]) if b == -1 else _ZERO, NONRATIONAL
+    fp = _boundary_cache.get((b, ring))
     if fp is None:
-        # B_k(x) = sum_i C(k, i) B_{k-i} x^i with k = b + 1
+        # B_k(1 + v) = sum_m C(k, m) B_m(1) v^(k-m) with k = b + 1, where
+        # B_m(1) = B_m except B_1(1) = +1/2
         k = b + 1
-        powers = _powers(w, k)
+        bernoulli(k)  # B_0 .. B_k in one batch, not in doublings
+        powers = _powers(ring, k)
         terms = []
-        for i in range(k + 1):
-            bn, bd = bernoulli(k - i).as_integer_ratio()
-            if bn:
-                terms.append(((-comb(k, i) * bn, bd * k), powers[i]))
-        fp = _boundary_cache[(b, w)] = _combine(terms)
+        for m in range(k + 1):
+            bn, bd = bernoulli(m).as_integer_ratio()
+            if bn and powers[k - m][1]:
+                if m == 1:
+                    bn = -bn
+                terms.append(((-comb(k, m) * bn, bd * k), powers[k - m]))
+        fp = _boundary_cache[(b, ring)] = _combine(terms)
     return _ZERO, fp
 
 
@@ -352,19 +399,35 @@ def _memoize(key, value: tuple) -> tuple:
     return value
 
 
+@lru_cache(maxsize=None)
+def _lanes(pairs: tuple) -> _Ring:
+    """The ring of the shifts p_1/q_1, ..., p_S/q_S, given as the integer
+    pairs (p_s, q_s), each validated."""
+    if not pairs:
+        raise StructuralViolation("a tuple of shifts needs one shift or more")
+    for p, q in pairs:
+        if p <= -q:
+            raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {Fraction(p, q)}")
+    den = lcm(*[q for _, q in pairs])
+    shift = [p * (den // q) for p, q in pairs]
+    while shift and not shift[-1]:
+        shift.pop()
+    return _Ring(len(pairs), (1, (1,) * len(pairs)), (den, tuple(shift)))
+
+
 def _head(v, j_bump: int, menu: int):
-    """Validate the shift v. Returns w = 1 + v as an engine value, the
-    ``w`` every state function takes, with the part of the memo key shared
-    by a whole recursion: (menu, j_bump, key of v)."""
+    """Validate the shift v: a rational > -1, a nonempty tuple of them (one
+    lane each), or the polynomial variable ``Poly.x()``. Returns the ring,
+    which every state function takes, with the part of the memo key shared
+    by a whole recursion: (menu, j_bump, key of v). One shift p/q is keyed
+    p, q; several are keyed by the tuple of their p and that of their q."""
     if isinstance(v, Poly):
         if v != Poly.x():
             raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
-        return (1, (1, 1)), (menu, j_bump, 0, 0)  # no rational shift has denominator 0
-    v = as_rational(v)
-    if v <= -1:
-        raise StructuralViolation(f"Hurwitz shift must satisfy v > -1, got {v}")
-    num, den = v.as_integer_ratio()
-    return (den, (num + den,)), (menu, j_bump, num, den)
+        return _QV, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
+    pairs = tuple([as_rational(x).as_integer_ratio() for x in (v if type(v) is tuple else (v,))])
+    ring = _lanes(pairs)
+    return ring, (menu, j_bump) + (pairs[0] if len(pairs) == 1 else tuple(zip(*pairs)))
 
 
 #: Slot menus, the first entry of a memo key: every slot given with its own
@@ -375,9 +438,11 @@ _SLOTS, _WORD = 0, 1
 def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     """Residue and finite part at z = 0 of the depth-l cut-off nested sum.
 
-    All slots but the last must have b >= 0. v is a rational > -1, or the
-    polynomial variable ``Poly.x()``: then the residue and the finite part
-    come out as polynomials in v.
+    All slots but the last must have b >= 0. v is a rational > -1; or a
+    nonempty tuple of them, and then the residue and the finite part come
+    out as tuples, one entry per shift, from one recursion; or the
+    polynomial variable ``Poly.x()``, and then they come out as polynomials
+    in v.
     ``j_bump`` lengthens every germ row by 2 j_bump germ indices and peels
     each row that far, into states of reach down to -1 - 2 j_bump (the
     result must not depend on it; the robustness suite checks this).
@@ -386,6 +451,8 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 12))
     >>> nested_fp_res([(0, 1), (0, 1)], 0).fp
     Fraction(3, 8)
+    >>> nested_fp_res([(1, 1)], (0, 1, Fraction(-1, 2))).fp
+    (Fraction(-1, 12), Fraction(-13, 12), Fraction(1, 24))
     >>> nested_fp_res([(1, 1)], Poly.x()).fp.to_str("v")
     '-1/2*v^2 - 1/2*v - 1/12'
     >>> nested_fp_res([(-1, Fraction(1, 2))], 0).res  # c = 1/2 is z -> z/2
@@ -394,7 +461,7 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
     exps, scale = _flatten(exponents)
     if not exps:
         raise StructuralViolation("empty exponent list")
-    w, head = _head(v, j_bump, _SLOTS)
+    ring, head = _head(v, j_bump, _SLOTS)
     check_recursion_depth(len(exps) // 2)
     for b in exps[:-2:2]:
         if b < 0:
@@ -402,18 +469,18 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
                 f"non-last slot with negative exponent {b}: the recursion only "
                 "peels the deepest slot"
             )
-    res, fp = _nested(exps, w, head)
+    res, fp = _nested(exps, ring, head)
     return _to_laurent((_combine([((scale, 1), res)]), fp), v)
 
 
 def _word_head(word, v):
-    """(word as a tuple, w, head) for the word menu, both validated."""
+    """(word as a tuple, ring, head) for the word menu, both validated."""
     word = tuple(word)
     if not word or any(type(a) is not int or a < 0 for a in word):
         raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
-    w, head = _head(v, 0, _WORD)
+    ring, head = _head(v, 0, _WORD)
     check_recursion_depth(len(word))
-    return word, w, head
+    return word, ring, head
 
 
 def strict_fp_res(word, v) -> LaurentData:
@@ -427,8 +494,8 @@ def strict_fp_res(word, v) -> LaurentData:
     >>> strict_fp_res((0, 0), 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(3, 8))
     """
-    word, w, head = _word_head(word, v)
-    return _to_laurent(_nested(word + (0,), w, head), v)
+    word, ring, head = _word_head(word, v)
+    return _to_laurent(_nested(word + (0,), ring, head), v)
 
 
 def weak_fp_res(word, v) -> LaurentData:
@@ -438,9 +505,9 @@ def weak_fp_res(word, v) -> LaurentData:
     >>> weak_fp_res((0, 0), 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
     """
-    word, w, head = _word_head(word, v)
+    word, ring, head = _word_head(word, v)
     states = ((x + (0,), _UNIT) for x in contractions(word))
-    return _to_laurent(_weighted_sum(states, True, w, head), v)
+    return _to_laurent(_weighted_sum(states, True, ring, head), v)
 
 
 @lru_cache(maxsize=None)
@@ -467,14 +534,14 @@ def _last_slots(word: tuple, c: int):
         yield word[:cut], b, (c, cut - len(word))
 
 
-def _weighted_sum(states, fp_known: bool, w: tuple, head: tuple) -> tuple:
+def _weighted_sum(states, fp_known: bool, ring: _Ring, head: tuple) -> tuple:
     """(residue, finite part) of the weighted sum over the pairs (state,
     weight) ``states``: a presum or prefix-sum state, or a weak total.
     Without ``fp_known`` the finite part is NONRATIONAL, so the weights act
     on the residues only."""
     res_terms, fp_terms = [], []
     for exps, weight in states:
-        res, fp = _nested(exps, w, head)
+        res, fp = _nested(exps, ring, head)
         if res[1]:
             res_terms.append((weight, res))
         if fp_known:
@@ -482,11 +549,11 @@ def _weighted_sum(states, fp_known: bool, w: tuple, head: tuple) -> tuple:
     return _combine(res_terms), _combine(fp_terms) if fp_known else NONRATIONAL
 
 
-def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
+def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
     """The engine state ``exps``, as the memo entry (residue, finite part):
-    two engine values, or a value and NONRATIONAL. ``w`` is the engine value
-    1 + v and ``head`` = (menu, j_bump, key of v) the part of the memo key
-    shared by the whole recursion. Every entry of ``exps`` is an integer,
+    two engine values, or a value and NONRATIONAL. ``ring`` is the ring of
+    the shift and ``head`` = (menu, j_bump, key of v) the part of the memo
+    key shared by the whole recursion. Every entry of ``exps`` is an integer,
     and a slot is (b, c).
 
     Under the fixed menu ``exps`` = (b_1, c_1, ..., b_l, c_l) is one nested
@@ -513,14 +580,14 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
         stem = exps[:-3]
         b, c, neg_length = exps[-3:]
         states = ((stem + (b, c_slot + c), weight) for c_slot, weight in _slot_weights(-neg_length))
-        return _memoize(key, _weighted_sum(states, b >= 0, w, head))
+        return _memoize(key, _weighted_sum(states, b >= 0, ring, head))
     if not exps[-1]:
         # every slot of the word has b >= 0, so its finite part is rational
         states = ((stem + (b,) + tail, _UNIT) for stem, b, tail in _last_slots(exps[:-1], 0))
-        return _memoize(key, _weighted_sum(states, True, w, head))
+        return _memoize(key, _weighted_sum(states, True, ring, head))
     b_last, c_last = exps[-2:]
     if len(exps) == 2:
-        return _memoize(key, _depth1(b_last, c_last, w))
+        return _memoize(key, _depth1(b_last, c_last, ring))
 
     prefix = exps[:-2]
     if head[0]:
@@ -550,7 +617,7 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
         for shift, h_m1, h_0, h_1 in row:
             if shift < floor:
                 break
-            res, fp = _nested(stem + (b_slot + shift,) + tail, w, head)
+            res, fp = _nested(stem + (b_slot + shift,) + tail, ring, head)
             if h_m1 is not None:
                 res_terms.append((h_m1, fp))
             if res[1]:
@@ -565,16 +632,16 @@ def _nested(exps: tuple, w: tuple, head: tuple) -> tuple:
     # boundary subsum. Every slot of that subsum has b >= 0, so it is
     # pole-free; its residue is the only partner the dropped z^1 boundary
     # pieces ever meet
-    sub_res, sub_fp = _nested(prefix + (0,) if head[0] else prefix, w, head)
+    sub_res, sub_fp = _nested(prefix + (0,) if head[0] else prefix, ring, head)
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
-    one_res, one_fp = _depth1(b_last, c_last, w)
+    one_res, one_fp = _depth1(b_last, c_last, ring)
     if one_res[1]:
-        res_terms.append((_UNIT, _times(one_res, sub_fp)))
+        res_terms.append((_UNIT, _times(one_res, sub_fp, ring.lanes)))
     res_total = _combine(res_terms)
     if not fp_known:
         return _memoize(key, (res_total, NONRATIONAL))
-    fp_terms.append((_UNIT, _times(one_fp, sub_fp)))
+    fp_terms.append((_UNIT, _times(one_fp, sub_fp, ring.lanes)))
     fp_total = _combine(fp_terms)
     if res_total[1]:
         raise RationalityLeak(

@@ -143,30 +143,51 @@ def _composition_terms(a: tuple[int, ...]):
     return tuple(sorted(grouped.items()))
 
 
-def _pole_free_fp(data, what: str) -> Fraction:
-    if data.res != 0:
-        raise HolomorphyViolation(f"{what} has residue {data.res}")
+def _pole_free_fp(data, what: str):
+    """The finite part of ``data``, whose residue must be zero (at every
+    shift, for a tuple of shifts)."""
+    res = data.res
+    if any(res) if type(res) is tuple else res != 0:
+        raise HolomorphyViolation(f"{what} has residue {res}")
     return data.fp
 
 
+# The variants below are memoised per (word, shift). The shift is a Fraction,
+# Poly.x(), or a tuple of shifts given as integer pairs (p, q): a memo hit
+# then hashes ints only, where a tuple of Fractions would hash each of them.
+
+
+def _shift(v):
+    """The shift of a memo key as the engine takes it."""
+    return tuple(Fraction(p, q) for p, q in v) if type(v) is tuple else v
+
+
+def _unit(v):
+    """The value of the empty word: 1, at every shift of a tuple."""
+    return (Fraction(1),) * len(v) if type(v) is tuple else Fraction(1)
+
+
 @lru_cache(maxsize=None)
-def _zeta_strict(a: tuple[int, ...], v: Fraction) -> Fraction:
+def _zeta_strict(a: tuple[int, ...], v):
     if not a:
-        return Fraction(1)
+        return _unit(v)
+    v = _shift(v)
     return _pole_free_fp(strict_fp_res(a, v), f"strict expansion of {a} at v={v}")
 
 
 @lru_cache(maxsize=None)
-def _zeta_weak(a: tuple[int, ...], v: Fraction) -> Fraction:
+def _zeta_weak(a: tuple[int, ...], v):
     if not a:
-        return Fraction(1)
+        return _unit(v)
+    v = _shift(v)
     return _pole_free_fp(weak_fp_res(a, v), f"weak expansion of {a} at v={v}")
 
 
 @lru_cache(maxsize=None)
-def _zeta_alt(a: tuple[int, ...], v: Fraction) -> Fraction:
+def _zeta_alt(a: tuple[int, ...], v):
     if not a:
-        return Fraction(1)
+        return _unit(v)
+    v = _shift(v)
     exps = tuple((x, 1) for x in a)
     return _pole_free_fp(nested_fp_res(exps, v), f"diagonal sum {a} at v={v}")
 
@@ -185,9 +206,21 @@ def _as_poly(x) -> Poly:
     return x if isinstance(x, Poly) else Poly.constant(x)
 
 
-def zeta_value(a, v=0, variant: str = "strict") -> Fraction:
-    """The renormalised value zeta_variant(-a_1, ..., -a_k; v) as a Fraction."""
-    return _variant_fn(variant)(_validate_args(a), as_rational(v))
+def zeta_value(a, v=0, variant: str = "strict"):
+    """The renormalised value zeta_variant(-a_1, ..., -a_k; v) as a Fraction.
+    For a tuple of shifts (v_1, ..., v_S) it is the tuple of the S values,
+    computed by one engine recursion.
+
+    >>> zeta_value((1, 1), Fraction(1, 2))
+    Fraction(265, 1152)
+    >>> zeta_value((1, 1), (0, Fraction(1, 2), Fraction(3, 2)))
+    (Fraction(1, 288), Fraction(265, 1152), Fraction(3649, 1152))
+    """
+    fn = _variant_fn(variant)
+    a = _validate_args(a)
+    if type(v) is tuple:
+        return fn(a, tuple([as_rational(x).as_integer_ratio() for x in v]))
+    return fn(a, as_rational(v))
 
 
 def zeta_poly_in_v(a, variant: str = "strict") -> Poly:

@@ -57,11 +57,12 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
     (ii) d/dv zeta(-a_1..-a_k; v) = sum_j a_j zeta(..., -a_j+1, ...; v)
          (all a_j >= 1; derivative taken on the polynomial computed over Q[v])
 
-    Each distinct value is read from ``mzv.zeta_value`` once per shift: the
-    words and their derivative neighbours a^(j) at v, the words and their
-    prefixes a' at v + 1. The values at one shift are brought over one common
-    denominator, D at v and D1 at v + 1, as integer numerators N and N1. With
-    v = p/q and k = a_k, (i) is checked as
+    Each distinct word is read from ``mzv.zeta_value`` once, at the tuple of
+    every shift v and v + 1 of the grid: one engine recursion gives its value
+    at all of them. The values used at one shift (the words and their
+    derivative neighbours a^(j) at v, the words and their prefixes a' at
+    v + 1) are brought over one common denominator, D at v and D1 at v + 1,
+    as integer numerators N and N1. With v = p/q and k = a_k, (i) is checked as
     N1(a) D q^k == N(a) D1 q^k - (p+q)^k N1(a') D.
     Each polynomial is read from ``mzv.zeta_poly_in_v`` once per word, as
     numerators n_i over one denominator E; with d its degree, (ii) is checked
@@ -94,7 +95,9 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
     for v in vs:
         needed.setdefault(v, {}).update(at_v)
         needed.setdefault(v + 1, {}).update(at_up)
-    values = {s: {x: mzv.zeta_value(x, s, variant) for x in xs} for s, xs in needed.items()}
+    shifts = tuple(needed)
+    lanes = {x: mzv.zeta_value(x, shifts, variant) for x in {**at_v, **at_up}}
+    values = {s: {x: lanes[x][i] for x in xs} for i, (s, xs) in enumerate(needed.items())}
     scaled = {s: mzv._over_one_denominator(table) for s, table in values.items()}
     polys = {}  # word -> (polynomial, E, (1 n_1, 2 n_2, ..., d n_d))
     for a in neighbours:
@@ -142,7 +145,8 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
 def suite_hurwitz(max_depth: int = 3, max_entry: int = 3, vs=HURWITZ_SHIFTS) -> Report:
     """Hurwitz shift and derivative identities on every word of 1..max_depth
     letters in 0..max_entry, at each shift of ``vs``: one value lookup per
-    word per shift and the checks in integers (:func:`verify_hurwitz_identities`)."""
+    word for every shift and the checks in integers
+    (:func:`verify_hurwitz_identities`)."""
     return verify_hurwitz_identities(_words(max_depth, range(max_entry + 1)), vs)
 
 

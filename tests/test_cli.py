@@ -77,6 +77,20 @@ class TestZetaCommand:
             sys.set_int_max_str_digits(limit)
         assert len(printed.group(1)) == 4309
 
+    def test_polynomial_past_the_digit_limit(self, capsys):
+        # the Hurwitz polynomial of zeta(-2063; v) = -B_2064(1+v)/2064: its
+        # constant term is the value at v = 0, 4,309 digits over the limit,
+        # and its leading term -v^2064/2064. Compared as text, which needs
+        # no int conversion
+        code, out, _ = run_cli(capsys, "--limit-weight", "2063", "zeta", "-a", "2063", "--poly-v")
+        assert code == 0
+        first, second = out.splitlines()
+        value = run_cli(capsys, "--limit-weight", "2063", "zeta", "-a", "2063")[1].splitlines()[0]
+        assert first == value
+        assert len(value.rsplit(" ", 1)[1].split("/")[0]) == 4309
+        assert second.startswith("as polynomial in v: -1/2064*v^2064 - 1/2*v^2063 ")
+        assert second.endswith(" + " + value.rsplit(" ", 1)[1])
+
     def test_malformed_input(self, capsys):
         assert run_cli(capsys, "zeta", "-a", "0,x")[0] == 2
         assert run_cli(capsys, "zeta", "-a", "1", "--v", "0.5")[0] == 2

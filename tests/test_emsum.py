@@ -565,3 +565,131 @@ class TestDirectionScaling:
             assert scaled.fp is NONRATIONAL
         else:
             assert scaled.fp == base.fp
+
+
+_LANE = st.one_of(
+    st.just(0),
+    st.integers(0, 3),
+    st.integers(0, 3).map(Fraction),
+    st.fractions(min_value=Fraction(-11, 12), max_value=Fraction(-1, 12), max_denominator=12),
+    _SHIFTS,
+)
+
+
+@st.composite
+def _lanes(draw):
+    """A tuple of 1..6 shifts: ints and Fractions, zero, negatives > -1,
+    mixed denominators, and sometimes a repeated shift."""
+    lanes = draw(st.lists(_LANE, min_size=1, max_size=6))
+    if len(lanes) < 6 and draw(st.booleans()):
+        lanes.insert(draw(st.integers(0, len(lanes))), draw(st.sampled_from(lanes)))
+    return tuple(lanes)
+
+
+def _agree_lane_by_lane(got, singles):
+    """The LaurentData of a lanes call against the single-shift results."""
+    assert got.res == tuple(one.res for one in singles)
+    if singles[0].fp is NONRATIONAL:
+        assert got.fp is NONRATIONAL
+        assert all(one.fp is NONRATIONAL for one in singles)
+    else:
+        assert got.fp == tuple(one.fp for one in singles)
+
+
+def _states(call) -> set:
+    """The engine states one cold call creates, without the v part of their
+    memo keys: a key is (menu, j_bump, p, q) for one shift p/q, or (menu,
+    j_bump, (p_1, ..., p_S), (q_1, ..., q_S)) for S shifts, then the state."""
+    emsum.clear_cache()
+    try:
+        call()
+        return {key[:2] + key[4:] for key in emsum._cache}
+    finally:
+        emsum.clear_cache()
+
+
+class TestLanes:
+    """A tuple of shifts runs one recursion with one lane per shift: each
+    lane must equal the engine run at that shift alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_exponent_lists(), _lanes(), st.sampled_from((0, 1)))
+    def test_fixed_menu(self, exps, lanes, bump):
+        got = nested_fp_res(exps, lanes, j_bump=bump)
+        _agree_lane_by_lane(got, [nested_fp_res(exps, x, j_bump=bump) for x in lanes])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_words(max_depth=4, max_weight=6), _lanes(), st.sampled_from(("strict", "weak")))
+    def test_word_menu(self, word, lanes, variant):
+        fn = emsum.strict_fp_res if variant == "strict" else emsum.weak_fp_res
+        _agree_lane_by_lane(fn(word, lanes), [fn(word, x) for x in lanes])
+
+    @settings(max_examples=30, deadline=None)
+    @given(_words(max_depth=4, max_weight=6), _lanes(), st.sampled_from(mzv.VARIANTS))
+    def test_values(self, word, lanes, variant):
+        got = mzv.zeta_value(word, lanes, variant)
+        assert got == tuple(mzv.zeta_value(word, x, variant) for x in lanes)
+        assert mzv.zeta_value(word, lanes, variant) is got  # memoised per (word, shifts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_exponent_lists(), _words(max_depth=4, max_weight=6), _lanes(), st.sampled_from((0, 1)))
+    def test_states_of_one_shift(self, exps, word, lanes, bump):
+        # the recursion does not depend on the shift: a lanes call creates
+        # exactly the states of one single-shift call, and one lane is keyed
+        # as that shift alone
+        calls = (
+            lambda v: nested_fp_res(exps, v, j_bump=bump),
+            lambda v: emsum.strict_fp_res(word, v),
+            lambda v: emsum.weak_fp_res(word, v),
+        )
+        for call in calls:
+            assert _states(lambda: call(lanes)) == _states(lambda: call(lanes[0]))
+            emsum.clear_cache()
+            try:
+                call(lanes[:1])
+                one_lane = set(emsum._cache)
+                emsum.clear_cache()
+                call(lanes[0])
+                assert one_lane == set(emsum._cache)
+            finally:
+                emsum.clear_cache()
+
+    def test_pinned_state_counts(self):
+        # the pins of TestMemo, at three shifts in one recursion
+        lanes = (Fraction(2, 7), 0, Fraction(-1, 2))
+        for call, count in (
+            (lambda: mzv.zeta_value((1,) * 7, lanes), 726),
+            (lambda: emsum.strict_fp_res((1,) * 6, lanes), 406),
+        ):
+            emsum.clear_cache()
+            mzv._zeta_strict.cache_clear()
+            try:
+                call()
+                assert len(emsum._cache) == count
+            finally:
+                emsum.clear_cache()
+
+    @pytest.mark.parametrize("lanes", [(), (Fraction(1, 2), -1), (0, Fraction(-3, 2), 1)], ids=repr)
+    def test_refused(self, lanes):
+        for call in (
+            lambda: nested_fp_res([(1, 1)], lanes),
+            lambda: emsum.strict_fp_res((1, 2), lanes),
+            lambda: emsum.weak_fp_res((1, 2), lanes),
+            lambda: mzv.zeta_value((1, 2), lanes),
+        ):
+            with pytest.raises(StructuralViolation):
+                call()
+
+    def test_warm_hit_hashes_no_fraction(self, monkeypatch):
+        lanes = (Fraction(2, 7), Fraction(9, 7), Fraction(-1, 3))
+        want = mzv.zeta_value((2, 1), lanes)
+        hashed = []
+        real = Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        assert mzv.zeta_value((2, 1), lanes) is want
+        assert not hashed

@@ -366,7 +366,8 @@ class TestHurwitz:
 
     def test_one_lookup_per_word_and_shift(self, monkeypatch):
         # the benchmark's per-layer hooks wrap mzv.zeta_value and
-        # mzv.zeta_poly_in_v; shifts 0 and 1 share the values at v = 1
+        # mzv.zeta_poly_in_v. Each word is read once, at one tuple of shifts
+        # that covers every v and v + 1; shifts 0 and 1 share v = 1
         values, polys = [], []
         real_value, real_poly = mzv.zeta_value, mzv.zeta_poly_in_v
 
@@ -385,21 +386,31 @@ class TestHurwitz:
         report = verify_hurwitz_identities(pool, vs)
         above = [a for a in pool if min(a) >= 1]
         assert report.ok and report.cases == len(vs) * (len(pool) + len(above))
-        assert len(values) == len(set(values))
-        assert {v for _, v in values} == set(vs) | {v + 1 for v in vs}
+        words = [a for a, _ in values]
+        assert len(words) == len(set(words))
+        neighbours = {a[:j] + (a[j] - 1,) + a[j + 1:] for a in above for j in range(len(a))}
+        assert set(words) == set(pool) | {a[:-1] for a in pool} | neighbours
+        (shifts,) = {v for _, v in values}
+        assert type(shifts) is tuple and len(shifts) == len(set(shifts)) == 5
+        assert set(shifts) == set(vs) | {v + 1 for v in vs}
         assert polys == above
 
     @pytest.mark.parametrize("fault", ["value", "poly"])
     def test_failures_reported_as_the_rational_check_gives(self, fault, monkeypatch):
-        # one value off by 1/7 at one (word, shift), or one word's polynomial
-        # off by v^2/7: the failures must be those of a check in Fractions,
-        # entry for entry and word by word, each at every shift
+        # one value off by 1/7 at one (word, shift), in one lane of a tuple
+        # of shifts, or one word's polynomial off by v^2/7: the failures must
+        # be those of a check in Fractions, entry for entry and word by word,
+        # each at every shift
         real_value, real_poly = mzv.zeta_value, mzv.zeta_poly_in_v
         off = Fraction(1, 7)
 
         def value(a, v=0, variant="strict"):
             got = real_value(a, v, variant)
-            return got + off if fault == "value" and (tuple(a), v) == ((1, 1), Fraction(1, 2)) else got
+            if fault != "value" or tuple(a) != (1, 1):
+                return got
+            if type(v) is tuple:
+                return tuple(x + off if s == Fraction(1, 2) else x for s, x in zip(v, got))
+            return got + off if v == Fraction(1, 2) else got
 
         def poly(a, variant="strict"):
             got = real_poly(a, variant)

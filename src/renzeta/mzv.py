@@ -29,7 +29,7 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
-from .emsum import nested_fp_res, strict_fp_res, weak_fp_res
+from .emsum import _head, nested_fp_res, strict_fp_res, weak_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
 # bound here because the benchmark's tracer (perfbench/tracing.py) wraps mzv.stuffle
@@ -152,58 +152,42 @@ def _pole_free_fp(data, what: str):
     return data.fp
 
 
-# The variants below are memoised per (word, shift). The shift is a Fraction,
-# Poly.x(), or a tuple of shifts given as integer pairs (p, q): a memo hit
-# then hashes ints only, where a tuple of Fractions would hash each of them.
+# Every value handed out is read from one memo, keyed by (word, variant, key
+# of v). The key of v is the engine's own: the head of its state keys,
+# which ``emsum._head(v, 0, 0)`` builds while it validates v, for every word,
+# the empty one too (the menu and j_bump entries are constant here). It
+# holds ints only, so a memo hit hashes no Fraction. One rational v is read
+# as lane 0 of the one-lane tuple (v,), which has the same key; Q[v] has a
+# key of its own.
+_memo: dict = {}
+
+#: v = ``Poly.x()`` and its ``_head``, built once: Q[v] has the one shift.
+_X = Poly.x()
+_X_HEAD = _head(_X, 0, 0)
 
 
-def _shift(v):
-    """The shift of a memo key as the engine takes it."""
-    return tuple(Fraction(p, q) for p, q in v) if type(v) is tuple else v
-
-
-def _unit(v):
-    """The value of the empty word: 1, at every shift of a tuple."""
-    return (Fraction(1),) * len(v) if type(v) is tuple else Fraction(1)
-
-
-@lru_cache(maxsize=None)
-def _zeta_strict(a: tuple[int, ...], v):
-    if not a:
-        return _unit(v)
-    v = _shift(v)
-    return _pole_free_fp(strict_fp_res(a, v), f"strict expansion of {a} at v={v}")
-
-
-@lru_cache(maxsize=None)
-def _zeta_weak(a: tuple[int, ...], v):
-    if not a:
-        return _unit(v)
-    v = _shift(v)
-    return _pole_free_fp(weak_fp_res(a, v), f"weak expansion of {a} at v={v}")
-
-
-@lru_cache(maxsize=None)
-def _zeta_alt(a: tuple[int, ...], v):
-    if not a:
-        return _unit(v)
-    v = _shift(v)
-    exps = tuple((x, 1) for x in a)
-    return _pole_free_fp(nested_fp_res(exps, v), f"diagonal sum {a} at v={v}")
-
-
-_DISPATCH = {"strict": _zeta_strict, "weak": _zeta_weak, "alt": _zeta_alt}
-
-
-def _variant_fn(variant: str):
-    if variant not in _DISPATCH:
+def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
+    """zeta_variant(-a; v) at a tuple of shifts (one value per lane) or at
+    v = ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``. A miss calls the
+    variant's engine entry through its module global; the empty word has
+    the ring's unit."""
+    key = (a, variant, head)
+    value = _memo.get(key)
+    if value is not None:
+        return value
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _DISPATCH[variant]
-
-
-def _as_poly(x) -> Poly:
-    """A value computed at v = Poly.x(); constants may come out as Fractions."""
-    return x if isinstance(x, Poly) else Poly.constant(x)
+    if not a:
+        value = (Fraction(1),) * ring.lanes if ring.lanes else Poly.one()
+    elif variant == "strict":
+        value = _pole_free_fp(strict_fp_res(a, v), f"strict expansion of {a} at v={v}")
+    elif variant == "weak":
+        value = _pole_free_fp(weak_fp_res(a, v), f"weak expansion of {a} at v={v}")
+    else:
+        exps = tuple((x, 1) for x in a)
+        value = _pole_free_fp(nested_fp_res(exps, v), f"diagonal sum {a} at v={v}")
+    _memo[key] = value
+    return value
 
 
 def zeta_value(a, v=0, variant: str = "strict"):
@@ -216,11 +200,10 @@ def zeta_value(a, v=0, variant: str = "strict"):
     >>> zeta_value((1, 1), (0, Fraction(1, 2), Fraction(3, 2)))
     (Fraction(1, 288), Fraction(265, 1152), Fraction(3649, 1152))
     """
-    fn = _variant_fn(variant)
     a = _validate_args(a)
-    if type(v) is tuple:
-        return fn(a, tuple([as_rational(x).as_integer_ratio() for x in v]))
-    return fn(a, as_rational(v))
+    lanes = v if type(v) is tuple else (v,)
+    value = _zeta(a, variant, lanes, *_head(lanes, 0, 0))
+    return value if lanes is v else value[0]
 
 
 def zeta_poly_in_v(a, variant: str = "strict") -> Poly:
@@ -230,7 +213,7 @@ def zeta_poly_in_v(a, variant: str = "strict") -> Poly:
     >>> zeta_poly_in_v((1,)).to_str("v")
     '-1/2*v^2 - 1/2*v - 1/12'
     """
-    return _as_poly(_variant_fn(variant)(_validate_args(a), Poly.x()))
+    return _zeta(_validate_args(a), variant, _X, *_X_HEAD)
 
 
 def _zeta_result(a, v, variant, with_poly) -> ZetaValue:
@@ -418,14 +401,23 @@ def _sphere_coeffs_shifted(n: int, v) -> dict:
     return {q: c for q, c in out.items() if c != 0}
 
 
-@lru_cache(maxsize=None)
-def _hdim_value(n: int, a: tuple[int, ...], v: Fraction) -> Fraction:
-    shifted = sorted(_sphere_coeffs_shifted(n, v).items())
-    total = Fraction(0)
-    for combo in iproduct(shifted, repeat=len(a)):
-        coeff = prod(c for _, c in combo)
-        args = tuple(x + q for x, (q, _) in zip(a, combo))
-        total += coeff * _zeta_strict(args, v)
+_hdim_memo: dict = {}
+
+
+def _hdim_value(n: int, a: tuple[int, ...], v, ring, head):
+    """zeta_n(-a; v) at one rational v or at v = ``Poly.x()``, with ``ring,
+    head = _head(v, 0, 0)``, memoised by (n, word, head) as the value memo
+    is."""
+    key = (n, a, head)
+    total = _hdim_memo.get(key)
+    if total is None:
+        shift = (v,) if ring.lanes else v
+        total = Fraction(0)
+        for combo in iproduct(sorted(_sphere_coeffs_shifted(n, v).items()), repeat=len(a)):
+            coeff = prod(c for _, c in combo)
+            value = _zeta(tuple(x + q for x, (q, _) in zip(a, combo)), "strict", shift, ring, head)
+            total += coeff * (value[0] if ring.lanes else value)
+        _hdim_memo[key] = total
     return total
 
 
@@ -445,5 +437,5 @@ def hdim_zeta(n: int, a, v=0, with_poly: bool = False) -> ZetaValue:
         raise ValueError(f"dimension must be an int >= 1, got {n!r}")
     a = _validate_args(a)
     v = as_rational(v)
-    poly = _as_poly(_hdim_value(n, a, Poly.x())) if with_poly else None
-    return ZetaValue(_hdim_value(n, a, v), poly)
+    poly = _hdim_value(n, a, _X, *_X_HEAD) if with_poly else None
+    return ZetaValue(_hdim_value(n, a, v, *_head(v, 0, 0)), poly)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -501,3 +502,49 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "-1/240"
+
+
+_GOLDEN_WORDS = ("0", "1", "0,0", "1,1", "2,1", "0,1,1", "1,0,2", "2,0,1,1")
+_GOLDEN_SHIFTS = ("0", "1/2", "-1/3")
+_GOLDEN_DIGEST = "576c44dadd0f3e56cc8b5615509bf0e4971e8da0a9c030be08f8420a3e68cb01"
+
+
+def _golden_grid():
+    """The fixed command grid of :func:`test_cli_golden_digest`."""
+    for word, variant, v, fmt in product(
+        _GOLDEN_WORDS, ("strict", "weak", "alt"), _GOLDEN_SHIFTS, ("text", "json")
+    ):
+        yield ("zeta", "-a", word, "--variant", variant, "--v", v, "--format", fmt)
+    for word, variant, fmt in product(_GOLDEN_WORDS[2:6], ("strict", "weak", "alt"), ("text", "json")):
+        yield ("zeta", "-a", word, "--variant", variant, "--v", "1/2", "--poly-v", "--format", fmt)
+    for dim, word, v in product(("1", "2", "3"), ("0", "1,0", "2,1"), ("0", "-1/3")):
+        yield ("hdim", "--dim", dim, "-a", word, "--v", v)
+    yield ("hdim", "--dim", "2", "-a", "1", "--v", "1/2", "--format", "json")
+    for fmt in ("csv", "json", "latex"):
+        yield ("table", "--format", fmt)
+    for suite in ("table", "hurwitz"):
+        yield ("verify", "--suite", suite)
+    yield ("zeta", "-a", "1", "--v", "-1")  # refused: exit 2, nothing on stdout
+    yield ("hdim", "--dim", "2", "-a", "", "--v", "-5")
+
+
+def _golden_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in _golden_grid():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def test_cli_golden_digest():
+    """One sha256 over the argv, exit code and stdout of every command of a
+    fixed grid: ``zeta`` on 8 words in every variant at three shifts in both
+    formats, ``--poly-v`` on 4 of the words, ``hdim`` in dimensions 1-3,
+    ``table`` in every format, ``verify --suite table`` and ``--suite
+    hurwitz``, and two refused commands. Stderr (the suite seconds) is not
+    hashed. Any byte the CLI prints differently fails this test; a change
+    that alters these bytes on purpose re-pins the digest and says so in
+    CHANGES.md."""
+    assert _golden_digest() == _GOLDEN_DIGEST

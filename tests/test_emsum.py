@@ -348,7 +348,7 @@ class TestMemo:
         # the same peel steps over Q[v]: the states of the strict value of
         # (1,)*6 at v = Poly.x() are the ones the rational shifts visit
         emsum.clear_cache()
-        mzv._zeta_strict.cache_clear()
+        mzv._memo.clear()
         try:
             poly = mzv.zeta_poly_in_v((1,) * 6)
             assert len(emsum._cache) == 406
@@ -364,7 +364,7 @@ class TestMemo:
         # the twin at a rational shift: the same states, and every stored
         # value reduced, over a positive denominator, of degree <= 0
         emsum.clear_cache()
-        mzv._zeta_strict.cache_clear()
+        mzv._memo.clear()
         try:
             value = mzv.zeta_value((1,) * 6, Fraction(2, 7))
             assert len(emsum._cache) == 406
@@ -378,7 +378,7 @@ class TestMemo:
     def test_folded_state_count(self):
         # the same value by the folded recursion over word prefixes
         emsum.clear_cache()
-        mzv._zeta_strict.cache_clear()
+        mzv._memo.clear()
         try:
             value = mzv.zeta_value((1,) * 7, 0)
             assert len(emsum._cache) == 726
@@ -390,7 +390,7 @@ class TestMemo:
         # the cutoff well past the depth-7 pins: twelve letters under the
         # word menu, the value recorded before the cutoff existed
         emsum.clear_cache()
-        mzv._zeta_strict.cache_clear()
+        mzv._memo.clear()
         try:
             value = mzv.zeta_value((1,) * 12, 0)
             assert len(emsum._cache) == 5780
@@ -662,7 +662,7 @@ class TestLanes:
             (lambda: emsum.strict_fp_res((1,) * 6, lanes), 406),
         ):
             emsum.clear_cache()
-            mzv._zeta_strict.cache_clear()
+            mzv._memo.clear()
             try:
                 call()
                 assert len(emsum._cache) == count

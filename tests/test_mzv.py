@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, mzv, words
-from renzeta.emsum import LaurentData, nested_fp_res
+from renzeta.emsum import LaurentData, StructuralViolation, nested_fp_res
 from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
     DEPTH2_REFERENCE,
+    VARIANTS,
     HolomorphyViolation,
     hdim_zeta,
     sup_sphere_count_coeffs,
@@ -66,6 +68,30 @@ class TestStrict:
 
     def test_empty_word_is_unit(self):
         assert zeta_value(()) == 1
+
+
+class TestEmptyWord:
+    """The empty word has the unit of the shift's ring, and its shift is
+    checked as a nonempty word's is."""
+
+    def test_unit_in_every_ring(self):
+        for variant in VARIANTS:
+            assert zeta_value((), 0, variant) == 1
+            assert zeta_value((), (0, Fraction(1, 2)), variant) == (1, 1)
+            assert zeta_poly_in_v((), variant) == Poly.one()
+        assert hdim_zeta(2, (), Fraction(1, 2), with_poly=True) == (1, Poly.one())
+
+    @pytest.mark.parametrize("v", [-5, -1, (), (Fraction(-2),)], ids=repr)
+    def test_invalid_shift_refused(self, v):
+        for a in ((), (1,)):
+            for variant in VARIANTS:
+                with pytest.raises(StructuralViolation):
+                    zeta_value(a, v, variant)
+
+    def test_hdim_invalid_shift_refused(self):
+        for a in ((), (1,)):
+            with pytest.raises(StructuralViolation):
+                hdim_zeta(2, a, v=-5)
 
 
 _SHIFTS = st.fractions(min_value=Fraction(-11, 12), max_value=3, max_denominator=12)
@@ -626,6 +652,32 @@ def oracle_strict(a, v):
     return total
 
 
+def oracle_weak(a, v):
+    """The weak value term by term: the twisted expansion of the word with
+    the unsigned slot weights |s(L, c)|/L!, i.e. each composition term of
+    ``oracle_strict`` taken with the sign (-1)^(k - sum c), k = len(a).
+
+    Proof. The weak value is the sum of the strict values of the
+    contractions of the word, and a strict value is the sum over slot
+    structures with slot weights s(L, c)/L!. A slot of a contraction made
+    of L packets covers M consecutive letters of the word, and its exponent
+    is their sum; so the weak value is the twisted expansion of the word
+    itself with the slot weight W(M, c) = sum_L C(M-1, L-1) s(L, c)/L!, one
+    C(M-1, L-1) for each way to cut M letters into L packets. The packets
+    have the generating function sum_M C(M-1, L-1) y^M = (y/(1-y))^L, and
+    sum_L s(L, c) x^L/L! = log(1+x)^c/c!, so sum_M W(M, c) y^M =
+    log(1 + y/(1-y))^c/c! = (-log(1-y))^c/c! = sum_M |s(M, c)| y^M/M!. Thus
+    W(M, c) = |s(M, c)|/M! = (-1)^(M-c) s(M, c)/M!, and a structure's
+    weight changes by the product of these signs, (-1)^(k - sum c)."""
+    total = Fraction(0)
+    for exps, coeff in mzv._composition_terms(a):
+        data = nested_fp_res(exps, v)
+        if data.res != 0:
+            raise HolomorphyViolation(f"composition term {exps} at v={v} has residue {data.res}")
+        total = total + (-1) ** (len(a) - sum(c for _, c in exps)) * coeff * data.fp
+    return total
+
+
 @st.composite
 def _word_of_weight(draw, max_depth, weight):
     """A word of depth <= max_depth whose letters sum to ``weight``."""
@@ -660,12 +712,19 @@ class TestFoldedAgainstTerms:
     @settings(max_examples=15, deadline=None)
     @given(_DEEP_WORDS)
     def test_polynomial_shift(self, a):
-        assert zeta_poly_in_v(a) == mzv._as_poly(oracle_strict(a, Poly.x()))
-        weak = sum(
-            mzv._as_poly(oracle_strict(packet_sums(a, parts), Poly.x()))
-            for parts in compositions(len(a))
-        )
+        assert zeta_poly_in_v(a) == oracle_strict(a, Poly.x())
+        weak = sum(oracle_strict(packet_sums(a, parts), Poly.x()) for parts in compositions(len(a)))
         assert zeta_poly_in_v(a, "weak") == weak
+
+    @settings(max_examples=30, deadline=None)
+    @given(_DEEP_WORDS, _SHIFTS)
+    def test_weak_unsigned_weights(self, a, v):
+        assert zeta_value(a, v, "weak") == oracle_weak(a, v)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_DEEP_WORDS)
+    def test_weak_unsigned_weights_polynomial(self, a):
+        assert zeta_poly_in_v(a, "weak") == oracle_weak(a, Poly.x())
 
     @settings(max_examples=20, deadline=None)
     @given(_DEEP_WORDS, _SHIFTS)
@@ -685,25 +744,64 @@ class TestStuffleAboveWeight8:
         assert lhs == zeta_value(u, v, variant) * zeta_value(w, v, variant)
 
 
+#: Each shift written two ways: an int and a Fraction, or a Fraction given
+#: in lowest and in higher terms.
+_SPELLINGS = ((0, Fraction(0)), (Fraction(1, 2), Fraction(2, 4)), (Fraction(-1, 3), Fraction(-2, 6)))
+
+#: Every way to read the value at one shift v (spelled ``v`` or ``w``): as a
+#: single shift, as a one-lane tuple, in either lane of a two-lane tuple,
+#: respelled, and from the polynomial in v.
+_READS = (
+    lambda a, var, v, w: zeta_value(a, v, var),
+    lambda a, var, v, w: zeta_value(a, (v,), var)[0],
+    lambda a, var, v, w: zeta_value(a, (v, Fraction(3, 7)), var)[0],
+    lambda a, var, v, w: zeta_value(a, (Fraction(3, 7), w), var)[1],
+    lambda a, var, v, w: zeta_value(a, w, var),
+    lambda a, var, v, w: zeta_poly_in_v(a, var)(v),
+)
+
+
+def test_memo_keys_never_cross():
+    # one memo serves every variant, single shifts, tuples of shifts and
+    # Q[v]; the reads are interleaved in one order that mixes all of them,
+    # so an entry stored under a key another read shares would be read back
+    mzv._memo.clear()
+    words_ = ((0, 0), (0, 1, 1), (2, 1), (1, 0, 2))
+    calls = list(product(words_, VARIANTS, _SPELLINGS, _READS))
+    # 7919 is prime to len(calls) = 216, so this is a permutation of the calls
+    order = sorted(range(len(calls)), key=lambda i: (i * 7919) % len(calls))
+    got: dict = {}
+    for i in order:
+        a, variant, (v, w), read = calls[i]
+        got.setdefault((a, variant, v), []).append(read(a, variant, v, w))
+    for values in got.values():
+        assert len(values) == len(_READS)
+        assert all(type(x) is Fraction for x in values) and len(set(values)) == 1
+    assert got[((0, 0), "strict", 0)][0] == Fraction(3, 8)
+    assert got[((0, 0), "weak", 0)][0] == Fraction(-1, 8)
+    for v, _ in _SPELLINGS:
+        assert got[((0, 1, 1), "strict", v)][0] != got[((0, 1, 1), "alt", v)][0]
+
+
 def test_holomorphy_violation_error_exists():
     assert issubclass(HolomorphyViolation, ArithmeticError)
 
 
 def test_holomorphy_checked_on_folded_total(monkeypatch):
     monkeypatch.setattr(mzv, "strict_fp_res", lambda a, v: LaurentData(Fraction(1), Fraction(0)))
-    mzv._zeta_strict.cache_clear()
+    mzv._memo.clear()
     try:
         with pytest.raises(HolomorphyViolation, match="strict expansion"):
             zeta_value((5, 7, 9), Fraction(1, 5))
     finally:
-        mzv._zeta_strict.cache_clear()
+        mzv._memo.clear()
 
 
 def test_holomorphy_checked_on_weak_total(monkeypatch):
     monkeypatch.setattr(mzv, "weak_fp_res", lambda a, v: LaurentData(Fraction(1), Fraction(0)))
-    mzv._zeta_weak.cache_clear()
+    mzv._memo.clear()
     try:
         with pytest.raises(HolomorphyViolation, match="weak expansion"):
             zeta_value((5, 7, 9), Fraction(1, 5), "weak")
     finally:
-        mzv._zeta_weak.cache_clear()
+        mzv._memo.clear()

@@ -27,8 +27,8 @@ is carried inside the recursion. Two slot menus use this:
   boundary subsum (below) of every state after it, computed once.
 
 ``weak_fp_res`` sums the prefix-sum states of a word's 2^(k-1)
-contractions: the weak value, from exactly the states their strict values
-create.
+contractions, each distinct one once with its multiplicity: the weak value,
+from exactly the states their strict values create.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1. Scaling every c_i by
@@ -121,7 +121,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
-from .combinat import bernoulli, check_recursion_depth, contractions, stirling1
+from .combinat import bernoulli, check_recursion_depth, stirling1
 from .exactnum import Poly, as_rational
 
 
@@ -500,13 +500,23 @@ def strict_fp_res(word, v) -> LaurentData:
 
 def weak_fp_res(word, v) -> LaurentData:
     """The sum of :func:`strict_fp_res` over the 2^(k-1) contractions of the
-    word, one prefix-sum state each: its finite part is the weak value.
+    word: its finite part is the weak value. The distinct contractions are
+    built letter by letter (the next letter appended or added to the last)
+    with their integer multiplicities, and each is read as one prefix-sum
+    state, so a word of k zeros reads k states, not 2^(k-1).
 
     >>> weak_fp_res((0, 0), 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
     """
     word, ring, head = _word_head(word, v)
-    states = ((x + (0,), _UNIT) for x in contractions(word))
+    counts = {word[:1]: 1}
+    for b in word[1:]:
+        grown: dict = {}
+        for x, m in counts.items():
+            for y in (x + (b,), x[:-1] + (x[-1] + b,)):
+                grown[y] = grown.get(y, 0) + m
+        counts = grown
+    states = ((x + (0,), (m, 1)) for x, m in counts.items())
     return _to_laurent(_weighted_sum(states, True, ring, head), v)
 
 

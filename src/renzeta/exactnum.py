@@ -25,10 +25,11 @@ class LaurentWindowError(ArithmeticError):
 
 
 def as_rational(x) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject anything inexact."""
+    """Coerce an int or Fraction to Fraction; reject anything inexact, and
+    a bool, which Python counts as an int."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 

@@ -161,6 +161,10 @@ def _pole_free_fp(data, what: str):
 # key of its own.
 _memo: dict = {}
 
+#: The quasi-shuffle multiplicities of every stuffle pass, whatever its
+#: variant, shift, weight or depth: words and cells built once per process.
+_stuffle_table = QuasiShuffleTable(merge=True)
+
 #: v = ``Poly.x()`` and its ``_head``, built once: Q[v] has the one shift.
 _X = Poly.x()
 _X_HEAD = _head(_X, 0, 0)
@@ -334,9 +338,10 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     ``strict`` uses the unsigned stuffle, ``weak`` the signed one. Each
     distinct word's value is taken from ``zeta_value`` once per pass, and
     all of them are brought over one common denominator D as numerators N.
-    One :class:`words.QuasiShuffleTable` gives every pair's quasi-shuffle
-    multiplicities m_x. The weak coefficient of x is m_x (-1)^(|u|+|u'|-|x|),
-    so with S_x = (-1)^|x| N_x (weak) or N_x (strict) both conventions check
+    The process's :class:`words.QuasiShuffleTable`, which every pass reads
+    and extends, gives every pair's quasi-shuffle multiplicities m_x. The
+    weak coefficient of x is m_x (-1)^(|u|+|u'|-|x|), so with
+    S_x = (-1)^|x| N_x (weak) or N_x (strict) both conventions check
     sum_x m_x S_x D == S_u S_u' in integers. Failures are returned as data,
     not raised.
     """
@@ -346,7 +351,7 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     t0 = time.monotonic()
     report = Report(suite=f"stuffle-{variant}")
     weak = variant == "weak"
-    table = QuasiShuffleTable(merge=True)
+    table = _stuffle_table
     words = [(w, table.intern(w), sum(w)) for w in words_up_to(max_depth, max_weight)]
     # The relations need exactly the words of depth <= 2 max_depth and weight
     # <= max_weight: a term of u * w has at most |u| + |w| letters and the
@@ -362,8 +367,6 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
             total = 0
             for x, m in table.product(iu, iw).items():
                 total += m * signed[x]
-            if len(u) == len(w) == max_depth:
-                table.drop(iu, iw)  # no later pair has (u, w) as a suffix pair
             if total * den == signed[iu] * signed[iw]:
                 report.cases += 1
             else:

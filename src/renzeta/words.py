@@ -8,8 +8,7 @@ values; in the weak ("-") convention every binary merge also flips the sign
 of the coefficient. Shuffle and stuffle are one first-letter recursion, the
 shuffle without the merge branch, on interned words with one cell of integer
 multiplicities per pair of words (:class:`QuasiShuffleTable`); both stuffle
-conventions read their coefficients off the same multiplicities. A one-off
-product uses a throwaway table; a stuffle sweep keeps one for a whole pass.
+conventions read their coefficients off the same multiplicities.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ class TensorPoly:
 class QuasiShuffleTable:
     """Shuffle or quasi-shuffle multiplicities on interned words, one cell
     per pair of words, for a caller that multiplies many words sharing
-    suffixes (a stuffle sweep keeps one table for a whole pass).
+    suffixes.
 
     A word is an int: 0 is the unit word, and a nonempty word x is its first
     letter ``head[x]`` followed by the word ``tail[x]``. The cell of a pair
@@ -210,10 +209,6 @@ class QuasiShuffleTable:
             todo.pop()
         return cells[(x, y)]
 
-    def drop(self, x: int, y: int) -> None:
-        """Forget the cell of the pair (x, y) itself; its suffix cells stay."""
-        self.cells.pop((x, y), None)
-
 
 def _multiplicities(u, w, merge: bool) -> list:
     """(word, multiplicity) for each term of u * w, on a throwaway table."""
@@ -237,8 +232,7 @@ def stuffle(u, w, sign_mode: str = "strict") -> TensorPoly:
     letters adding their values. Every quasi-shuffle giving a word x makes
     |u| + |w| - |x| merges, so in ``weak`` mode the coefficient of x is its
     multiplicity times (-1)**(|u| + |w| - |x|). The multiplicities come from
-    a throwaway :class:`QuasiShuffleTable`; a caller multiplying many words
-    keeps one table instead.
+    a throwaway :class:`QuasiShuffleTable`.
 
     >>> sorted(stuffle((1,), (2,)).terms)
     [(1, 2), (2, 1), (3,)]

@@ -528,9 +528,9 @@ def _golden_grid():
     yield ("hdim", "--dim", "2", "-a", "", "--v", "-5")
 
 
-def _golden_digest() -> str:
+def _golden_digest(grid) -> str:
     digest = hashlib.sha256()
-    for argv in _golden_grid():
+    for argv in grid:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(list(argv))
@@ -547,4 +547,16 @@ def test_cli_golden_digest():
     hashed. Any byte the CLI prints differently fails this test; a change
     that alters these bytes on purpose re-pins the digest and says so in
     CHANGES.md."""
-    assert _golden_digest() == _GOLDEN_DIGEST
+    assert _golden_digest(_golden_grid()) == _GOLDEN_DIGEST
+
+
+_STUFFLE_DIGEST = "2a89d294c508b1eb81504642aef64d5532e813404de04b6b7d78081536006c39"
+
+
+def test_stuffle_suite_digest():
+    """The same sha256 over ``verify --suite stuffle --max-weight 5`` at its
+    default shifts, with ``--v 1/7`` and with ``--v=-1/3``: each suite runs
+    several passes on the one quasi-shuffle table of the process."""
+    base = ("verify", "--suite", "stuffle", "--max-weight", "5")
+    grid = (base, base + ("--v", "1/7"), base + ("--v=-1/3",))
+    assert _golden_digest(grid) == _STUFFLE_DIGEST

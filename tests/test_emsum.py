@@ -327,6 +327,26 @@ class TestMemo:
         assert not any(tables)
         assert nested_fp_res(exps, Fraction(1, 3)) == first
 
+    def test_weak_reads_each_distinct_contraction_once(self, monkeypatch):
+        # (0,) * 16 has 2^15 contractions but 16 distinct ones, (0,) * j:
+        # warm, the weak total reads their 16 prefix-sum states and no more
+        word = (0,) * 16
+        emsum.clear_cache()
+        try:
+            want = emsum.weak_fp_res(word, 0)
+            reads = []
+            real = emsum._nested
+
+            def counted(exps, ring, head):
+                reads.append(exps)
+                return real(exps, ring, head)
+
+            monkeypatch.setattr(emsum, "_nested", counted)
+            assert emsum.weak_fp_res(word, 0) == want
+        finally:
+            emsum.clear_cache()
+        assert sorted(reads) == [(0,) * (j + 1) for j in range(1, 17)]
+
     def test_engine_state_count(self):
         # the set of engine states is part of the engine's contract: the
         # states visited are exactly those of reach >= -1 (the peel stops

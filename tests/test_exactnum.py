@@ -94,6 +94,13 @@ class TestRationals:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    def test_as_rational_refuses_inexact_and_bool(self):
+        # a bool is an int to Python, but True is no shift: refused as a float is
+        assert as_rational(3) == 3 and as_rational(Fraction(1, 7)) == Fraction(1, 7)
+        for bad in (0.5, True, False, "1/2"):
+            with pytest.raises(TypeError):
+                as_rational(bad)
+
     def test_integer_grammar(self):
         # one grammar for every integer on the command line: ASCII digits
         # after an optional sign, surrounding whitespace allowed

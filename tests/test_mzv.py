@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renzeta import emsum, mzv, words
+from renzeta import emsum, mzv, verify, words
 from renzeta.emsum import LaurentData, StructuralViolation, nested_fp_res
 from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
@@ -326,6 +326,49 @@ class TestStuffleSuite:
         assert set(looked_up) == needed
         assert all(args[1:] == (v, "strict") for args in values)
 
+    def test_process_table_reused_across_passes(self, monkeypatch):
+        # the cells a strict pass builds serve a weak pass at the same shift
+        # and a strict pass at another: both add no cell
+        table = words.QuasiShuffleTable(merge=True)
+        monkeypatch.setattr(mzv, "_stuffle_table", table)
+        assert verify_stuffle(5, Fraction(1, 7), "strict").ok
+        cells = dict(table.cells)
+        assert cells
+        assert verify_stuffle(5, Fraction(1, 7), "weak").ok
+        assert verify_stuffle(5, Fraction(-1, 3), "strict").ok
+        assert table.cells == cells
+
+    def test_interleaved_passes_match_fresh_tables(self, monkeypatch):
+        # passes of every variant, shift, weight and depth interleaved on the
+        # process table give the reports of the same passes on a fresh table;
+        # one pass reads a faulty value, so failure lists are compared too
+        real = mzv.zeta_value
+
+        def faulty(a, v=0, variant="strict"):
+            value = real(a, v, variant)
+            return value + Fraction(1, 7) if tuple(a) == (1, 1) else value
+
+        def on_fresh_table(*args):
+            with monkeypatch.context() as m:
+                m.setattr(mzv, "_stuffle_table", words.QuasiShuffleTable(merge=True))
+                return verify_stuffle(*args)
+
+        shifts = (0, Fraction(1, 7), Fraction(-1, 3))
+        passes = list(product(range(3, 6), shifts, ("strict", "weak"), (2, 3)))
+        # 17 is prime to len(passes) = 36, so this is a permutation of them
+        passes = [passes[(i * 17) % len(passes)] for i in range(len(passes))]
+        passes.insert(5, passes[4] + ("faulty",))
+        failed = 0
+        for args in passes:
+            with monkeypatch.context() as m:
+                if args[-1] == "faulty":
+                    args = args[:-1]
+                    m.setattr(mzv, "zeta_value", faulty)
+                got, want = verify_stuffle(*args), on_fresh_table(*args)
+            assert (got.suite, got.cases, got.failures) == (want.suite, want.cases, want.failures)
+            failed += bool(got.failures)
+        assert failed == 1
+
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_failures_reported_as_the_rational_check_gives(self, variant, monkeypatch):
         # one word's value off by 1/7: every relation it enters must fail,
@@ -383,6 +426,16 @@ class TestHurwitz:
         for a in ((1, 1), (2, 1), (1, 2, 1)):
             for v in (Fraction(0), Fraction(1, 2)):
                 assert verify_hurwitz_identities([a], [v]).ok
+
+    def test_variant_is_read(self):
+        # alt satisfies the shift and derivative identities, weak does not:
+        # a check that ignored its variant would pass or fail both
+        pool = verify._words(3, range(4))
+        vs = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
+        alt = verify_hurwitz_identities(pool, vs, variant="alt")
+        assert alt.ok and alt.cases == 492
+        weak = verify_hurwitz_identities(pool, vs, variant="weak")
+        assert weak.cases == 492 and len(weak.failures) == 304
 
     def test_empty_word_refused(self):
         with pytest.raises(ValueError, match="nonempty word"):
@@ -781,6 +834,23 @@ def test_memo_keys_never_cross():
     assert got[((0, 0), "weak", 0)][0] == Fraction(-1, 8)
     for v, _ in _SPELLINGS:
         assert got[((0, 1, 1), "strict", v)][0] != got[((0, 1, 1), "alt", v)][0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zeta_value((1,), True),
+        lambda: zeta_value((1,), (False, True)),
+        lambda: nested_fp_res([(1, 1)], True),
+        lambda: hdim_zeta(2, (0,), v=True),
+        lambda: verify_stuffle(2, True, "strict", max_depth=1),
+    ],
+)
+def test_bool_shift_refused(call):
+    # a bool is refused as a float is, not read as 1 or 0 (zeta(-1; True)
+    # would be -13/12)
+    with pytest.raises(TypeError, match="bool"):
+        call()
 
 
 def test_holomorphy_violation_error_exists():

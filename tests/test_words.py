@@ -161,7 +161,7 @@ class TestStuffle:
         assert ((1,) * 2000 + (2,), 1) in got
 
     def test_shared_table_gives_the_same_products(self):
-        # one table for every pair, as a stuffle sweep keeps it: the same
+        # one table for every pair, as the stuffle passes share it: the same
         # words, multiplicities and term order as a throwaway table per pair
         pool = [()] + words_up_to(3, 6)
         for merge in (False, True):
@@ -170,13 +170,6 @@ class TestStuffle:
                 for w in pool:
                     want = table_terms(QuasiShuffleTable(merge), u, w)
                     assert table_terms(shared, u, w) == want
-
-    def test_dropped_cells_are_rebuilt(self):
-        table = QuasiShuffleTable(True)
-        u, w = (1, 2, 3), (4, 5)
-        want = table_terms(table, u, w)
-        table.drop(table.intern(u), table.intern(w))
-        assert table_terms(table, u, w) == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(_DRAWN_WORDS, _DRAWN_WORDS), min_size=1, max_size=6))

@@ -415,6 +415,10 @@ def _lanes(pairs: tuple) -> _Ring:
     return _Ring(len(pairs), (1, (1,) * len(pairs)), (den, tuple(shift)))
 
 
+#: The polynomial variable v, built once: Q[v] has the one shift.
+_X = Poly.x()
+
+
 def _head(v, j_bump: int, menu: int):
     """Validate the shift v: a rational > -1, a nonempty tuple of them (one
     lane each), or the polynomial variable ``Poly.x()``. Returns the ring,
@@ -422,7 +426,7 @@ def _head(v, j_bump: int, menu: int):
     by a whole recursion: (menu, j_bump, key of v). One shift p/q is keyed
     p, q; several are keyed by the tuple of their p and that of their q."""
     if isinstance(v, Poly):
-        if v != Poly.x():
+        if v != _X:
             raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
         return _QV, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
     pairs = tuple([as_rational(x).as_integer_ratio() for x in (v if type(v) is tuple else (v,))])

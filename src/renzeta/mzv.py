@@ -26,10 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
-from .emsum import _head, nested_fp_res, strict_fp_res, weak_fp_res
+from .emsum import _X, _head, nested_fp_res, strict_fp_res, weak_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
 # bound here because the benchmark's tracer (perfbench/tracing.py) wraps mzv.stuffle
@@ -156,17 +157,16 @@ def _pole_free_fp(data, what: str):
 # of v). The key of v is the engine's own: the head of its state keys,
 # which ``emsum._head(v, 0, 0)`` builds while it validates v, for every word,
 # the empty one too (the menu and j_bump entries are constant here). It
-# holds ints only, so a memo hit hashes no Fraction. One rational v is read
-# as lane 0 of the one-lane tuple (v,), which has the same key; Q[v] has a
-# key of its own.
+# holds ints only, so a memo hit hashes no Fraction. One rational v = p/q is
+# read as lane 0 of the one-lane tuple (v,), which has the same key
+# (0, 0, p, q); Q[v] has a key of its own.
 _memo: dict = {}
 
 #: The quasi-shuffle multiplicities of every stuffle pass, whatever its
 #: variant, shift, weight or depth: words and cells built once per process.
 _stuffle_table = QuasiShuffleTable(merge=True)
 
-#: v = ``Poly.x()`` and its ``_head``, built once: Q[v] has the one shift.
-_X = Poly.x()
+#: The ``_head`` of v = ``emsum._X``, built once: Q[v] has the one shift.
 _X_HEAD = _head(_X, 0, 0)
 
 
@@ -205,6 +205,12 @@ def zeta_value(a, v=0, variant: str = "strict"):
     (Fraction(1, 288), Fraction(265, 1152), Fraction(3649, 1152))
     """
     a = _validate_args(a)
+    if type(v) is not tuple:
+        # a hit at one shift builds its key (0, 0, p, q) here, not by _head;
+        # a miss, and every invalid v or variant, takes the path below
+        value = _memo.get((a, variant, (0, 0, *as_rational(v).as_integer_ratio())))
+        if value is not None:
+            return value[0]
     lanes = v if type(v) is tuple else (v,)
     value = _zeta(a, variant, lanes, *_head(lanes, 0, 0))
     return value if lanes is v else value[0]
@@ -331,53 +337,98 @@ def _over_one_denominator(values: dict) -> tuple[int, dict]:
     return den, {x: q.numerator * (den // q.denominator) for x, q in values.items()}
 
 
-def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3) -> Report:
-    """Check zeta(u * u'; v) = zeta(u; v) zeta(u'; v) for all ordered word
-    pairs with per-word depth <= max_depth and combined weight <= max_weight.
+class _StufflePlan(NamedTuple):
+    """What a stuffle pass on one (max_weight, max_depth) grid needs besides
+    the values, read off the quasi-shuffle table ``table``.
 
-    ``strict`` uses the unsigned stuffle, ``weak`` the signed one. Each
-    distinct word's value is taken from ``zeta_value`` once per pass, and
-    all of them are brought over one common denominator D as numerators N.
-    The process's :class:`words.QuasiShuffleTable`, which every pass reads
-    and extends, gives every pair's quasi-shuffle multiplicities m_x. The
-    weak coefficient of x is m_x (-1)^(|u|+|u'|-|x|), so with
-    S_x = (-1)^|x| N_x (weak) or N_x (strict) both conventions check
-    sum_x m_x S_x D == S_u S_u' in integers. Failures are returned as data,
-    not raised.
-    """
-    if variant not in ("strict", "weak"):
-        raise ValueError("stuffle suite runs on the strict or weak variant")
-    v = as_rational(v)
-    t0 = time.monotonic()
-    report = Report(suite=f"stuffle-{variant}")
-    weak = variant == "weak"
-    table = _stuffle_table
-    words = [(w, table.intern(w), sum(w)) for w in words_up_to(max_depth, max_weight)]
+    ``words`` are the value words: every word of depth <= 2 max_depth and
+    weight <= max_weight, in ``words_up_to`` order, so the grid's own words
+    come first. ``odd[i]`` is the parity of the length of ``words[i]``. A
+    pair (i, j, ids, ms) is the ordered grid pair u = words[i], w = words[j]
+    with the terms of u * w as positions ``ids`` into ``words`` and their
+    multiplicities ``ms``, the pairs in (u, w) order."""
+
+    table: QuasiShuffleTable
+    words: list
+    odd: list
+    pairs: list
+
+
+def _stuffle_plan(table: QuasiShuffleTable, max_weight: int, max_depth: int) -> _StufflePlan:
+    """The plan of one grid, with one ``table.product`` per pair. The table
+    ids are renumbered as positions, so a pass reads no table."""
     # The relations need exactly the words of depth <= 2 max_depth and weight
     # <= max_weight: a term of u * w has at most |u| + |w| letters and the
     # weight of u and w together, and each such word is a term (multiplicity
     # >= 1, so nonzero in both sign modes) of the product of its two halves.
-    values = {x: zeta_value(x, v, variant) for x in words_up_to(2 * max_depth, max_weight)}
-    den, nums = _over_one_denominator(values)
-    signed = {table.intern(x): -n if weak and len(x) % 2 else n for x, n in nums.items()}  # S_x
-    for u, iu, weight_u in words:
-        for w, iw, weight_w in words:
-            if weight_u + weight_w > max_weight:
-                continue
-            total = 0
-            for x, m in table.product(iu, iw).items():
-                total += m * signed[x]
-            if total * den == signed[iu] * signed[iw]:
-                report.cases += 1
-            else:
-                if weak and (len(u) + len(w)) % 2:
-                    total = -total
-                report.record(
-                    False,
-                    f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={v}",
-                    Fraction(total, den),
-                    values[u] * values[w],
-                )
+    words = words_up_to(2 * max_depth, max_weight)
+    ids = [table.intern(x) for x in words]
+    position = {x: i for i, x in enumerate(ids)}
+    grid = [(i, sum(x)) for i, x in enumerate(words) if len(x) <= max_depth]
+    pairs, shared = [], {}  # one tuple per distinct multiplicity list: most pairs share a few
+    for i, weight_u in grid:
+        for j, weight_w in grid:
+            if weight_u + weight_w <= max_weight:
+                cell = table.product(ids[i], ids[j])
+                ms = tuple(cell.values())
+                pairs.append((i, j, tuple([position[z] for z in cell]), shared.setdefault(ms, ms)))
+    return _StufflePlan(table, words, [len(x) % 2 for x in words], pairs)
+
+
+#: The plan of every (max_weight, max_depth) grid a stuffle pass has run, for
+#: every later pass on it at any variant and shift. A plan is rebuilt when
+#: ``_stuffle_table`` is not the table it was read from.
+_stuffle_plans: dict = {}
+
+
+def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3) -> Report:
+    """Check zeta(u * u'; v) = zeta(u; v) zeta(u'; v) for all ordered word
+    pairs with per-word depth <= max_depth and combined weight <= max_weight.
+
+    ``strict`` uses the unsigned stuffle, ``weak`` the signed one. The first
+    pass on a grid (max_weight, max_depth) builds its plan (``_StufflePlan``)
+    from the process's :class:`words.QuasiShuffleTable`, which every pass
+    reads and extends. Every later pass on the grid, at any variant and
+    shift, reuses it, until ``_stuffle_table`` is rebound. A pass reads
+    each value word from ``zeta_value`` once and brings all of them over one
+    common denominator D as numerators N. The plan gives every pair's
+    quasi-shuffle multiplicities m_x. The weak coefficient of x is
+    m_x (-1)^(|u|+|u'|-|x|), so with S_x = (-1)^|x| N_x (weak) or N_x
+    (strict) both conventions check sum_x m_x S_x D == S_u S_u' in integers.
+    Failures are returned as data, not raised. ``max_weight`` must be an int
+    >= 0 and ``max_depth`` an int >= 1, or ValueError is raised.
+    """
+    if variant not in ("strict", "weak"):
+        raise ValueError("stuffle suite runs on the strict or weak variant")
+    for name, n, least in (("max_weight", max_weight, 0), ("max_depth", max_depth, 1)):
+        if type(n) is not int or n < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
+    v = as_rational(v)
+    t0 = time.monotonic()
+    report = Report(suite=f"stuffle-{variant}")
+    weak = variant == "weak"
+    plan = _stuffle_plans.get((max_weight, max_depth))
+    if plan is None or plan.table is not _stuffle_table:
+        plan = _stuffle_plans[max_weight, max_depth] = _stuffle_plan(
+            _stuffle_table, max_weight, max_depth
+        )
+    values = [zeta_value(x, v, variant) for x in plan.words]
+    den, nums = _over_one_denominator(dict(enumerate(values)))
+    signed = [-n if weak and odd else n for n, odd in zip(nums.values(), plan.odd)]  # S_x
+    at = signed.__getitem__
+    for i, j, ids, ms in plan.pairs:
+        total = sum(map(mul, ms, map(at, ids)))
+        if total * den != signed[i] * signed[j]:
+            u, w = plan.words[i], plan.words[j]
+            if weak and (len(u) + len(w)) % 2:
+                total = -total
+            report.record(
+                False,
+                f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={v}",
+                Fraction(total, den),
+                values[i] * values[j],
+            )
+    report.cases = len(plan.pairs)  # every pair is one case, failed or not
     report.seconds = time.monotonic() - t0
     return report
 

@@ -298,8 +298,9 @@ class TestStuffleSuite:
         assert report.ok
 
     def test_one_lookup_per_word(self, monkeypatch):
-        # one product per word pair, one value per distinct word: the
-        # benchmark's per-layer hook wraps mzv.zeta_value
+        # on a fresh table, one product per word pair and one value per
+        # distinct word: the benchmark's per-layer hook wraps mzv.zeta_value
+        monkeypatch.setattr(mzv, "_stuffle_table", words.QuasiShuffleTable(merge=True))
         products, values = [], []
         real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
 
@@ -325,6 +326,77 @@ class TestStuffleSuite:
         assert len(looked_up) == len(set(looked_up))
         assert set(looked_up) == needed
         assert all(args[1:] == (v, "strict") for args in values)
+
+    def test_warm_pass_reads_only_values(self, monkeypatch):
+        # a second pass on a grid, at another variant and shift, reuses the
+        # first pass's plan: no product, one value per value word, same cases
+        monkeypatch.setattr(mzv, "_stuffle_table", words.QuasiShuffleTable(merge=True))
+        first = verify_stuffle(4, Fraction(1, 3), "strict")
+        products, values = [], []
+        real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
+
+        def product(table, x, y):
+            products.append((x, y))
+            return real_product(table, x, y)
+
+        def value(*args):
+            values.append(args)
+            return real_value(*args)
+
+        monkeypatch.setattr(words.QuasiShuffleTable, "product", product)
+        monkeypatch.setattr(mzv, "zeta_value", value)
+        v = Fraction(-2, 5)
+        second = verify_stuffle(4, v, "weak")
+        assert second.ok and second.cases == first.cases
+        assert products == []
+        assert values == [(x, v, "weak") for x in words_up_to(6, 4)]
+
+    @pytest.mark.parametrize(
+        "grid", [(-1, 3), (4, 0), (True, 3), (4, True), (2.5, 3), (4, 2.0), (Fraction(4), 3)]
+    )
+    def test_malformed_grid_refused(self, grid):
+        # a grid keys a plan: a negative weight or a depth below 1 would give
+        # an empty report, a bool would run as 1, a float ends in range()
+        with pytest.raises(ValueError, match="max_"):
+            verify_stuffle(grid[0], 0, "strict", max_depth=grid[1])
+
+    def test_weight_zero_grid(self):
+        report = verify_stuffle(0, 0, "strict")
+        assert report.ok and report.cases == 9  # (0,), (0,0), (0,0,0) squared
+
+    def test_swapped_table_builds_its_own_plan(self, monkeypatch):
+        # the same passes, with one faulty value, on the process table and
+        # on a table swapped in after them give the same reports, and the
+        # swapped-in table gets the same words and cells: no plan read off
+        # the first table serves the second
+        real = mzv.zeta_value
+
+        def faulty(a, v=0, variant="strict"):
+            value = real(a, v, variant)
+            return value + Fraction(1, 7) if tuple(a) == (0, 2) else value
+
+        passes = [
+            (4, Fraction(1, 7), "strict", 3, real),
+            (4, Fraction(-1, 3), "weak", 3, faulty),
+            (5, 0, "weak", 2, real),
+            (4, 0, "strict", 3, faulty),
+        ]
+
+        def run(table):
+            monkeypatch.setattr(mzv, "_stuffle_table", table)
+            out = []
+            for *args, read in passes:
+                with monkeypatch.context() as m:
+                    m.setattr(mzv, "zeta_value", read)
+                    report = verify_stuffle(*args)
+                out.append((report.suite, report.cases, report.failures))
+            return out
+
+        first, second = words.QuasiShuffleTable(merge=True), words.QuasiShuffleTable(merge=True)
+        got = run(first)
+        assert got == run(second)
+        assert [bool(failures) for *_, failures in got] == [False, True, False, True]
+        assert (second.head, second.tail, second.cells) == (first.head, first.tail, first.cells)
 
     def test_process_table_reused_across_passes(self, monkeypatch):
         # the cells a strict pass builds serve a weak pass at the same shift
@@ -834,6 +906,29 @@ def test_memo_keys_never_cross():
     assert got[((0, 0), "weak", 0)][0] == Fraction(-1, 8)
     for v, _ in _SPELLINGS:
         assert got[((0, 1, 1), "strict", v)][0] != got[((0, 1, 1), "alt", v)][0]
+
+
+def test_single_shift_hit_skips_head(monkeypatch):
+    # a memo hit at one rational shift builds its key without emsum._head and
+    # reads what the one-lane tuple form stored; bool shifts, v <= -1 and an
+    # unknown variant still raise as the tuple form does
+    a = (1, 0, 2)
+    for variant in VARIANTS:
+        want = zeta_value(a, (Fraction(2, 5),), variant)[0]
+        with monkeypatch.context() as m:
+            m.setattr(mzv, "_head", None)
+            assert zeta_value(a, Fraction(4, 10), variant) == want
+            assert zeta_value(list(a), Fraction(2, 5), variant) == want
+    assert zeta_value(a, 3) == zeta_value(a, (3,))[0] == zeta_value(a, Fraction(3))
+    for v in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            zeta_value(a, v)
+    for v in (-1, Fraction(-3, 2)):
+        for word in (a, ()):
+            with pytest.raises(StructuralViolation):
+                zeta_value(word, v)
+    with pytest.raises(ValueError, match="unknown variant"):
+        zeta_value(a, Fraction(2, 5), "bogus")
 
 
 @pytest.mark.parametrize(

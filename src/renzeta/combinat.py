@@ -1,11 +1,11 @@
 """Bernoulli numbers and polynomials, Stirling numbers of the first kind,
 and contractions (packet sums).
 
-Contractions are the one enumeration of packet cuts: the contractions of
-(1, ..., 1) are the compositions of k, lexicographic by parts, and those of
-any word of k letters come in the same order, so that CLI output and memo
-keys are reproducible. Shuffles and quasi-shuffles are not enumerated
-here: ``words`` expands them by a first-letter recursion.
+The contractions of (1, ..., 1) are the compositions of k, lexicographic
+by parts, and those of any word of k letters come in the same order. The
+weak engine entry ``emsum.weak_fp_res`` counts a word's distinct
+contractions itself, and ``words`` expands shuffles and quasi-shuffles by
+a first-letter recursion.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def contractions(word) -> list[tuple]:
     appended or added to the last letter). The i-th word sums the packets
     whose sizes are the letters of the i-th contraction of (1,) * k.
 
-    A word as long as the interpreter's recursion limit is refused at once:
-    the strict values of its contractions recurse one frame per letter and
-    could not be computed anyway, and enumerating the 2^(k-1) words first
-    would not end.
+    A word as long as the interpreter's recursion limit is refused at once,
+    as the engine refuses it: the callers (``mzv._composition_structures``,
+    ``words._hoffman_word``) would otherwise start listing 2^(k-1) words,
+    which would not end.
 
     >>> contractions((1, 2, 3))
     [(1, 2, 3), (1, 5), (3, 3), (6,)]

@@ -162,10 +162,6 @@ def _pole_free_fp(data, what: str):
 # (0, 0, p, q); Q[v] has a key of its own.
 _memo: dict = {}
 
-#: The quasi-shuffle multiplicities of every stuffle pass, whatever its
-#: variant, shift, weight or depth: words and cells built once per process.
-_stuffle_table = QuasiShuffleTable(merge=True)
-
 #: The ``_head`` of v = ``emsum._X``, built once: Q[v] has the one shift.
 _X_HEAD = _head(_X, 0, 0)
 
@@ -339,7 +335,8 @@ def _over_one_denominator(values: dict) -> tuple[int, dict]:
 
 class _StufflePlan(NamedTuple):
     """What a stuffle pass on one (max_weight, max_depth) grid needs besides
-    the values, read off the quasi-shuffle table ``table``.
+    the values. It lives as long as the process: ``_stuffle_plan`` caches
+    it, and every pass on the grid, at any variant and shift, reads it.
 
     ``words`` are the value words: every word of depth <= 2 max_depth and
     weight <= max_weight, in ``words_up_to`` order, so the grid's own words
@@ -348,19 +345,22 @@ class _StufflePlan(NamedTuple):
     with the terms of u * w as positions ``ids`` into ``words`` and their
     multiplicities ``ms``, the pairs in (u, w) order."""
 
-    table: QuasiShuffleTable
     words: list
     odd: list
     pairs: list
 
 
-def _stuffle_plan(table: QuasiShuffleTable, max_weight: int, max_depth: int) -> _StufflePlan:
-    """The plan of one grid, with one ``table.product`` per pair. The table
-    ids are renumbered as positions, so a pass reads no table."""
+@lru_cache(maxsize=None)
+def _stuffle_plan(max_weight: int, max_depth: int) -> _StufflePlan:
+    """The plan of one grid, read off a quasi-shuffle table of its own, one
+    ``product`` per pair (the table's cells shared by all of them). The table
+    ids are renumbered as positions and the table is dropped, so a pass
+    reads no table."""
     # The relations need exactly the words of depth <= 2 max_depth and weight
     # <= max_weight: a term of u * w has at most |u| + |w| letters and the
     # weight of u and w together, and each such word is a term (multiplicity
     # >= 1, so nonzero in both sign modes) of the product of its two halves.
+    table = QuasiShuffleTable(merge=True)
     words = words_up_to(2 * max_depth, max_weight)
     ids = [table.intern(x) for x in words]
     position = {x: i for i, x in enumerate(ids)}
@@ -372,13 +372,7 @@ def _stuffle_plan(table: QuasiShuffleTable, max_weight: int, max_depth: int) -> 
                 cell = table.product(ids[i], ids[j])
                 ms = tuple(cell.values())
                 pairs.append((i, j, tuple([position[z] for z in cell]), shared.setdefault(ms, ms)))
-    return _StufflePlan(table, words, [len(x) % 2 for x in words], pairs)
-
-
-#: The plan of every (max_weight, max_depth) grid a stuffle pass has run, for
-#: every later pass on it at any variant and shift. A plan is rebuilt when
-#: ``_stuffle_table`` is not the table it was read from.
-_stuffle_plans: dict = {}
+    return _StufflePlan(words, [len(x) % 2 for x in words], pairs)
 
 
 def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3) -> Report:
@@ -387,14 +381,14 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
 
     ``strict`` uses the unsigned stuffle, ``weak`` the signed one. The first
     pass on a grid (max_weight, max_depth) builds its plan (``_StufflePlan``)
-    from the process's :class:`words.QuasiShuffleTable`, which every pass
-    reads and extends. Every later pass on the grid, at any variant and
-    shift, reuses it, until ``_stuffle_table`` is rebound. A pass reads
-    each value word from ``zeta_value`` once and brings all of them over one
-    common denominator D as numerators N. The plan gives every pair's
-    quasi-shuffle multiplicities m_x. The weak coefficient of x is
-    m_x (-1)^(|u|+|u'|-|x|), so with S_x = (-1)^|x| N_x (weak) or N_x
-    (strict) both conventions check sum_x m_x S_x D == S_u S_u' in integers.
+    off a :class:`words.QuasiShuffleTable` of the plan's own. The plan is
+    kept for the life of the process, and every later pass on the grid, at
+    any variant and shift, reuses it. A pass reads each value word from
+    ``zeta_value`` once and brings all of them over one common denominator
+    D as numerators N. The plan gives every pair's quasi-shuffle
+    multiplicities m_x. The weak coefficient of x is m_x (-1)^(|u|+|u'|-|x|),
+    so with S_x = (-1)^|x| N_x (weak) or N_x (strict) both conventions check
+    sum_x m_x S_x D == S_u S_u' in integers.
     Failures are returned as data, not raised. ``max_weight`` must be an int
     >= 0 and ``max_depth`` an int >= 1, or ValueError is raised.
     """
@@ -407,11 +401,7 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     t0 = time.monotonic()
     report = Report(suite=f"stuffle-{variant}")
     weak = variant == "weak"
-    plan = _stuffle_plans.get((max_weight, max_depth))
-    if plan is None or plan.table is not _stuffle_table:
-        plan = _stuffle_plans[max_weight, max_depth] = _stuffle_plan(
-            _stuffle_table, max_weight, max_depth
-        )
+    plan = _stuffle_plan(max_weight, max_depth)
     values = [zeta_value(x, v, variant) for x in plan.words]
     den, nums = _over_one_denominator(dict(enumerate(values)))
     signed = [-n if weak and odd else n for n, odd in zip(nums.values(), plan.odd)]  # S_x

@@ -298,9 +298,9 @@ class TestStuffleSuite:
         assert report.ok
 
     def test_one_lookup_per_word(self, monkeypatch):
-        # on a fresh table, one product per word pair and one value per
+        # with no plan cached, one product per word pair and one value per
         # distinct word: the benchmark's per-layer hook wraps mzv.zeta_value
-        monkeypatch.setattr(mzv, "_stuffle_table", words.QuasiShuffleTable(merge=True))
+        mzv._stuffle_plan.cache_clear()
         products, values = [], []
         real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
 
@@ -330,7 +330,7 @@ class TestStuffleSuite:
     def test_warm_pass_reads_only_values(self, monkeypatch):
         # a second pass on a grid, at another variant and shift, reuses the
         # first pass's plan: no product, one value per value word, same cases
-        monkeypatch.setattr(mzv, "_stuffle_table", words.QuasiShuffleTable(merge=True))
+        mzv._stuffle_plan.cache_clear()
         first = verify_stuffle(4, Fraction(1, 3), "strict")
         products, values = [], []
         real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
@@ -364,56 +364,30 @@ class TestStuffleSuite:
         report = verify_stuffle(0, 0, "strict")
         assert report.ok and report.cases == 9  # (0,), (0,0), (0,0,0) squared
 
-    def test_swapped_table_builds_its_own_plan(self, monkeypatch):
-        # the same passes, with one faulty value, on the process table and
-        # on a table swapped in after them give the same reports, and the
-        # swapped-in table gets the same words and cells: no plan read off
-        # the first table serves the second
-        real = mzv.zeta_value
+    def test_one_plan_per_grid(self):
+        # passes of both variants at two shifts on one grid cache one plan,
+        # a second grid one more; no quasi-shuffle table outlives its plan
+        def pairs(max_weight, max_depth):
+            pool = words_up_to(max_depth, max_weight)
+            return sum(1 for u in pool for w in pool if sum(u) + sum(w) <= max_weight)
 
-        def faulty(a, v=0, variant="strict"):
-            value = real(a, v, variant)
-            return value + Fraction(1, 7) if tuple(a) == (0, 2) else value
-
-        passes = [
-            (4, Fraction(1, 7), "strict", 3, real),
-            (4, Fraction(-1, 3), "weak", 3, faulty),
-            (5, 0, "weak", 2, real),
-            (4, 0, "strict", 3, faulty),
-        ]
-
-        def run(table):
-            monkeypatch.setattr(mzv, "_stuffle_table", table)
-            out = []
-            for *args, read in passes:
-                with monkeypatch.context() as m:
-                    m.setattr(mzv, "zeta_value", read)
-                    report = verify_stuffle(*args)
-                out.append((report.suite, report.cases, report.failures))
-            return out
-
-        first, second = words.QuasiShuffleTable(merge=True), words.QuasiShuffleTable(merge=True)
-        got = run(first)
-        assert got == run(second)
-        assert [bool(failures) for *_, failures in got] == [False, True, False, True]
-        assert (second.head, second.tail, second.cells) == (first.head, first.tail, first.cells)
-
-    def test_process_table_reused_across_passes(self, monkeypatch):
-        # the cells a strict pass builds serve a weak pass at the same shift
-        # and a strict pass at another: both add no cell
-        table = words.QuasiShuffleTable(merge=True)
-        monkeypatch.setattr(mzv, "_stuffle_table", table)
-        assert verify_stuffle(5, Fraction(1, 7), "strict").ok
-        cells = dict(table.cells)
-        assert cells
-        assert verify_stuffle(5, Fraction(1, 7), "weak").ok
-        assert verify_stuffle(5, Fraction(-1, 3), "strict").ok
-        assert table.cells == cells
+        mzv._stuffle_plan.cache_clear()
+        for v, variant in product((Fraction(1, 7), Fraction(-1, 3)), ("strict", "weak")):
+            report = verify_stuffle(4, v, variant, max_depth=2)
+            assert report.ok and report.cases == pairs(4, 2)
+        info = mzv._stuffle_plan.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+        report = verify_stuffle(3, 0, "weak", max_depth=3)
+        assert report.ok and report.cases == pairs(3, 3)
+        assert mzv._stuffle_plan.cache_info().currsize == 2
+        tables = [x for x in (*vars(mzv).values(), *mzv._stuffle_plan(3, 3))
+                  if isinstance(x, words.QuasiShuffleTable)]
+        assert tables == []
 
     def test_interleaved_passes_match_fresh_tables(self, monkeypatch):
-        # passes of every variant, shift, weight and depth interleaved on the
-        # process table give the reports of the same passes on a fresh table;
-        # one pass reads a faulty value, so failure lists are compared too
+        # passes of every variant, shift, weight and depth interleaved on
+        # cached plans give the reports of the same passes on a plan built
+        # afresh; one pass reads a faulty value, so failure lists are compared
         real = mzv.zeta_value
 
         def faulty(a, v=0, variant="strict"):
@@ -422,7 +396,7 @@ class TestStuffleSuite:
 
         def on_fresh_table(*args):
             with monkeypatch.context() as m:
-                m.setattr(mzv, "_stuffle_table", words.QuasiShuffleTable(merge=True))
+                m.setattr(mzv, "_stuffle_plan", mzv._stuffle_plan.__wrapped__)
                 return verify_stuffle(*args)
 
         shifts = (0, Fraction(1, 7), Fraction(-1, 3))

@@ -7,12 +7,15 @@ A symbol is a finite sum of terms q(z) * t^(b - c z) * (log t)^m, q in Q(z).
 The lower integration bound is fixed at 1 so every boundary value stays in
 Q(z). Zeta words get their characters, and the Laurent windows of every
 subword, from a product formula, one linear factor at a time, not symbols.
+Their renormalised values come from minimal subtraction in integers along
+the word's prefixes, the only words the factorisation visits there; the
+general factorisation over Fraction Laurent series serves symbol words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .exactnum import (
@@ -236,10 +239,11 @@ def _zeta_word_character(s) -> RationalFunction:
     )
 
 
-def _zeta_subword_series(s, order: int) -> dict[tuple[int, ...], LaurentSeries]:
+def _zeta_subword_series(s, order: int) -> dict[tuple[int, ...], tuple[int, list[int], int]]:
     """The Laurent window through z**order of the character of every
     nonempty contiguous subword of the zeta word with letters s, keyed by
-    its letters.
+    its letters, in integers: ``(lo, nums, den)`` is
+    z**lo * (nums[0] + nums[1] z + ...) / den through z**order.
 
     The character of s[i:i+m] is the product over r <= m of 1/(r z + e_r),
     e_r = S_r - r >= 0, S_r the r-th partial sum of s[i:]. Each start i
@@ -252,12 +256,12 @@ def _zeta_subword_series(s, order: int) -> dict[tuple[int, ...], LaurentSeries]:
     past z**order, so that every prefix still reaches z**order after its
     poles.
 
-    >>> _zeta_subword_series((1, 2), 2)[(1, 2)]
-    LaurentSeries(z^-1 - 2 + 4*z - 8*z^2 + O(z^3))
-    >>> _zeta_subword_series((3, 2), 1)[(3, 2)]
-    LaurentSeries(1/6 - 7/36*z + O(z^2))
+    >>> _zeta_subword_series((1, 2), 2)[(1, 2)]  # z^-1 - 2 + 4z - 8z^2
+    (-1, [1, -2, 4, -8], 1)
+    >>> _zeta_subword_series((3, 2), 1)[(3, 2)]  # 1/6 - 7/36 z
+    (0, [6, -7], 36)
     """
-    out: dict[tuple[int, ...], LaurentSeries] = {}
+    out: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
     for i in range(len(s)):
         ones = next((n for n, x in enumerate(s[i:]) if x != 1), len(s) - i)
         # z**lo * (xs[0] + xs[1] z + ...) / den, valid through z**(lo + len(xs) - 1)
@@ -280,9 +284,54 @@ def _zeta_subword_series(s, order: int) -> dict[tuple[int, ...], LaurentSeries]:
                     xs = [c // g for c in xs]
             sub = s[i : i + r]
             if sub not in out:  # a repeated subword has the same window
-                window = [Fraction(c, den) for c in xs[: max(0, order - lo + 1)]]
-                out[sub] = LaurentSeries(lo, window, order)
+                out[sub] = (lo, xs[: max(0, order - lo + 1)], den)
     return out
+
+
+def _zeta_minimal_subtraction(s, windows, order: int) -> Fraction:
+    """The renormalised value of the zeta word with letters s, from the
+    integer windows of its subwords (``_zeta_subword_series(s, order)``).
+
+    The minimal-subtraction recursion of :class:`BirkhoffFactorization`,
+    run at a zeta word, only visits the prefixes of s. With the unit as
+    minus_0 = 1 it reads bar_i = sum over j < i of minus_j * phi(s[j:i]),
+    taken over one common denominator (one lcm per prefix) and cut at z**-1
+    for i < k, at z**0 for i = k; minus_i = -(pole part of bar_i), reduced
+    by one gcd. Prefixes with no pole part drop out. plus = bar + minus and
+    minus has no z**0 term, so the value is bar_k's constant term.
+    Raises :class:`InsufficientOrder` when a product needs a coefficient
+    past the windows' order.
+
+    >>> def value(s):
+    ...     return _zeta_minimal_subtraction(s, _zeta_subword_series(s, len(s)), len(s))
+    >>> value((3, 2)), value((1, 1)), value((1, 2))
+    (Fraction(1, 6), Fraction(0, 1), Fraction(-1, 1))
+    """
+    k = len(s)
+    # (j, M, ((d, m), ...)): minus_j = sum of m z**-d over M, d increasing
+    minus = [(0, 1, ((0, 1),))]
+    for i in range(1, k + 1):
+        top = 0 if i == k else -1
+        terms = []
+        for j, m_den, pole in minus:
+            if top + pole[-1][0] > order:
+                raise InsufficientOrder(f"z^{top + pole[-1][0]} needed; windows end at z^{order}")
+            lo, nums, den = windows[s[j:i]]
+            terms.append((lo, nums, m_den * den, pole))
+        common = lcm(*[den for _, _, den, _ in terms])
+        bar = []
+        for t in range(-i if i < k else 0, top + 1):
+            acc = 0
+            for lo, nums, den, pole in terms:
+                acc += common // den * sum(m * nums[t + d - lo] for d, m in pole if t + d >= lo)
+            bar.append(acc)
+        if i == k:
+            return Fraction(bar[0], common)
+        g = gcd(common, *bar)
+        pole = tuple((d, -c // g) for d, c in enumerate(reversed(bar), start=1) if c)
+        if pole:
+            minus.append((i, common // g, pole))
+    return Fraction(1)
 
 
 class BirkhoffFactorization:
@@ -364,12 +413,13 @@ def _positive_letters(s) -> tuple[int, ...]:
 def _zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
     """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z),
     its Laurent window through z**max(1, k), and its renormalised value:
-    the factorisation reads the integer-built window of every subword."""
+    minimal subtraction in integers over the window of every subword."""
     s = _positive_letters(s)
     order = max(1, len(s))
-    series = _zeta_subword_series(s, order)
-    value = BirkhoffFactorization(series.__getitem__).plus_at_zero(s)
-    window = series[s] if s else LaurentSeries.constant(1, order)
+    windows = _zeta_subword_series(s, order)
+    value = _zeta_minimal_subtraction(s, windows, order)
+    lo, nums, den = windows[s] if s else (0, [1], 1)
+    window = LaurentSeries(lo, [Fraction(c, den) for c in nums], order)
     return _zeta_word_character(s), window, value
 
 

@@ -426,7 +426,7 @@ def _head(v, j_bump: int, menu: int):
     by a whole recursion: (menu, j_bump, key of v). One shift p/q is keyed
     p, q; several are keyed by the tuple of their p and that of their q."""
     if isinstance(v, Poly):
-        if v != _X:
+        if v is not _X and v != _X:  # the shared _X skips Poly.__eq__
             raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
         return _QV, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
     pairs = tuple([as_rational(x).as_integer_ratio() for x in (v if type(v) is tuple else (v,))])

@@ -20,6 +20,7 @@ from renzeta.chenint import (
     zeta_symbol,
     zeta_tilde_renorm,
     _zeta_character_and_value,
+    _zeta_minimal_subtraction,
     _zeta_subword_series,
 )
 from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
@@ -52,6 +53,14 @@ def zeta_word_closed_form(s) -> RationalFunction:
         partial += x
         out = out * RationalFunction(Poly.one(), Poly((partial - m, m)))
     return out
+
+
+def window_series(window, order: int) -> LaurentSeries:
+    """An integer window ``(lo, nums, den)`` of :func:`_zeta_subword_series`
+    as the LaurentSeries it stands for, valid through z**order."""
+    lo, nums, den = window
+    assert all(type(c) is int for c in (lo, den, *nums)) and den > 0
+    return LaurentSeries(lo, [Fraction(c, den) for c in nums], order)
 
 
 def contiguous_subwords(word):
@@ -208,7 +217,15 @@ class TestSharedSubwordPass:
     def test_cli_runs_no_symbol_algebra(self, word_arg, monkeypatch, capsys):
         s = tuple(int(x) for x in word_arg.split(","))
         want = chen_character_exact(tuple(zeta_symbol(x) for x in s)).to_str()
-        counts = {"ptilde": 0, "cutoff_integral": 0, "chen_character_exact": 0}
+        # the symbol algebra, the general factorisation and Fraction series products
+        owners = {
+            "ptilde": chenint,
+            "cutoff_integral": chenint,
+            "chen_character_exact": chenint,
+            "plus_at_zero": BirkhoffFactorization,
+            "__mul__": LaurentSeries,
+        }
+        counts = dict.fromkeys(owners, 0)
 
         def counting(name, fn):
             def wrapped(*args):
@@ -217,11 +234,11 @@ class TestSharedSubwordPass:
 
             return wrapped
 
-        for name in counts:
-            monkeypatch.setattr(chenint, name, counting(name, getattr(chenint, name)))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         assert cli.main(["chen", "--word", word_arg, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert counts == {"ptilde": 0, "cutoff_integral": 0, "chen_character_exact": 0}
+        assert counts == dict.fromkeys(owners, 0)
         assert payload["character"] == want
 
 
@@ -236,7 +253,7 @@ class TestZetaSubwordCharacters:
         got = _zeta_subword_series(s, order)
         assert set(got) == contiguous_subwords(s)
         for sub, window in got.items():
-            assert window == engine(sub).laurent_expand(order), (sub, order)
+            assert window_series(window, order) == engine(sub).laurent_expand(order), (sub, order)
 
     @staticmethod
     def symbol_value(s, series):
@@ -286,6 +303,41 @@ class TestZetaSubwordCharacters:
         assert _zeta_subword_series((), 1) == {}
         one = RationalFunction.constant(1)
         assert _zeta_character_and_value(()) == (one, one.laurent_expand(1), 1)
+
+
+class TestZetaMinimalSubtraction:
+    """The integer recursion along the prefixes against the general
+    factorisation over the symbol algebra's series."""
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 6), max_size=7),
+            st.integers(0, 7).map(lambda k: [1] * k),  # pole order = depth
+        ),
+        st.integers(-2, 2),
+    )
+    @example([1] * 7, 0)
+    @example([1] * 7, -1)
+    @settings(max_examples=60, deadline=None)
+    def test_against_birkhoff(self, s, extra):
+        """Equal values where the windows reach far enough, and the same
+        InsufficientOrder refusal where they do not."""
+        s = tuple(s)
+        order = len(s) + extra
+        word = tuple(zeta_symbol(x) for x in s)
+        try:
+            want = BirkhoffFactorization(lambda w: chen_character(w, order)).plus_at_zero(word)
+        except InsufficientOrder:
+            with pytest.raises(InsufficientOrder):
+                _zeta_minimal_subtraction(s, _zeta_subword_series(s, order), order)
+            return
+        assert _zeta_minimal_subtraction(s, _zeta_subword_series(s, order), order) == want
+
+    def test_short_window_refused(self):
+        # minus(1, 1) = z^-2 / 2 times phi(1) needs its z^2 coefficient
+        with pytest.raises(InsufficientOrder):
+            _zeta_minimal_subtraction((1, 1, 1), _zeta_subword_series((1, 1, 1), 0), 0)
+        assert _zeta_minimal_subtraction((1, 1, 1), _zeta_subword_series((1, 1, 1), 2), 2) == 0
 
 
 class TestBirkhoff:

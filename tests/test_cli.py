@@ -560,3 +560,23 @@ def test_stuffle_suite_digest():
     base = ("verify", "--suite", "stuffle", "--max-weight", "5")
     grid = (base, base + ("--v", "1/7"), base + ("--v=-1/3",))
     assert _golden_digest(grid) == _STUFFLE_DIGEST
+
+
+def _chen_grid():
+    """The fixed command grid of :func:`test_chen_digest`."""
+    words = [w for k in range(1, 5) for w in product("123", repeat=k)]
+    words += [("1",) * k for k in range(5, 8)] + [("100000",)]
+    for word, fmt, order in product(words, ("text", "json"), (None, "0", "-2", "7")):
+        limit = ("--limit-depth", str(len(word))) if len(word) > 6 else ()
+        extra = () if order is None else ("--laurent-order", order)
+        yield (*limit, "chen", "--word", ",".join(word), "--format", fmt, *extra)
+
+
+_CHEN_DIGEST = "e4096f2beb2d49bb9cd62f68caa0880dfe9d5461b2c382775ef8b287deb1b571"
+
+
+def test_chen_digest():
+    """The same sha256 over ``chen`` on every word of length 1-4 over
+    {1, 2, 3}, the 1-runs of length 5-7 (pole order = depth) and ``100000``,
+    in both formats, at the default Laurent order and at 0, -2 and 7."""
+    assert _golden_digest(_chen_grid()) == _CHEN_DIGEST

@@ -506,8 +506,13 @@ class TestSentinelInEngine:
 
 class TestEngineOverQv:
     def test_symbolic_shift_is_only_v(self):
-        with pytest.raises(StructuralViolation):
-            nested_fp_res([(1, 1)], Poly((1, 1)))
+        # the engine's own v passes by identity, an equal fresh one by value
+        fresh = Poly.x()
+        assert fresh is not emsum._X
+        assert emsum._head(fresh, 0, 0) == emsum._head(emsum._X, 0, 0)
+        for p in (Poly((0, 2)), Poly((1, 1))):
+            with pytest.raises(StructuralViolation):
+                nested_fp_res([(1, 1)], p)
 
     def test_memo_keeps_rings_apart(self):
         emsum.clear_cache()

@@ -3,7 +3,7 @@ and contractions (packet sums).
 
 The contractions of (1, ..., 1) are the compositions of k, lexicographic
 by parts, and those of any word of k letters come in the same order. The
-weak engine entry ``emsum.weak_fp_res`` counts a word's distinct
+weak engine total ``emsum._word_total`` counts a word's distinct
 contractions itself, and ``words`` expands shuffles and quasi-shuffles by
 a first-letter recursion.
 """

@@ -28,7 +28,14 @@ is carried inside the recursion. Two slot menus use this:
 
 ``weak_fp_res`` sums the prefix-sum states of a word's 2^(k-1)
 contractions, each distinct one once with its multiplicity: the weak value,
-from exactly the states their strict values create.
+from exactly the states their strict values create. Both word entries, and
+``mzv`` on a value-memo miss, go through :func:`_word_total`.
+
+Every state is computed by one call of :func:`_nested`, through the module
+global, and kept in the memo ``_cache`` under the recursion's head and the
+state. A caller inside the engine (the peel loop, the boundary read and
+:func:`_weighted_sum`) reads a child from the memo first and descends only
+on a miss, so a cold recursion makes one call per state it creates.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1. Scaling every c_i by
@@ -110,7 +117,8 @@ marker, which still raises), and when every value left has one entry, as
 at every single rational shift, it sums into one integer. Germ entries and
 slot weights are stored as those integer pairs. Values become ``Fraction``
 (one per lane for a tuple of shifts) or ``Poly`` only where
-``nested_fp_res``, ``strict_fp_res`` and ``weak_fp_res`` return them.
+``nested_fp_res``, ``strict_fp_res`` and ``weak_fp_res`` return them, and
+where ``mzv`` reads the finite part of a :func:`_word_total`.
 """
 
 from __future__ import annotations
@@ -483,7 +491,6 @@ def _word_head(word, v):
     if not word or any(type(a) is not int or a < 0 for a in word):
         raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
     ring, head = _head(v, 0, _WORD)
-    check_recursion_depth(len(word))
     return word, ring, head
 
 
@@ -499,20 +506,33 @@ def strict_fp_res(word, v) -> LaurentData:
     LaurentData(res=Fraction(0, 1), fp=Fraction(3, 8))
     """
     word, ring, head = _word_head(word, v)
-    return _to_laurent(_nested(word + (0,), ring, head), v)
+    return _to_laurent(_word_total(word, False, ring, head), v)
 
 
 def weak_fp_res(word, v) -> LaurentData:
     """The sum of :func:`strict_fp_res` over the 2^(k-1) contractions of the
-    word: its finite part is the weak value. The distinct contractions are
-    built letter by letter (the next letter appended or added to the last)
-    with their integer multiplicities, and each is read as one prefix-sum
-    state, so a word of k zeros reads k states, not 2^(k-1).
+    word: its finite part is the weak value.
 
     >>> weak_fp_res((0, 0), 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
     """
     word, ring, head = _word_head(word, v)
+    return _to_laurent(_word_total(word, True, ring, head), v)
+
+
+def _word_total(word: tuple, weak: bool, ring: _Ring, head: tuple) -> tuple:
+    """The memo entry (residue, finite part) of the strict expansion of a
+    validated word, its prefix-sum state; with ``weak`` the sum of those of
+    its 2^(k-1) contractions. ``head`` is a word-menu head. The depth is
+    checked against the recursion limit here, before any work.
+
+    The distinct contractions are built letter by letter (the next letter
+    appended or added to the last) with their integer multiplicities, and
+    each is read as one prefix-sum state, so a word of k zeros reads k
+    states, not 2^(k-1)."""
+    check_recursion_depth(len(word))
+    if not weak:
+        return _nested(word + (0,), ring, head)
     counts = {word[:1]: 1}
     for b in word[1:]:
         grown: dict = {}
@@ -520,8 +540,7 @@ def weak_fp_res(word, v) -> LaurentData:
             for y in (x + (b,), x[:-1] + (x[-1] + b,)):
                 grown[y] = grown.get(y, 0) + m
         counts = grown
-    states = ((x + (0,), (m, 1)) for x, m in counts.items())
-    return _to_laurent(_weighted_sum(states, True, ring, head), v)
+    return _weighted_sum(((x + (0,), (m, 1)) for x, m in counts.items()), True, ring, head)
 
 
 @lru_cache(maxsize=None)
@@ -555,7 +574,8 @@ def _weighted_sum(states, fp_known: bool, ring: _Ring, head: tuple) -> tuple:
     on the residues only."""
     res_terms, fp_terms = [], []
     for exps, weight in states:
-        res, fp = _nested(exps, ring, head)
+        hit = _cache.get(head + exps)
+        res, fp = _nested(exps, ring, head) if hit is None else hit
         if res[1]:
             res_terms.append((weight, res))
         if fp_known:
@@ -584,6 +604,11 @@ def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
       of the word a_1..a_m, that is the weighted sum over all its slot
       structures. It is the strict expansion of the word and the boundary
       subsum of every slot state after it.
+
+    The engine calls it only on a miss: the peel loop, the boundary read
+    and :func:`_weighted_sum` read a child from ``_cache`` and descend only
+    when it is not there. An entry calls it on its top state, which may be a
+    hit, so it reads the memo first itself.
     """
     key = head + exps
     hit = _cache.get(key)
@@ -628,10 +653,13 @@ def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
     # (see the module docstring)
     for stem, b_slot, tail in slots:
         floor = -1 - total - len(stem) // step - 2 * head[1]
+        stem_key = head + stem
         for shift, h_m1, h_0, h_1 in row:
             if shift < floor:
                 break
-            res, fp = _nested(stem + (b_slot + shift,) + tail, ring, head)
+            last = (b_slot + shift,) + tail
+            hit = _cache.get(stem_key + last)
+            res, fp = _nested(stem + last, ring, head) if hit is None else hit
             if h_m1 is not None:
                 res_terms.append((h_m1, fp))
             if res[1]:
@@ -646,7 +674,9 @@ def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
     # boundary subsum. Every slot of that subsum has b >= 0, so it is
     # pole-free; its residue is the only partner the dropped z^1 boundary
     # pieces ever meet
-    sub_res, sub_fp = _nested(prefix + (0,) if head[0] else prefix, ring, head)
+    sub = prefix + (0,) if head[0] else prefix
+    hit = _cache.get(head + sub)
+    sub_res, sub_fp = _nested(sub, ring, head) if hit is None else hit
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")
     one_res, one_fp = _depth1(b_last, c_last, ring)

@@ -62,18 +62,24 @@ def _terms_str(terms, var: str) -> str:
     an empty sum prints as ``0``."""
     parts = []
     for k, c in terms:
-        if c == 0:
+        num = c.numerator
+        if not num:
             continue
-        mag = abs(c)
+        # the sign taken once, the magnitude printed as str(abs(c)) would
+        neg = num < 0
+        if neg:
+            num = -num
+        den = c.denominator
+        mag = str(num) if den == 1 else f"{num}/{den}"
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
-            head = "" if mag == 1 else f"{mag}*"
+            head = "" if mag == "1" else f"{mag}*"
             body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(f"-{body}" if neg else body)
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(parts) or "0"
 
 

@@ -4,8 +4,8 @@ arguments, in three variants:
 * ``strict``  -- strict-inequality nested sums, regularisation twisted so
   that the values satisfy the unsigned stuffle relations;
 * ``weak``    -- weak-inequality version (signed stuffle relations): the sum
-  of the strict values of the 2^(k-1) contractions of the word, taken by
-  ``emsum.weak_fp_res`` inside the engine;
+  of the strict values of the 2^(k-1) contractions of the word, taken
+  inside the engine;
 * ``alt``     -- the diagonal limit zeta(-a_1+z, ..., -a_k+z; v) at z -> 0,
   which satisfies the Hurwitz shift/derivative identities but not the
   stuffle relations. It coincides with ``strict`` in depths 1 and 2.
@@ -14,9 +14,15 @@ An argument list is given as the tuple of nonnegative exponents
 (a_1, ..., a_k): the value computed is zeta(-a_1, ..., -a_k; v).
 
 A strict value is the finite part of the twisted-regularisation expansion,
-which ``emsum.strict_fp_res`` sums inside one recursion over word prefixes.
+which the engine sums inside one recursion over word prefixes.
 ``_composition_terms`` still lists the expansion term by term, one exponent
 list per term; the tests evaluate it term by term as an independent oracle.
+
+Values are read from one memo (``_memo``). A strict or weak miss enters the
+engine once, at ``emsum._word_total``, with the ring and key head that
+``zeta_value`` built for the memo (its menu entry set to the word menu); the
+residue is checked on the engine's integer value and only the finite part
+becomes Fractions. An alt miss goes through ``emsum.nested_fp_res``.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
+from . import emsum
 from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
-from .emsum import _X, _head, nested_fp_res, strict_fp_res, weak_fp_res
+from .emsum import _WORD, _X, _head, _value, nested_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
 # bound here because the benchmark's tracer (perfbench/tracing.py) wraps mzv.stuffle
@@ -144,15 +151,6 @@ def _composition_terms(a: tuple[int, ...]):
     return tuple(sorted(grouped.items()))
 
 
-def _pole_free_fp(data, what: str):
-    """The finite part of ``data``, whose residue must be zero (at every
-    shift, for a tuple of shifts)."""
-    res = data.res
-    if any(res) if type(res) is tuple else res != 0:
-        raise HolomorphyViolation(f"{what} has residue {res}")
-    return data.fp
-
-
 # Every value handed out is read from one memo, keyed by (word, variant, key
 # of v). The key of v is the engine's own: the head of its state keys,
 # which ``emsum._head(v, 0, 0)`` builds while it validates v, for every word,
@@ -168,9 +166,11 @@ _X_HEAD = _head(_X, 0, 0)
 
 def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
     """zeta_variant(-a; v) at a tuple of shifts (one value per lane) or at
-    v = ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``. A miss calls the
-    variant's engine entry through its module global; the empty word has
-    the ring's unit."""
+    v = ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``; the empty word
+    has the ring's unit. A miss enters the engine as the module docstring
+    says: ``emsum._word_total`` is read through the module, so the tests can
+    patch it, and ``nested_fp_res`` through its module global, which the
+    benchmark's tracer wraps."""
     key = (a, variant, head)
     value = _memo.get(key)
     if value is not None:
@@ -179,13 +179,17 @@ def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if not a:
         value = (Fraction(1),) * ring.lanes if ring.lanes else Poly.one()
-    elif variant == "strict":
-        value = _pole_free_fp(strict_fp_res(a, v), f"strict expansion of {a} at v={v}")
-    elif variant == "weak":
-        value = _pole_free_fp(weak_fp_res(a, v), f"weak expansion of {a} at v={v}")
+    elif variant == "alt":
+        res, value = nested_fp_res(tuple((x, 1) for x in a), v)
+        if any(res) if ring.lanes else res:
+            raise HolomorphyViolation(f"diagonal sum {a} at v={v} has residue {res}")
     else:
-        exps = tuple((x, 1) for x in a)
-        value = _pole_free_fp(nested_fp_res(exps, v), f"diagonal sum {a} at v={v}")
+        res, fp = emsum._word_total(a, variant == "weak", ring, (_WORD,) + head[1:])
+        if res[1]:
+            raise HolomorphyViolation(
+                f"{variant} expansion of {a} at v={v} has residue {_value(res, v)}"
+            )
+        value = _value(fp, v)
     _memo[key] = value
     return value
 

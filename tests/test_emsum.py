@@ -1,5 +1,6 @@
 import operator
 import random
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd
@@ -327,23 +328,27 @@ class TestMemo:
         assert not any(tables)
         assert nested_fp_res(exps, Fraction(1, 3)) == first
 
-    def test_weak_reads_each_distinct_contraction_once(self, monkeypatch):
+    def test_weak_reads_each_distinct_contraction_once(self):
         # (0,) * 16 has 2^15 contractions but 16 distinct ones, (0,) * j:
-        # warm, the weak total reads their 16 prefix-sum states and no more
+        # warm, the weak total reads their 16 prefix-sum states from the
+        # memo and no more
         word = (0,) * 16
+        head = emsum._head(0, 0, emsum._WORD)[1]
+        reads = []
+
+        class CountedReads(dict):
+            def get(self, key, default=None):
+                reads.append(key[len(head):])
+                return super().get(key, default)
+
         emsum.clear_cache()
+        saved = emsum._cache
         try:
             want = emsum.weak_fp_res(word, 0)
-            reads = []
-            real = emsum._nested
-
-            def counted(exps, ring, head):
-                reads.append(exps)
-                return real(exps, ring, head)
-
-            monkeypatch.setattr(emsum, "_nested", counted)
+            emsum._cache = CountedReads(saved)
             assert emsum.weak_fp_res(word, 0) == want
         finally:
+            emsum._cache = saved
             emsum.clear_cache()
         assert sorted(reads) == [(0,) * (j + 1) for j in range(1, 17)]
 
@@ -452,6 +457,65 @@ class TestMemo:
             assert sorted(prefix_sums) == [(1,) * m for m in range(1, 13)]
         finally:
             emsum.clear_cache()
+
+    def test_each_state_created_by_one_call(self, monkeypatch):
+        # a caller reads a child from the memo and descends only on a miss:
+        # cold, every call of _nested creates its state, so the calls are
+        # the memo's keys, each once
+        calls = []
+        real = emsum._nested
+
+        def spied(exps, ring, head):
+            calls.append((head + exps, head + exps in emsum._cache))
+            return real(exps, ring, head)
+
+        emsum.clear_cache()
+        mzv._memo.clear()
+        monkeypatch.setattr(emsum, "_nested", spied)
+        try:
+            for variant in ("strict", "weak"):
+                report = mzv.verify_stuffle(4, Fraction(1, 7), variant, max_depth=3)
+                assert report.ok
+            created = list(emsum._cache)
+        finally:
+            emsum.clear_cache()
+            mzv._memo.clear()
+        keys = [key for key, _ in calls]
+        assert not any(present for _, present in calls)
+        assert len(keys) == len(set(keys)) == len(created) == 4361
+        assert set(keys) == set(created)
+
+    @pytest.mark.parametrize(
+        "v", [Fraction(1, 7), Fraction(3, 7), (Fraction(1, 7), Fraction(2, 7))]
+    )
+    def test_stuffle_grid_state_count(self, v):
+        # the value words of the weight-4, depth-3 stuffle grid: the strict
+        # values create 4,361 states at any shift, and the weak values,
+        # sums of prefix-sum states of contractions, create none
+        words = mzv._stuffle_plan(4, 3).words
+        emsum.clear_cache()
+        mzv._memo.clear()
+        try:
+            for w in words:
+                mzv.zeta_value(w, v)
+            strict = len(emsum._cache)
+            for w in words:
+                mzv.zeta_value(w, v, "weak")
+            assert (strict, len(emsum._cache)) == (4361, 4361)
+        finally:
+            emsum.clear_cache()
+            mzv._memo.clear()
+
+    def test_strict_refuses_depth_at_recursion_limit_at_once(self):
+        # the strict twin of the weak refusal: a value-memo miss enters the
+        # engine past the word checks of strict_fp_res, and must still be
+        # refused by the depth check before any state is made
+        emsum.clear_cache()
+        t0 = time.monotonic()
+        with pytest.raises(RecursionError, match="than the recursion limit"):
+            mzv.zeta_value((0,) * 1200, 0)
+        assert time.monotonic() - t0 < 1.0
+        assert not emsum._cache
 
 
 class TestSentinelInEngine:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, mzv, verify, words
-from renzeta.emsum import LaurentData, StructuralViolation, nested_fp_res
+from renzeta.emsum import StructuralViolation, nested_fp_res
 from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
     DEPTH2_REFERENCE,
@@ -927,7 +927,8 @@ def test_holomorphy_violation_error_exists():
 
 
 def test_holomorphy_checked_on_folded_total(monkeypatch):
-    monkeypatch.setattr(mzv, "strict_fp_res", lambda a, v: LaurentData(Fraction(1), Fraction(0)))
+    # the engine entry of a strict miss, returning residue 1 and finite part 0
+    monkeypatch.setattr(emsum, "_word_total", lambda word, weak, ring, head: ((1, (1,)), (1, ())))
     mzv._memo.clear()
     try:
         with pytest.raises(HolomorphyViolation, match="strict expansion"):
@@ -937,7 +938,8 @@ def test_holomorphy_checked_on_folded_total(monkeypatch):
 
 
 def test_holomorphy_checked_on_weak_total(monkeypatch):
-    monkeypatch.setattr(mzv, "weak_fp_res", lambda a, v: LaurentData(Fraction(1), Fraction(0)))
+    # the engine entry of a weak miss, returning residue 1 and finite part 0
+    monkeypatch.setattr(emsum, "_word_total", lambda word, weak, ring, head: ((1, (1,)), (1, ())))
     mzv._memo.clear()
     try:
         with pytest.raises(HolomorphyViolation, match="weak expansion"):

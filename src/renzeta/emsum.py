@@ -33,9 +33,11 @@ from exactly the states their strict values create. Both word entries, and
 
 Every state is computed by one call of :func:`_nested`, through the module
 global, and kept in the memo ``_cache`` under the recursion's head and the
-state. A caller inside the engine (the peel loop, the boundary read and
-:func:`_weighted_sum`) reads a child from the memo first and descends only
-on a miss, so a cold recursion makes one call per state it creates.
+state. Every caller (the entries ``nested_fp_res`` and :func:`_word_total`,
+the peel loop, the boundary read and :func:`_weighted_sum`) reads a state
+from the memo first and calls :func:`_nested` only on a miss, so a
+recursion makes one call per state it creates and none for a state it
+reads.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1. Scaling every c_i by
@@ -481,7 +483,8 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
                 f"non-last slot with negative exponent {b}: the recursion only "
                 "peels the deepest slot"
             )
-    res, fp = _nested(exps, ring, head)
+    hit = _cache.get(head + exps)
+    res, fp = _nested(exps, ring, head) if hit is None else hit
     return _to_laurent((_combine([((scale, 1), res)]), fp), v)
 
 
@@ -532,7 +535,9 @@ def _word_total(word: tuple, weak: bool, ring: _Ring, head: tuple) -> tuple:
     states, not 2^(k-1)."""
     check_recursion_depth(len(word))
     if not weak:
-        return _nested(word + (0,), ring, head)
+        exps = word + (0,)
+        hit = _cache.get(head + exps)
+        return _nested(exps, ring, head) if hit is None else hit
     counts = {word[:1]: 1}
     for b in word[1:]:
         grown: dict = {}
@@ -605,15 +610,10 @@ def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
       structures. It is the strict expansion of the word and the boundary
       subsum of every slot state after it.
 
-    The engine calls it only on a miss: the peel loop, the boundary read
-    and :func:`_weighted_sum` read a child from ``_cache`` and descend only
-    when it is not there. An entry calls it on its top state, which may be a
-    hit, so it reads the memo first itself.
+    It is called only on a miss: every caller reads the state from
+    ``_cache`` first (see the module docstring), so it creates the state.
     """
     key = head + exps
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
 
     if exps[-1] < 0:
         stem = exps[:-3]

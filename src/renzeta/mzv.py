@@ -23,6 +23,13 @@ engine once, at ``emsum._word_total``, with the ring and key head that
 ``zeta_value`` built for the memo (its menu entry set to the word menu); the
 residue is checked on the engine's integer value and only the finite part
 becomes Fractions. An alt miss goes through ``emsum.nested_fp_res``.
+
+A suite reads each pass's values in one batch, through :func:`value_table`:
+it validates the shift, or the tuple of shifts, and builds the memo head
+once, reads every word from the memo and sends each miss through
+``zeta_value`` once, so a tuple of shifts costs one lane recursion. It
+returns, per lane, one common denominator and the integer numerators, which
+the stuffle and Hurwitz checks compare in integers.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import NamedTuple
 
 from . import emsum
 from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
-from .emsum import _WORD, _X, _head, _value, nested_fp_res
+from .emsum import _WORD, _X, _head, _lanes, _value, nested_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
 # bound here because the benchmark's tracer (perfbench/tracing.py) wraps mzv.stuffle
@@ -157,7 +164,8 @@ def _composition_terms(a: tuple[int, ...]):
 # the empty one too (the menu and j_bump entries are constant here). It
 # holds ints only, so a memo hit hashes no Fraction. One rational v = p/q is
 # read as lane 0 of the one-lane tuple (v,), which has the same key
-# (0, 0, p, q); Q[v] has a key of its own.
+# (0, 0, p, q); Q[v] has a key of its own. A memo value at rational shifts
+# is the tuple of its lanes.
 _memo: dict = {}
 
 #: The ``_head`` of v = ``emsum._X``, built once: Q[v] has the one shift.
@@ -205,15 +213,42 @@ def zeta_value(a, v=0, variant: str = "strict"):
     (Fraction(1, 288), Fraction(265, 1152), Fraction(3649, 1152))
     """
     a = _validate_args(a)
-    if type(v) is not tuple:
-        # a hit at one shift builds its key (0, 0, p, q) here, not by _head;
-        # a miss, and every invalid v or variant, takes the path below
-        value = _memo.get((a, variant, (0, 0, *as_rational(v).as_integer_ratio())))
-        if value is not None:
-            return value[0]
+    if type(v) is tuple:
+        return _zeta(a, variant, v, *_head(v, 0, 0))
+    # one shift is converted and keyed (0, 0, p, q) once, here, not by
+    # _head; _lanes validates it on a miss
+    pair = as_rational(v).as_integer_ratio()
+    head = (0, 0, *pair)
+    value = _memo.get((a, variant, head))
+    if value is None:
+        value = _zeta(a, variant, (v,), _lanes((pair,)), head)
+    return value[0]
+
+
+def value_table(words, v, variant: str = "strict") -> list:
+    """The values of ``words`` at the shift v, or at each lane of a tuple of
+    shifts, as one (D, [N_x for x in words]) per lane: D the least common
+    denominator of the lane's values and zeta_variant(-x; v_s) = N_x / D.
+
+    The words must be validated tuples (see ``_validate_args``); v is
+    validated and keyed once. Every word is read from the memo and each
+    miss goes through the module global ``zeta_value`` once, so a tuple of
+    shifts costs one lane recursion. A suite reads each pass's values here,
+    in one batch, and checks them in integers.
+
+    >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)))
+    [(288, [-24, 1]), (1152, [-528, 265])]
+    """
     lanes = v if type(v) is tuple else (v,)
-    value = _zeta(a, variant, lanes, *_head(lanes, 0, 0))
-    return value if lanes is v else value[0]
+    ring, head = _head(lanes, 0, 0)
+    get = _memo.get
+    rows = []
+    for x in words:
+        value = get((x, variant, head))
+        if value is None:
+            value = zeta_value(x, lanes, variant)
+        rows.append([q.as_integer_ratio() for q in value])
+    return [_over_one_denominator(lane) for lane in (zip(*rows) if rows else [()] * ring.lanes)]
 
 
 def zeta_poly_in_v(a, variant: str = "strict") -> Poly:
@@ -330,11 +365,13 @@ def words_up_to(max_depth: int, max_weight: int):
     return out
 
 
-def _over_one_denominator(values: dict) -> tuple[int, dict]:
-    """D and the integer numerators N_x with values[x] = N_x / D, D the least
-    common denominator of the rational values."""
-    den = lcm(*(q.denominator for q in values.values()))
-    return den, {x: q.numerator * (den // q.denominator) for x, q in values.items()}
+def _over_one_denominator(pairs) -> tuple[int, list]:
+    """D and the integer numerators N_i with n_i / d_i = N_i / D for the
+    integer pairs (n_i, d_i), d_i > 0, D the lcm of the d_i: a lane of
+    values or a polynomial's coefficients, each read by
+    ``as_integer_ratio()``."""
+    den = lcm(*[d for _, d in pairs])
+    return den, [n * (den // d) for n, d in pairs]
 
 
 class _StufflePlan(NamedTuple):
@@ -379,20 +416,22 @@ def _stuffle_plan(max_weight: int, max_depth: int) -> _StufflePlan:
     return _StufflePlan(words, [len(x) % 2 for x in words], pairs)
 
 
-def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3) -> Report:
+def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3):
     """Check zeta(u * u'; v) = zeta(u; v) zeta(u'; v) for all ordered word
-    pairs with per-word depth <= max_depth and combined weight <= max_weight.
+    pairs with per-word depth <= max_depth and combined weight <= max_weight,
+    as one Report. For a tuple of shifts it is the tuple of one Report per
+    shift, from one lane recursion.
 
     ``strict`` uses the unsigned stuffle, ``weak`` the signed one. The first
     pass on a grid (max_weight, max_depth) builds its plan (``_StufflePlan``)
     off a :class:`words.QuasiShuffleTable` of the plan's own. The plan is
     kept for the life of the process, and every later pass on the grid, at
-    any variant and shift, reuses it. A pass reads each value word from
-    ``zeta_value`` once and brings all of them over one common denominator
-    D as numerators N. The plan gives every pair's quasi-shuffle
-    multiplicities m_x. The weak coefficient of x is m_x (-1)^(|u|+|u'|-|x|),
-    so with S_x = (-1)^|x| N_x (weak) or N_x (strict) both conventions check
-    sum_x m_x S_x D == S_u S_u' in integers.
+    any variant and shift, reuses it. A pass reads its values once, in one
+    batch (:func:`value_table`, every shift of a tuple at once): per shift
+    one common denominator D and the numerators N. The plan gives every
+    pair's quasi-shuffle multiplicities m_x. The weak coefficient of x is
+    m_x (-1)^(|u|+|u'|-|x|), so with S_x = (-1)^|x| N_x (weak) or N_x
+    (strict) both conventions check sum_x m_x S_x D == S_u S_u' in integers.
     Failures are returned as data, not raised. ``max_weight`` must be an int
     >= 0 and ``max_depth`` an int >= 1, or ValueError is raised.
     """
@@ -401,30 +440,32 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     for name, n, least in (("max_weight", max_weight, 0), ("max_depth", max_depth, 1)):
         if type(n) is not int or n < least:
             raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
-    v = as_rational(v)
+    lanes = tuple(map(as_rational, v)) if type(v) is tuple else (as_rational(v),)
     t0 = time.monotonic()
-    report = Report(suite=f"stuffle-{variant}")
     weak = variant == "weak"
     plan = _stuffle_plan(max_weight, max_depth)
-    values = [zeta_value(x, v, variant) for x in plan.words]
-    den, nums = _over_one_denominator(dict(enumerate(values)))
-    signed = [-n if weak and odd else n for n, odd in zip(nums.values(), plan.odd)]  # S_x
-    at = signed.__getitem__
-    for i, j, ids, ms in plan.pairs:
-        total = sum(map(mul, ms, map(at, ids)))
-        if total * den != signed[i] * signed[j]:
-            u, w = plan.words[i], plan.words[j]
-            if weak and (len(u) + len(w)) % 2:
-                total = -total
-            report.record(
-                False,
-                f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={v}",
-                Fraction(total, den),
-                values[i] * values[j],
-            )
-    report.cases = len(plan.pairs)  # every pair is one case, failed or not
-    report.seconds = time.monotonic() - t0
-    return report
+    reports = []
+    for s, (den, nums) in zip(lanes, value_table(plan.words, lanes, variant)):
+        report = Report(suite=f"stuffle-{variant}")
+        signed = [-n if weak and odd else n for n, odd in zip(nums, plan.odd)]  # S_x
+        at = signed.__getitem__
+        for i, j, ids, ms in plan.pairs:
+            total = sum(map(mul, ms, map(at, ids)))
+            if total * den != signed[i] * signed[j]:
+                u, w = plan.words[i], plan.words[j]
+                if weak and (len(u) + len(w)) % 2:
+                    total = -total
+                report.record(
+                    False,
+                    f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={s}",
+                    Fraction(total, den),
+                    Fraction(nums[i], den) * Fraction(nums[j], den),
+                )
+        report.cases = len(plan.pairs)  # every pair is one case, failed or not
+        now = time.monotonic()
+        report.seconds, t0 = now - t0, now  # the batch read counts to the first shift
+        reports.append(report)
+    return tuple(reports) if type(v) is tuple else reports[0]
 
 
 def sup_sphere_count_coeffs(n: int) -> dict[int, int]:

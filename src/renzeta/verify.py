@@ -35,11 +35,14 @@ def suite_table() -> Report:
 
 
 def suite_stuffle(max_weight: int = 8, vs=STUFFLE_SHIFTS) -> Report:
-    """Stuffle relations for both sign conventions at each Hurwitz shift."""
-    reports = [
-        mzv.verify_stuffle(max_weight, v, variant) for v in vs for variant in ("strict", "weak")
-    ]
-    return Report.combined("stuffle", reports)
+    """Stuffle relations for both sign conventions at each Hurwitz shift.
+    Each variant reads its values once, at the tuple of all the shifts, so
+    one lane recursion serves every shift (the weak pass reads the states
+    of the strict one); the reports are combined shift by shift, strict
+    before weak."""
+    vs = tuple(vs)
+    strict, weak = (mzv.verify_stuffle(max_weight, vs, variant) for variant in ("strict", "weak"))
+    return Report.combined("stuffle", [r for pair in zip(strict, weak) for r in pair])
 
 
 def _words(max_len: int, alphabet) -> list:
@@ -57,12 +60,12 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
     (ii) d/dv zeta(-a_1..-a_k; v) = sum_j a_j zeta(..., -a_j+1, ...; v)
          (all a_j >= 1; derivative taken on the polynomial computed over Q[v])
 
-    Each distinct word is read from ``mzv.zeta_value`` once, at the tuple of
-    every shift v and v + 1 of the grid: one engine recursion gives its value
-    at all of them. The values used at one shift (the words and their
-    derivative neighbours a^(j) at v, the words and their prefixes a' at
-    v + 1) are brought over one common denominator, D at v and D1 at v + 1,
-    as integer numerators N and N1. With v = p/q and k = a_k, (i) is checked as
+    The values are read once, in one batch (``mzv.value_table``): every
+    distinct word (the words, their derivative neighbours a^(j) and their
+    prefixes a') at the tuple of every shift v and v + 1 of the grid, so one
+    engine recursion gives them at all the shifts. Each shift's table is a
+    lane of the batch: one common denominator, D at v and D1 at v + 1, and
+    integer numerators N and N1. With v = p/q and k = a_k, (i) is checked as
     N1(a) D q^k == N(a) D1 q^k - (p+q)^k N1(a') D.
     Each polynomial is read from ``mzv.zeta_poly_in_v`` once per word, as
     numerators n_i over one denominator E; with d its degree, (ii) is checked
@@ -86,40 +89,35 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
         for a in words
         if all(x >= 1 for x in a)
     }
-    # the words read at each shift, in first-use order
-    at_v = dict.fromkeys(words)
+    # the words read, in first-use order, and every v and v + 1
+    read = dict.fromkeys(words)
     for ns in neighbours.values():
-        at_v.update(dict.fromkeys(ns))
-    at_up = dict.fromkeys(x for a in words for x in (a, a[:-1]))
-    needed: dict = {}
-    for v in vs:
-        needed.setdefault(v, {}).update(at_v)
-        needed.setdefault(v + 1, {}).update(at_up)
-    shifts = tuple(needed)
-    lanes = {x: mzv.zeta_value(x, shifts, variant) for x in {**at_v, **at_up}}
-    values = {s: {x: lanes[x][i] for x in xs} for i, (s, xs) in enumerate(needed.items())}
-    scaled = {s: mzv._over_one_denominator(table) for s, table in values.items()}
+        read.update(dict.fromkeys(ns))
+    read.update(dict.fromkeys(a[:-1] for a in words))
+    index = {x: i for i, x in enumerate(read)}
+    shifts = tuple(dict.fromkeys(s for v in vs for s in (v, v + 1)))
+    lanes = dict(zip(shifts, mzv.value_table(list(read), shifts, variant)))
     polys = {}  # word -> (polynomial, E, (1 n_1, 2 n_2, ..., d n_d))
     for a in neighbours:
         poly = mzv.zeta_poly_in_v(a, variant)
-        den, nums = mzv._over_one_denominator(dict(enumerate(poly.coeffs)))
+        den, nums = mzv._over_one_denominator([c.as_integer_ratio() for c in poly.coeffs])
         polys[a] = poly, den, [i * nums[i] for i in range(1, len(nums))]
     rows = []  # per shift: v, v + 1, p, q, D, N, D1, N1
     for v in vs:
         up = v + 1
-        rows.append((v, up, v.numerator, v.denominator, *scaled[v], *scaled[up]))
+        rows.append((v, up, v.numerator, v.denominator, *lanes[v], *lanes[up]))
     for a in words:
-        k, head = a[-1], a[:-1]
+        k, at, prefix = a[-1], index[a], index[a[:-1]]
         for v, up, p, q, den, num, den1, num1 in rows:
             qk = q**k
-            if num1[a] * den * qk == num[a] * den1 * qk - (p + q) ** k * num1[head] * den:
+            if num1[at] * den * qk == num[at] * den1 * qk - (p + q) ** k * num1[prefix] * den:
                 report.cases += 1
             else:
                 report.record(
                     False,
                     f"shift identity at a={a}, v={v} ({variant})",
-                    values[up][a],
-                    values[v][a] - up**k * values[up][head],
+                    Fraction(num1[at], den1),
+                    Fraction(num[at], den) - up**k * Fraction(num1[prefix], den1),
                 )
             if a not in polys:
                 continue
@@ -128,7 +126,7 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
             for m in reversed(slopes):
                 horner = horner * p + m * qpow
                 qpow *= q
-            total = sum(x * num[n] for x, n in zip(a, neighbours[a]))
+            total = sum(x * num[index[n]] for x, n in zip(a, neighbours[a]))
             if horner * den * q == total * den_e * qpow:
                 report.cases += 1
             else:
@@ -144,8 +142,8 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
 
 def suite_hurwitz(max_depth: int = 3, max_entry: int = 3, vs=HURWITZ_SHIFTS) -> Report:
     """Hurwitz shift and derivative identities on every word of 1..max_depth
-    letters in 0..max_entry, at each shift of ``vs``: one value lookup per
-    word for every shift and the checks in integers
+    letters in 0..max_entry, at each shift of ``vs``: one batch read of
+    every word at every shift and the checks in integers
     (:func:`verify_hurwitz_identities`)."""
     return verify_hurwitz_identities(_words(max_depth, range(max_entry + 1)), vs)
 

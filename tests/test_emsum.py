@@ -506,6 +506,28 @@ class TestMemo:
             emsum.clear_cache()
             mzv._memo.clear()
 
+    def test_stuffle_suite_reads_its_shifts_as_lanes(self):
+        # the suite reads each variant once, at the tuple of its shifts: the
+        # grid's 4,361 states serve both shifts (one recursion per shift
+        # made 8,722), and the report is that of one pass per shift
+        emsum.clear_cache()
+        mzv._memo.clear()
+        try:
+            report = verify.suite_stuffle(4)
+            states = len(emsum._cache)
+        finally:
+            emsum.clear_cache()
+            mzv._memo.clear()
+        passes = [
+            mzv.verify_stuffle(4, v, variant)
+            for v in verify.STUFFLE_SHIFTS
+            for variant in ("strict", "weak")
+        ]
+        want = mzv.Report.combined("stuffle", passes)
+        assert states == 4361
+        assert report.ok
+        assert (report.suite, report.cases, report.failures) == ("stuffle", want.cases, want.failures)
+
     def test_strict_refuses_depth_at_recursion_limit_at_once(self):
         # the strict twin of the weak refusal: a value-memo miss enters the
         # engine past the word checks of strict_fp_res, and must still be

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,22 @@ def strict_from_weak(a, v=0) -> Fraction:
         Fraction(-1) ** (k - len(parts)) * zeta_value(packet_sums(a, parts), v, "weak")
         for parts in compositions(k)
     )
+
+
+def faulty_reader(word, off, at=None):
+    """``mzv.value_table`` with ``off`` added to the value of ``word``, in
+    every lane or only in the lane of the shift ``at``."""
+    real = mzv.value_table
+
+    def read(words, v, variant="strict"):
+        out = []
+        for s, (den, nums) in zip(v if type(v) is tuple else (v,), real(words, v, variant)):
+            hit = at is None or s == at
+            values = [Fraction(n, den) + (off if hit and x == word else 0) for x, n in zip(words, nums)]
+            out.append(mzv._over_one_denominator([q.as_integer_ratio() for q in values]))
+        return out
+
+    return read
 
 
 #: Words with a letter that is not an int, each refused rather than truncated.
@@ -298,22 +315,22 @@ class TestStuffleSuite:
         assert report.ok
 
     def test_one_lookup_per_word(self, monkeypatch):
-        # with no plan cached, one product per word pair and one value per
-        # distinct word: the benchmark's per-layer hook wraps mzv.zeta_value
+        # with no plan cached, one product per word pair and one batch read
+        # of one value per distinct word
         mzv._stuffle_plan.cache_clear()
-        products, values = [], []
-        real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
+        products, reads = [], []
+        real_product, real_read = words.QuasiShuffleTable.product, mzv.value_table
 
         def product(table, x, y):
             products.append((table.word(x), table.word(y)))
             return real_product(table, x, y)
 
-        def value(*args):
-            values.append(args)
-            return real_value(*args)
+        def read(*args):
+            reads.append(args)
+            return real_read(*args)
 
         monkeypatch.setattr(words.QuasiShuffleTable, "product", product)
-        monkeypatch.setattr(mzv, "zeta_value", value)
+        monkeypatch.setattr(mzv, "value_table", read)
         v = Fraction(1, 3)
         report = verify_stuffle(4, v, "strict")
         pool = words_up_to(3, 4)
@@ -322,34 +339,43 @@ class TestStuffleSuite:
         assert products == pairs
         needed = {x for u, w in pairs for x in (u, w)}
         needed |= {x for u, w in pairs for x, _ in words.stuffle(u, w)}
-        looked_up = [args[0] for args in values]
+        ((looked_up, shifts, variant),) = reads
         assert len(looked_up) == len(set(looked_up))
         assert set(looked_up) == needed
-        assert all(args[1:] == (v, "strict") for args in values)
+        assert (shifts, variant) == ((v,), "strict")
 
     def test_warm_pass_reads_only_values(self, monkeypatch):
         # a second pass on a grid, at another variant and shift, reuses the
-        # first pass's plan: no product, one value per value word, same cases
+        # first pass's plan: no product, one batch read of the value words,
+        # each a memo miss that goes through zeta_value once, same cases
         mzv._stuffle_plan.cache_clear()
         first = verify_stuffle(4, Fraction(1, 3), "strict")
-        products, values = [], []
-        real_product, real_value = words.QuasiShuffleTable.product, mzv.zeta_value
+        products, reads, values = [], [], []
+        real_product, real_read, real_value = (
+            words.QuasiShuffleTable.product, mzv.value_table, mzv.zeta_value)
 
         def product(table, x, y):
             products.append((x, y))
             return real_product(table, x, y)
+
+        def read(*args):
+            reads.append(args)
+            return real_read(*args)
 
         def value(*args):
             values.append(args)
             return real_value(*args)
 
         monkeypatch.setattr(words.QuasiShuffleTable, "product", product)
+        monkeypatch.setattr(mzv, "value_table", read)
         monkeypatch.setattr(mzv, "zeta_value", value)
         v = Fraction(-2, 5)
+        mzv._memo.clear()
         second = verify_stuffle(4, v, "weak")
         assert second.ok and second.cases == first.cases
         assert products == []
-        assert values == [(x, v, "weak") for x in words_up_to(6, 4)]
+        assert reads == [(words_up_to(6, 4), (v,), "weak")]
+        assert values == [(x, (v,), "weak") for x in words_up_to(6, 4)]
 
     @pytest.mark.parametrize(
         "grid", [(-1, 3), (4, 0), (True, 3), (4, True), (2.5, 3), (4, 2.0), (Fraction(4), 3)]
@@ -388,11 +414,7 @@ class TestStuffleSuite:
         # passes of every variant, shift, weight and depth interleaved on
         # cached plans give the reports of the same passes on a plan built
         # afresh; one pass reads a faulty value, so failure lists are compared
-        real = mzv.zeta_value
-
-        def faulty(a, v=0, variant="strict"):
-            value = real(a, v, variant)
-            return value + Fraction(1, 7) if tuple(a) == (1, 1) else value
+        faulty = faulty_reader((1, 1), Fraction(1, 7))
 
         def on_fresh_table(*args):
             with monkeypatch.context() as m:
@@ -409,7 +431,7 @@ class TestStuffleSuite:
             with monkeypatch.context() as m:
                 if args[-1] == "faulty":
                     args = args[:-1]
-                    m.setattr(mzv, "zeta_value", faulty)
+                    m.setattr(mzv, "value_table", faulty)
                 got, want = verify_stuffle(*args), on_fresh_table(*args)
             assert (got.suite, got.cases, got.failures) == (want.suite, want.cases, want.failures)
             failed += bool(got.failures)
@@ -419,13 +441,11 @@ class TestStuffleSuite:
     def test_failures_reported_as_the_rational_check_gives(self, variant, monkeypatch):
         # one word's value off by 1/7: every relation it enters must fail,
         # with the same entries, in the same order, as a check in Fractions
-        real = mzv.zeta_value
-
         def faulty(a, v=0, variant="strict"):
-            value = real(a, v, variant)
+            value = zeta_value(a, v, variant)
             return value + Fraction(1, 7) if tuple(a) == (1, 2) else value
 
-        monkeypatch.setattr(mzv, "zeta_value", faulty)
+        monkeypatch.setattr(mzv, "value_table", faulty_reader((1, 2), Fraction(1, 7)))
         v = Fraction(1, 3)
         report = verify_stuffle(4, v, variant)
         pool = words_up_to(3, 4)
@@ -490,32 +510,31 @@ class TestHurwitz:
             verify_hurwitz_identities([(1,), ()], [Fraction(0)])
 
     def test_one_lookup_per_word_and_shift(self, monkeypatch):
-        # the benchmark's per-layer hooks wrap mzv.zeta_value and
-        # mzv.zeta_poly_in_v. Each word is read once, at one tuple of shifts
-        # that covers every v and v + 1; shifts 0 and 1 share v = 1
-        values, polys = [], []
-        real_value, real_poly = mzv.zeta_value, mzv.zeta_poly_in_v
+        # the values are one batch read: each word once, at one tuple of
+        # shifts that covers every v and v + 1 (shifts 0 and 1 share v = 1);
+        # each polynomial is read from mzv.zeta_poly_in_v once
+        reads, polys = [], []
+        real_read, real_poly = mzv.value_table, mzv.zeta_poly_in_v
 
-        def value(a, v=0, variant="strict"):
-            values.append((tuple(a), v))
-            return real_value(a, v, variant)
+        def read(words, v, variant="strict"):
+            reads.append((words, v))
+            return real_read(words, v, variant)
 
         def poly(a, variant="strict"):
             polys.append(tuple(a))
             return real_poly(a, variant)
 
-        monkeypatch.setattr(mzv, "zeta_value", value)
+        monkeypatch.setattr(mzv, "value_table", read)
         monkeypatch.setattr(mzv, "zeta_poly_in_v", poly)
         pool = words_up_to(3, 4)
         vs = (Fraction(0), Fraction(1), Fraction(2, 3))
         report = verify_hurwitz_identities(pool, vs)
         above = [a for a in pool if min(a) >= 1]
         assert report.ok and report.cases == len(vs) * (len(pool) + len(above))
-        words = [a for a, _ in values]
+        ((words, shifts),) = reads
         assert len(words) == len(set(words))
         neighbours = {a[:j] + (a[j] - 1,) + a[j + 1:] for a in above for j in range(len(a))}
         assert set(words) == set(pool) | {a[:-1] for a in pool} | neighbours
-        (shifts,) = {v for _, v in values}
         assert type(shifts) is tuple and len(shifts) == len(set(shifts)) == 5
         assert set(shifts) == set(vs) | {v + 1 for v in vs}
         assert polys == above
@@ -526,22 +545,19 @@ class TestHurwitz:
         # of shifts, or one word's polynomial off by v^2/7: the failures must
         # be those of a check in Fractions, entry for entry and word by word,
         # each at every shift
-        real_value, real_poly = mzv.zeta_value, mzv.zeta_poly_in_v
+        real_poly = mzv.zeta_poly_in_v
         off = Fraction(1, 7)
 
         def value(a, v=0, variant="strict"):
-            got = real_value(a, v, variant)
-            if fault != "value" or tuple(a) != (1, 1):
-                return got
-            if type(v) is tuple:
-                return tuple(x + off if s == Fraction(1, 2) else x for s, x in zip(v, got))
-            return got + off if v == Fraction(1, 2) else got
+            got = zeta_value(a, v, variant)
+            return got + off if fault == "value" and tuple(a) == (1, 1) and v == Fraction(1, 2) else got
 
         def poly(a, variant="strict"):
             got = real_poly(a, variant)
             return got + Poly((0, 0, off)) if fault == "poly" and tuple(a) == (1, 2) else got
 
-        monkeypatch.setattr(mzv, "zeta_value", value)
+        if fault == "value":
+            monkeypatch.setattr(mzv, "value_table", faulty_reader((1, 1), off, Fraction(1, 2)))
         monkeypatch.setattr(mzv, "zeta_poly_in_v", poly)
         pool = words_up_to(3, 4)
         vs = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
@@ -585,6 +601,18 @@ class TestHurwitz:
         above = sum(1 for a in pool if min(a) >= 1)
         assert report.ok, report.failures[:3]
         assert report.cases == len(vs) * (len(pool) + above)
+
+    def test_warm_pass_reads_the_memo_once(self, monkeypatch):
+        # a warm pass reads every value from the memo in one batch: no
+        # zeta_value call, and the lane key built once
+        want = verify.suite_hurwitz(2, 2)
+        heads, values = [], []
+        real_head = mzv._head
+        monkeypatch.setattr(mzv, "_head", lambda *args: heads.append(args) or real_head(*args))
+        monkeypatch.setattr(mzv, "zeta_value", lambda *args: values.append(args))
+        report = verify.suite_hurwitz(2, 2)
+        assert report.ok and (report.cases, report.failures) == (want.cases, want.failures)
+        assert values == [] and len(heads) == 1
 
     def test_derivative_identity_depth1(self):
         # d/dv zeta(-a; v) = a zeta(-a+1; v)
@@ -903,6 +931,45 @@ def test_single_shift_hit_skips_head(monkeypatch):
                 zeta_value(word, v)
     with pytest.raises(ValueError, match="unknown variant"):
         zeta_value(a, Fraction(2, 5), "bogus")
+
+
+def test_single_shift_miss_converts_and_keys_once(monkeypatch):
+    # a miss at one rational shift converts v once and keys it without
+    # emsum._head, and stores what the one-lane tuple form reads
+    a = (1, 0, 2)
+    want = {variant: zeta_value(a, (Fraction(2, 5),), variant)[0] for variant in VARIANTS}
+    converted = []
+    real = mzv.as_rational
+    monkeypatch.setattr(mzv, "as_rational", lambda x: converted.append(x) or real(x))
+    monkeypatch.setattr(mzv, "_head", None)
+    for variant in VARIANTS:
+        mzv._memo.clear()
+        converted.clear()
+        assert zeta_value(a, Fraction(2, 5), variant) == want[variant]
+        assert converted == [Fraction(2, 5)]
+        assert mzv._memo[(a, variant, (0, 0, 2, 5))] == (want[variant],)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple), min_size=1, max_size=6),
+    st.one_of(_SHIFTS, st.lists(_SHIFTS, min_size=1, max_size=3).map(tuple)),
+    st.sampled_from(VARIANTS),
+    st.booleans(),
+)
+def test_value_table_matches_zeta_value(words_, v, variant, cold):
+    # the batch read is, lane by lane, the per-word values over their least
+    # common denominator; cold (every word a memo miss) and warm alike
+    if cold:
+        mzv._memo.clear()
+    table = mzv.value_table(words_, v, variant)
+    assert mzv.value_table(words_, v, variant) == table  # warm
+    lanes = v if type(v) is tuple else (v,)
+    assert len(table) == len(lanes)
+    for s, (den, nums) in zip(lanes, table):
+        want = [zeta_value(x, s, variant) for x in words_]
+        assert [Fraction(n, den) for n in nums] == want
+        assert den == lcm(*(q.denominator for q in want))
 
 
 @pytest.mark.parametrize(

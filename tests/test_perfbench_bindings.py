@@ -101,9 +101,12 @@ def test_tracer_counts_weak_states():
 
 
 def test_tracer_runs_a_stuffle_pass():
-    # a traced stuffle_sweep child makes this call; the tracer also wraps
-    # mzv.stuffle by name, so the name must stay bound in mzv
+    # a traced stuffle_sweep child makes this call, cold; the tracer also
+    # wraps mzv.stuffle by name, so the name must stay bound in mzv. A pass
+    # reads its values in one batch, and only its memo misses go through
+    # mzv.zeta_value, which the tracer counts as mzv.values
     assert "stuffle" in vars(mzv)
+    mzv._memo.clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

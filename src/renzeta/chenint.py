@@ -5,11 +5,12 @@ multiplicative character on tensor words of symbols, its minimal-subtraction
 
 A symbol is a finite sum of terms q(z) * t^(b - c z) * (log t)^m, q in Q(z).
 The lower integration bound is fixed at 1 so every boundary value stays in
-Q(z). Zeta words get their characters, and the Laurent windows of every
-subword, from a product formula, one linear factor at a time, not symbols.
-Their renormalised values come from minimal subtraction in integers along
-the word's prefixes, the only words the factorisation visits there; the
-general factorisation over Fraction Laurent series serves symbol words.
+Q(z). Zeta words get their characters from a product formula, one linear
+factor at a time, not symbols. Their renormalised values come from one
+integer pass of minimal subtraction along the word's prefixes, the only
+words the factorisation visits there, which extends only the subword
+windows it reads; the general factorisation over Fraction Laurent series
+serves symbol words.
 """
 
 from __future__ import annotations
@@ -239,58 +240,36 @@ def _zeta_word_character(s) -> RationalFunction:
     )
 
 
-def _zeta_subword_series(s, order: int) -> dict[tuple[int, ...], tuple[int, list[int], int]]:
-    """The Laurent window through z**order of the character of every
-    nonempty contiguous subword of the zeta word with letters s, keyed by
-    its letters, in integers: ``(lo, nums, den)`` is
-    z**lo * (nums[0] + nums[1] z + ...) / den through z**order.
-
-    The character of s[i:i+m] is the product over r <= m of 1/(r z + e_r),
-    e_r = S_r - r >= 0, S_r the r-th partial sum of s[i:]. Each start i
-    carries one window, integer numerators over one integer denominator,
-    and extends it one letter at a time: a factor with e_r = 0 is 1/(r z),
-    a shift of the window; any other is the division y_n = (x_n - r y_{n-1})
-    / e_r, made exact by scaling by e_r to the number of terms kept, then
-    reduced by one gcd. The e_r are nondecreasing, so the zero ones are
-    those of the leading ones of s[i:]; each chain starts that many terms
-    past z**order, so that every prefix still reaches z**order after its
-    poles.
-
-    >>> _zeta_subword_series((1, 2), 2)[(1, 2)]  # z^-1 - 2 + 4z - 8z^2
-    (-1, [1, -2, 4, -8], 1)
-    >>> _zeta_subword_series((3, 2), 1)[(3, 2)]  # 1/6 - 7/36 z
-    (0, [6, -7], 36)
+def _extend_window(window: list, r: int, x: int) -> None:
+    """Multiply the open window ``[lo, den, e, xs]``, the character
+    z**lo * (xs[0] + xs[1] z + ...) / den of a subword whose last factor
+    had e_{r-1} = e, by its r-th factor 1/(r z + e_r), e_r = e + x - 1,
+    in place. A factor with e_r = 0 is 1/(r z), a shift; any other is the
+    division y_n = (x_n - r y_{n-1}) / e_r, made exact by scaling by e_r
+    to the number of terms kept, then reduced by one gcd.
     """
-    out: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
-    for i in range(len(s)):
-        ones = next((n for n, x in enumerate(s[i:]) if x != 1), len(s) - i)
-        # z**lo * (xs[0] + xs[1] z + ...) / den, valid through z**(lo + len(xs) - 1)
-        xs = [1] + [0] * (order + ones)
-        lo, den, e = 0, 1, 0
-        for r, x in enumerate(s[i:], start=1):
-            e += x - 1
-            if e == 0:
-                lo -= 1
-                den *= r
-            else:
-                scale, prev = e ** (len(xs) - 1), 0
-                for n, c in enumerate(xs):
-                    prev = scale * c - r * prev // e  # e * scale * y_n
-                    xs[n] = prev
-                den *= scale * e
-                g = gcd(den, *xs)
-                if g > 1:
-                    den //= g
-                    xs = [c // g for c in xs]
-            sub = s[i : i + r]
-            if sub not in out:  # a repeated subword has the same window
-                out[sub] = (lo, xs[: max(0, order - lo + 1)], den)
-    return out
+    e = window[2] = window[2] + x - 1
+    if e == 0:
+        window[0] -= 1
+        window[1] *= r
+        return
+    xs = window[3]
+    scale, prev = e ** (len(xs) - 1), 0
+    for n, c in enumerate(xs):
+        prev = scale * c - r * prev // e  # e * scale * y_n
+        xs[n] = prev
+    den = window[1] * scale * e
+    g = gcd(den, *xs)
+    if g > 1:
+        den //= g
+        xs[:] = [c // g for c in xs]
+    window[1] = den
 
 
-def _zeta_minimal_subtraction(s, windows, order: int) -> Fraction:
-    """The renormalised value of the zeta word with letters s, from the
-    integer windows of its subwords (``_zeta_subword_series(s, order)``).
+def _zeta_prefix_pass(s, order: int) -> tuple[Fraction, tuple[int, list[int], int]]:
+    """The renormalised value of the zeta word with letters s and the
+    integer Laurent window ``(lo, nums, den)`` = z**lo * (nums[0] +
+    nums[1] z + ...) / den of its character through z**order.
 
     The minimal-subtraction recursion of :class:`BirkhoffFactorization`,
     run at a zeta word, only visits the prefixes of s. With the unit as
@@ -299,24 +278,41 @@ def _zeta_minimal_subtraction(s, windows, order: int) -> Fraction:
     for i < k, at z**0 for i = k; minus_i = -(pole part of bar_i), reduced
     by one gcd. Prefixes with no pole part drop out. plus = bar + minus and
     minus has no z**0 term, so the value is bar_k's constant term.
-    Raises :class:`InsufficientOrder` when a product needs a coefficient
-    past the windows' order.
 
-    >>> def value(s):
-    ...     return _zeta_minimal_subtraction(s, _zeta_subword_series(s, len(s)), len(s))
-    >>> value((3, 2)), value((1, 1)), value((1, 2))
-    (Fraction(1, 6), Fraction(0, 1), Fraction(-1, 1))
+    phi(s[j:i]) is the product over r <= i - j of 1/(r z + e_r), e_r =
+    S_r - r >= 0, S_r the r-th partial sum of s[j:]. Only the windows read
+    are built: one per start j = 0 or with a pole part minus_j, extended
+    by one letter per prefix (:func:`_extend_window`). The e_r are
+    nondecreasing, so the zero ones are those of the leading ones of
+    s[j:]; each window keeps that many terms past z**order, so that every
+    subword still reaches z**order after its poles. The window from 0 at
+    i = k is the word's own. Raises :class:`InsufficientOrder` when a
+    product needs a coefficient past z**order.
+
+    >>> _zeta_prefix_pass((3, 2), 1)  # 1/6 - 7/36 z
+    (Fraction(1, 6), (0, [6, -7], 36))
+    >>> _zeta_prefix_pass((1, 2), 2)  # z^-1 - 2 + 4z - 8z^2
+    (Fraction(-1, 1), (-1, [1, -2, 4, -8], 1))
+    >>> _zeta_prefix_pass((1, 1), 2)[0]
+    Fraction(0, 1)
     """
     k = len(s)
-    # (j, M, ((d, m), ...)): minus_j = sum of m z**-d over M, d increasing
-    minus = [(0, 1, ((0, 1),))]
-    for i in range(1, k + 1):
+
+    def opened(j: int) -> list:
+        ones = next((n for n, x in enumerate(s[j:]) if x != 1), k - j)
+        return [0, 1, 0, [1] + [0] * (order + ones)]
+
+    # (j, M, ((d, m), ...), window): minus_j = sum of m z**-d over M, d
+    # increasing, and the open window of phi(s[j:i])
+    minus = [(0, 1, ((0, 1),), opened(0))]
+    for i, x in enumerate(s, start=1):
         top = 0 if i == k else -1
         terms = []
-        for j, m_den, pole in minus:
+        for j, m_den, pole, window in minus:
             if top + pole[-1][0] > order:
                 raise InsufficientOrder(f"z^{top + pole[-1][0]} needed; windows end at z^{order}")
-            lo, nums, den = windows[s[j:i]]
+            _extend_window(window, i - j, x)
+            lo, den, _, nums = window
             terms.append((lo, nums, m_den * den, pole))
         common = lcm(*[den for _, _, den, _ in terms])
         bar = []
@@ -326,12 +322,13 @@ def _zeta_minimal_subtraction(s, windows, order: int) -> Fraction:
                 acc += common // den * sum(m * nums[t + d - lo] for d, m in pole if t + d >= lo)
             bar.append(acc)
         if i == k:
-            return Fraction(bar[0], common)
+            lo, den, _, nums = minus[0][3]
+            return Fraction(bar[0], common), (lo, nums[: max(0, order - lo + 1)], den)
         g = gcd(common, *bar)
         pole = tuple((d, -c // g) for d, c in enumerate(reversed(bar), start=1) if c)
         if pole:
-            minus.append((i, common // g, pole))
-    return Fraction(1)
+            minus.append((i, common // g, pole, opened(i)))
+    return Fraction(1), (0, [1], 1)
 
 
 class BirkhoffFactorization:
@@ -413,12 +410,10 @@ def _positive_letters(s) -> tuple[int, ...]:
 def _zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
     """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z),
     its Laurent window through z**max(1, k), and its renormalised value:
-    minimal subtraction in integers over the window of every subword."""
+    minimal subtraction in integers along the word's prefixes."""
     s = _positive_letters(s)
     order = max(1, len(s))
-    windows = _zeta_subword_series(s, order)
-    value = _zeta_minimal_subtraction(s, windows, order)
-    lo, nums, den = windows[s] if s else (0, [1], 1)
+    value, (lo, nums, den) = _zeta_prefix_pass(s, order)
     window = LaurentSeries(lo, [Fraction(c, den) for c in nums], order)
     return _zeta_word_character(s), window, value
 

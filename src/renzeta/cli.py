@@ -178,7 +178,7 @@ def cmd_chen(args) -> int:
     if any(s < 1 for s in word):
         raise InputError("--word entries must be positive integers")
     if len(word) > args.limit_depth:
-        raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth}")
+        raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth} (raise --limit-depth)")
     exact, series, value = chenint._zeta_character_and_value(word)
     if args.laurent_order not in (None, series.order):
         series = exact.laurent_expand(args.laurent_order)

@@ -451,7 +451,7 @@ class RationalFunction:
         return LaurentSeries(shift, out, order)
 
     def to_str(self, var: str = "z") -> str:
-        if self.den == Poly.one():
+        if self.den.coeffs == (1,):
             return self.num.to_str(var)
         return f"({self.num.to_str(var)}) / ({self.den.to_str(var)})"
 

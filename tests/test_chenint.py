@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,7 @@ from renzeta.chenint import (
     zeta_symbol,
     zeta_tilde_renorm,
     _zeta_character_and_value,
-    _zeta_minimal_subtraction,
-    _zeta_subword_series,
+    _zeta_prefix_pass,
 )
 from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
 from renzeta.words import shuffle
@@ -55,8 +55,80 @@ def zeta_word_closed_form(s) -> RationalFunction:
     return out
 
 
+def zeta_subword_series(s, order: int) -> dict[tuple[int, ...], tuple[int, list[int], int]]:
+    """The oracle of :func:`_zeta_prefix_pass`'s windows: the Laurent window
+    through z**order of the character of every nonempty contiguous subword
+    of the zeta word with letters s, keyed by its letters, in integers:
+    ``(lo, nums, den)`` is z**lo * (nums[0] + nums[1] z + ...) / den.
+
+    Each start i carries one window over the whole rest of s, sized order
+    plus the run of leading ones of s[i:], and extends it one letter at a
+    time with the step the pass uses; repeated subwords keep their first
+    window.
+    """
+    out: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
+    for i in range(len(s)):
+        ones = next((n for n, x in enumerate(s[i:]) if x != 1), len(s) - i)
+        # z**lo * (xs[0] + xs[1] z + ...) / den, valid through z**(lo + len(xs) - 1)
+        xs = [1] + [0] * (order + ones)
+        lo, den, e = 0, 1, 0
+        for r, x in enumerate(s[i:], start=1):
+            e += x - 1
+            if e == 0:
+                lo -= 1
+                den *= r
+            else:
+                scale, prev = e ** (len(xs) - 1), 0
+                for n, c in enumerate(xs):
+                    prev = scale * c - r * prev // e  # e * scale * y_n
+                    xs[n] = prev
+                den *= scale * e
+                g = gcd(den, *xs)
+                if g > 1:
+                    den //= g
+                    xs = [c // g for c in xs]
+            sub = s[i : i + r]
+            if sub not in out:
+                out[sub] = (lo, xs[: max(0, order - lo + 1)], den)
+    return out
+
+
+def zeta_minimal_subtraction(s, windows, order: int) -> Fraction:
+    """The oracle of :func:`_zeta_prefix_pass`'s value: minimal subtraction
+    along the prefixes of s over the windows of every subword
+    (:func:`zeta_subword_series`), each prefix's bar taken over one common
+    denominator and cut at z**-1, the last one at z**0. Raises
+    :class:`InsufficientOrder` when a product needs a coefficient past the
+    windows' order."""
+    k = len(s)
+    # (j, M, ((d, m), ...)): minus_j = sum of m z**-d over M, d increasing
+    minus = [(0, 1, ((0, 1),))]
+    for i in range(1, k + 1):
+        top = 0 if i == k else -1
+        terms = []
+        for j, m_den, pole in minus:
+            if top + pole[-1][0] > order:
+                raise InsufficientOrder(f"z^{top + pole[-1][0]} needed; windows end at z^{order}")
+            lo, nums, den = windows[s[j:i]]
+            terms.append((lo, nums, m_den * den, pole))
+        common = lcm(*[den for _, _, den, _ in terms])
+        bar = []
+        for t in range(-i if i < k else 0, top + 1):
+            acc = 0
+            for lo, nums, den, pole in terms:
+                acc += common // den * sum(m * nums[t + d - lo] for d, m in pole if t + d >= lo)
+            bar.append(acc)
+        if i == k:
+            return Fraction(bar[0], common)
+        g = gcd(common, *bar)
+        pole = tuple((d, -c // g) for d, c in enumerate(reversed(bar), start=1) if c)
+        if pole:
+            minus.append((i, common // g, pole))
+    return Fraction(1)
+
+
 def window_series(window, order: int) -> LaurentSeries:
-    """An integer window ``(lo, nums, den)`` of :func:`_zeta_subword_series`
+    """An integer window ``(lo, nums, den)`` of :func:`zeta_subword_series`
     as the LaurentSeries it stands for, valid through z**order."""
     lo, nums, den = window
     assert all(type(c) is int for c in (lo, den, *nums)) and den > 0
@@ -243,14 +315,14 @@ class TestSharedSubwordPass:
 
 
 class TestZetaSubwordCharacters:
-    """The integer-built Laurent window of every contiguous subword against
-    the symbol algebra (ptilde chain, cut-off integral) expanded by long
-    division, and the value it yields against a Birkhoff factorisation over
-    the symbol algebra's series."""
+    """The oracle's integer-built Laurent window of every contiguous subword
+    against the symbol algebra (ptilde chain, cut-off integral) expanded by
+    long division, and the value `chen` prints against a Birkhoff
+    factorisation over the symbol algebra's series."""
 
     @staticmethod
     def check_subwords(s, order, engine):
-        got = _zeta_subword_series(s, order)
+        got = zeta_subword_series(s, order)
         assert set(got) == contiguous_subwords(s)
         for sub, window in got.items():
             assert window_series(window, order) == engine(sub).laurent_expand(order), (sub, order)
@@ -300,13 +372,13 @@ class TestZetaSubwordCharacters:
         assert _zeta_character_and_value(s)[2] == self.symbol_value(s, chen_character)
 
     def test_empty_word(self):
-        assert _zeta_subword_series((), 1) == {}
+        assert zeta_subword_series((), 1) == {}
         one = RationalFunction.constant(1)
         assert _zeta_character_and_value(()) == (one, one.laurent_expand(1), 1)
 
 
 class TestZetaMinimalSubtraction:
-    """The integer recursion along the prefixes against the general
+    """The integer pass along the prefixes against the general
     factorisation over the symbol algebra's series."""
 
     @given(
@@ -329,15 +401,72 @@ class TestZetaMinimalSubtraction:
             want = BirkhoffFactorization(lambda w: chen_character(w, order)).plus_at_zero(word)
         except InsufficientOrder:
             with pytest.raises(InsufficientOrder):
-                _zeta_minimal_subtraction(s, _zeta_subword_series(s, order), order)
+                _zeta_prefix_pass(s, order)
             return
-        assert _zeta_minimal_subtraction(s, _zeta_subword_series(s, order), order) == want
+        assert _zeta_prefix_pass(s, order)[0] == want
 
     def test_short_window_refused(self):
         # minus(1, 1) = z^-2 / 2 times phi(1) needs its z^2 coefficient
         with pytest.raises(InsufficientOrder):
-            _zeta_minimal_subtraction((1, 1, 1), _zeta_subword_series((1, 1, 1), 0), 0)
-        assert _zeta_minimal_subtraction((1, 1, 1), _zeta_subword_series((1, 1, 1), 2), 2) == 0
+            _zeta_prefix_pass((1, 1, 1), 0)
+        assert _zeta_prefix_pass((1, 1, 1), 2)[0] == 0
+
+
+class TestZetaPrefixPass:
+    """The single pass against the all-subword oracle, and the windows it
+    builds."""
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 6), min_size=1, max_size=7),
+            st.integers(1, 7).map(lambda k: [1] * k),  # pole order = depth
+            st.tuples(st.integers(0, 7), st.lists(st.integers(1, 4), max_size=4)).map(
+                lambda t: [1] * t[0] + t[1]  # a run of ones, then anything
+            ).filter(bool),
+        ),
+        st.integers(-2, 2),
+    )
+    @example([1] * 7, 0)
+    @example([1] * 7, -2)
+    @example([2, 1, 1, 1, 1, 1, 1, 1], 1)
+    @settings(max_examples=80, deadline=None)
+    def test_against_subword_oracle(self, s, extra):
+        """The same value and window as the oracle, or the same refusal."""
+        s = tuple(s)
+        order = len(s) + extra
+        windows = zeta_subword_series(s, order)
+        try:
+            want = zeta_minimal_subtraction(s, windows, order)
+        except InsufficientOrder:
+            with pytest.raises(InsufficientOrder):
+                _zeta_prefix_pass(s, order)
+            return
+        assert _zeta_prefix_pass(s, order) == (want, windows[s])
+
+    @staticmethod
+    def count_steps(s, monkeypatch) -> int:
+        steps = 0
+        real = chenint._extend_window
+
+        def counted(window, r, x):
+            nonlocal steps
+            steps += 1
+            return real(window, r, x)
+
+        monkeypatch.setattr(chenint, "_extend_window", counted)
+        _zeta_character_and_value(s)
+        monkeypatch.undo()
+        return steps
+
+    def test_extends_only_read_windows(self, monkeypatch):
+        # a convergent word has no pole part on any prefix: one window
+        assert self.count_steps((3, 2, 2, 2, 3), monkeypatch) == 5
+        # every prefix of 1^k has a pole part: a window from every start
+        for k in range(1, 8):
+            assert self.count_steps((1,) * k, monkeypatch) == k * (k + 1) // 2
+        # of the prefixes of (1, 2, 3, 1, 2) only (1,) has a pole part: the
+        # windows from 0 and from 1, not all 15 subword steps
+        assert self.count_steps((1, 2, 3, 1, 2), monkeypatch) == 5 + 4
 
 
 class TestBirkhoff:

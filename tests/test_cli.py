@@ -298,6 +298,12 @@ class TestChenCommand:
     def test_bad_word(self, capsys):
         assert run_cli(capsys, "chen", "--word", "0,2")[0] == 2
 
+    def test_depth_guard(self, capsys):
+        # refused with the hint that zeta and hdim give
+        code, out, err = run_cli(capsys, "chen", "--word", "1,1,1,1,1,1,1")
+        assert (code, out, err) == (2, "", "error: depth 7 exceeds limit 6 (raise --limit-depth)\n")
+        assert run_cli(capsys, "--limit-depth", "7", "chen", "--word", "1,1,1,1,1,1,1")[0] == 0
+
     GOLDEN_TEXT = {
         "1,2,3,1,2": (
             "character(z)   = (1/120) / (z^5 + 61/20*z^4 + 137/40*z^3 + 67/40*z^2 + 3/10*z)\n"

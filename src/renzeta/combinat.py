@@ -2,10 +2,10 @@
 and contractions (packet sums).
 
 The contractions of (1, ..., 1) are the compositions of k, lexicographic
-by parts, and those of any word of k letters come in the same order. The
-weak engine total ``emsum._word_total`` counts a word's distinct
-contractions itself, and ``words`` expands shuffles and quasi-shuffles by
-a first-letter recursion.
+by parts, and those of any word of k letters come in the same order.
+``contraction_counts`` lists a word's distinct contractions once each, with
+their multiplicities: the weak values of ``mzv`` are read off it. ``words``
+expands shuffles and quasi-shuffles by a first-letter recursion.
 """
 
 from __future__ import annotations
@@ -133,3 +133,33 @@ def contractions(word) -> list[tuple]:
         out = [y for x in out for y in (x + (b,), x[:-1] + (x[-1] + b,))]
     return out
 
+
+
+def contraction_counts(word, prefix: dict | None = None) -> dict:
+    """The distinct contractions of a word of k letters, each mapped to its
+    multiplicity: how many of the 2^(k-1) contractions are equal to it. They
+    are built letter by letter, as ``contractions`` builds them, with equal
+    words merged at every letter, so a word of k zeros never holds more than
+    k of them, not 2^(k-1). ``prefix``, when given, is this dict for the word without
+    its last letter, and only the last letter is added to it.
+
+    A word as long as the recursion limit is refused at once, as
+    ``contractions`` refuses it.
+
+    >>> contraction_counts((0, 0, 0))
+    {(0, 0, 0): 1, (0, 0): 2, (0,): 1}
+    >>> contraction_counts((1, 2, 3), contraction_counts((1, 2)))
+    {(1, 2, 3): 1, (1, 5): 1, (3, 3): 1, (6,): 1}
+    """
+    word = tuple(word)
+    if not word:
+        raise ValueError("contractions are defined for words of length >= 1")
+    check_recursion_depth(len(word))
+    counts, rest = ({word[:1]: 1}, word[1:]) if prefix is None else (prefix, word[-1:])
+    for b in rest:
+        grown: dict = {}
+        for x, m in counts.items():
+            for y in (x + (b,), x[:-1] + (x[-1] + b,)):
+                grown[y] = grown.get(y, 0) + m
+        counts = grown
+    return counts

@@ -26,10 +26,9 @@ is carried inside the recursion. Two slot menus use this:
   structure summed). The prefix-sum state of a word is its value and the
   boundary subsum (below) of every state after it, computed once.
 
-``weak_fp_res`` sums the prefix-sum states of a word's 2^(k-1)
-contractions, each distinct one once with its multiplicity: the weak value,
-from exactly the states their strict values create. Both word entries, and
-``mzv`` on a value-memo miss, go through :func:`_word_total`.
+``strict_fp_res``, and ``mzv`` on a strict value-memo miss, go through
+:func:`_word_total`. The engine computes no weak value: ``mzv`` sums the
+strict values of a word's contractions, which it reads from its value memo.
 
 Every state is computed by one call of :func:`_nested`, through the module
 global, and kept in the memo ``_cache`` under the recursion's head and the
@@ -119,13 +118,12 @@ marker, which still raises), and when every value left has one entry, as
 at every single rational shift, it sums into one integer. Germ entries and
 slot weights are stored as those integer pairs. Values become ``Fraction``
 (one per lane for a tuple of shifts) or ``Poly`` only where
-``nested_fp_res``, ``strict_fp_res`` and ``weak_fp_res`` return them, and
-where ``mzv`` reads the finite part of a :func:`_word_total`.
+``nested_fp_res`` and ``strict_fp_res`` return them, and where ``mzv`` reads
+the finite part of a :func:`_word_total`.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -509,43 +507,17 @@ def strict_fp_res(word, v) -> LaurentData:
     LaurentData(res=Fraction(0, 1), fp=Fraction(3, 8))
     """
     word, ring, head = _word_head(word, v)
-    return _to_laurent(_word_total(word, False, ring, head), v)
+    return _to_laurent(_word_total(word, ring, head), v)
 
 
-def weak_fp_res(word, v) -> LaurentData:
-    """The sum of :func:`strict_fp_res` over the 2^(k-1) contractions of the
-    word: its finite part is the weak value.
-
-    >>> weak_fp_res((0, 0), 0)
-    LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
-    """
-    word, ring, head = _word_head(word, v)
-    return _to_laurent(_word_total(word, True, ring, head), v)
-
-
-def _word_total(word: tuple, weak: bool, ring: _Ring, head: tuple) -> tuple:
+def _word_total(word: tuple, ring: _Ring, head: tuple) -> tuple:
     """The memo entry (residue, finite part) of the strict expansion of a
-    validated word, its prefix-sum state; with ``weak`` the sum of those of
-    its 2^(k-1) contractions. ``head`` is a word-menu head. The depth is
-    checked against the recursion limit here, before any work.
-
-    The distinct contractions are built letter by letter (the next letter
-    appended or added to the last) with their integer multiplicities, and
-    each is read as one prefix-sum state, so a word of k zeros reads k
-    states, not 2^(k-1)."""
+    validated word: its prefix-sum state. ``head`` is a word-menu head. The
+    depth is checked against the recursion limit here, before any work."""
     check_recursion_depth(len(word))
-    if not weak:
-        exps = word + (0,)
-        hit = _cache.get(head + exps)
-        return _nested(exps, ring, head) if hit is None else hit
-    counts = {word[:1]: 1}
-    for b in word[1:]:
-        grown: dict = {}
-        for x, m in counts.items():
-            for y in (x + (b,), x[:-1] + (x[-1] + b,)):
-                grown[y] = grown.get(y, 0) + m
-        counts = grown
-    return _weighted_sum(((x + (0,), (m, 1)) for x, m in counts.items()), True, ring, head)
+    exps = word + (0,)
+    hit = _cache.get(head + exps)
+    return _nested(exps, ring, head) if hit is None else hit
 
 
 @lru_cache(maxsize=None)
@@ -574,7 +546,7 @@ def _last_slots(word: tuple, c: int):
 
 def _weighted_sum(states, fp_known: bool, ring: _Ring, head: tuple) -> tuple:
     """(residue, finite part) of the weighted sum over the pairs (state,
-    weight) ``states``: a presum or prefix-sum state, or a weak total.
+    weight) ``states``: a presum or a prefix-sum state.
     Without ``fp_known`` the finite part is NONRATIONAL, so the weights act
     on the residues only."""
     res_terms, fp_terms = [], []
@@ -692,34 +664,3 @@ def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
             f"nested sum with nonnegative last exponent has residue {res_total}"
         )
     return _memoize(key, (res_total, fp_total))
-
-
-_C_PALETTE = (
-    Fraction(1),
-    Fraction(2),
-    Fraction(3),
-    Fraction(1, 2),
-    Fraction(3, 2),
-    Fraction(5, 2),
-    Fraction(1, 3),
-)
-
-
-_RANDOM_MAX_DEPTH = 4
-_RANDOM_MAX_ABS_B = 4
-
-
-def random_exponent_lists(count: int, seed: int):
-    """Deterministic pseudo-random exponent lists satisfying the structural
-    invariant, for robustness suites. Returns [(exponents, v), ...]."""
-    rng = random.Random(seed)
-    out = []
-    v_choices = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
-    for _ in range(count):
-        depth = rng.randint(1, _RANDOM_MAX_DEPTH)
-        exps = []
-        for i in range(depth):
-            lo = -_RANDOM_MAX_ABS_B if i == depth - 1 else 0
-            exps.append((rng.randint(lo, _RANDOM_MAX_ABS_B), rng.choice(_C_PALETTE)))
-        out.append((tuple(exps), rng.choice(v_choices)))
-    return out

@@ -4,8 +4,8 @@ arguments, in three variants:
 * ``strict``  -- strict-inequality nested sums, regularisation twisted so
   that the values satisfy the unsigned stuffle relations;
 * ``weak``    -- weak-inequality version (signed stuffle relations): the sum
-  of the strict values of the 2^(k-1) contractions of the word, taken
-  inside the engine;
+  of the strict values of the 2^(k-1) contractions of the word, read off
+  the strict value table;
 * ``alt``     -- the diagonal limit zeta(-a_1+z, ..., -a_k+z; v) at z -> 0,
   which satisfies the Hurwitz shift/derivative identities but not the
   stuffle relations. It coincides with ``strict`` in depths 1 and 2.
@@ -18,18 +18,23 @@ which the engine sums inside one recursion over word prefixes.
 ``_composition_terms`` still lists the expansion term by term, one exponent
 list per term; the tests evaluate it term by term as an independent oracle.
 
-Values are read from one memo (``_memo``). A strict or weak miss enters the
-engine once, at ``emsum._word_total``, with the ring and key head that
+Values are read from one memo (``_memo``). A strict miss enters the engine
+once, at ``emsum._word_total``, with the ring and key head that
 ``zeta_value`` built for the memo (its menu entry set to the word menu); the
 residue is checked on the engine's integer value and only the finite part
-becomes Fractions. An alt miss goes through ``emsum.nested_fp_res``.
+becomes Fractions. An alt miss goes through ``emsum.nested_fp_res``. A weak
+miss never enters the engine itself: :func:`_weak_table` reads the strict
+values of the word's distinct contractions, each residue-checked as a
+strict miss is, and sums them with their multiplicities in integers.
 
 A suite reads each pass's values in one batch, through :func:`value_table`:
 it validates the shift, or the tuple of shifts, and builds the memo head
-once, reads every word from the memo and sends each miss through
-``zeta_value`` once, so a tuple of shifts costs one lane recursion. It
-returns, per lane, one common denominator and the integer numerators, which
-the stuffle and Hurwitz checks compare in integers.
+once, reads every word from the memo and sends each strict or alt miss
+through ``zeta_value`` once, so a tuple of shifts costs one lane recursion.
+Its weak misses are one :func:`_weak_table` batch, which reads the strict
+values of all their contractions at once. It returns, per lane, one common
+denominator and the integer numerators, which the stuffle and Hurwitz
+checks compare in integers.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from . import emsum
-from .combinat import bernoulli, bernoulli_poly, contractions, stirling1
+from .combinat import bernoulli, bernoulli_poly, contraction_counts, contractions, stirling1
 from .emsum import _WORD, _X, _head, _lanes, _value, nested_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
@@ -55,10 +60,10 @@ VARIANTS = ("strict", "weak", "alt")
 
 class HolomorphyViolation(ArithmeticError):
     """A renormalised value had a nonzero residue. Must never fire: every
-    composition term is individually pole-free. Checked on the folded
-    totals of the strict and weak expansions and on the one nested sum of
-    an alt value; the tests check it per composition term on the oracle
-    path."""
+    composition term is individually pole-free. Checked on the folded total
+    of every strict expansion, so on every strict value a weak value reads,
+    and on the one nested sum of an alt value; the tests check it per
+    composition term on the oracle path."""
 
 
 class ZetaValue(NamedTuple):
@@ -175,10 +180,10 @@ _X_HEAD = _head(_X, 0, 0)
 def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
     """zeta_variant(-a; v) at a tuple of shifts (one value per lane) or at
     v = ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``; the empty word
-    has the ring's unit. A miss enters the engine as the module docstring
-    says: ``emsum._word_total`` is read through the module, so the tests can
+    has the ring's unit. A miss is computed as the module docstring says:
+    ``emsum._word_total`` is read through the module, so the tests can
     patch it, and ``nested_fp_res`` through its module global, which the
-    benchmark's tracer wraps."""
+    benchmark's tracer wraps. A weak miss reads its strict values here."""
     key = (a, variant, head)
     value = _memo.get(key)
     if value is not None:
@@ -191,8 +196,13 @@ def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
         res, value = nested_fp_res(tuple((x, 1) for x in a), v)
         if any(res) if ring.lanes else res:
             raise HolomorphyViolation(f"diagonal sum {a} at v={v} has residue {res}")
+    elif variant == "weak":
+        table = _weak_table([a], ring, lambda y: _zeta(y, "strict", v, ring, head))
+        value = tuple([Fraction(nums[0], den) for den, nums in table])
+        if not ring.lanes:
+            value = Poly(value)
     else:
-        res, fp = emsum._word_total(a, variant == "weak", ring, (_WORD,) + head[1:])
+        res, fp = emsum._word_total(a, ring, (_WORD,) + head[1:])
         if res[1]:
             raise HolomorphyViolation(
                 f"{variant} expansion of {a} at v={v} has residue {_value(res, v)}"
@@ -230,25 +240,86 @@ def value_table(words, v, variant: str = "strict") -> list:
     shifts, as one (D, [N_x for x in words]) per lane: D the least common
     denominator of the lane's values and zeta_variant(-x; v_s) = N_x / D.
 
-    The words must be validated tuples (see ``_validate_args``); v is
-    validated and keyed once. Every word is read from the memo and each
-    miss goes through the module global ``zeta_value`` once, so a tuple of
-    shifts costs one lane recursion. A suite reads each pass's values here,
-    in one batch, and checks them in integers.
+    The words must be a list of validated tuples (see ``_validate_args``);
+    v is validated and keyed once. Every word is read from the memo in one
+    pass.
+    A strict or alt miss goes through the module global ``zeta_value`` once,
+    so a tuple of shifts costs one lane recursion. The weak misses are
+    computed together, as one batch (:func:`_weak_table`), whose strict
+    misses go through ``zeta_value`` too; each weak value is stored in the
+    memo, so a warm pass only reads the memo. A suite reads each pass's
+    values here, in one batch, and checks them in integers.
 
     >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)))
     [(288, [-24, 1]), (1152, [-528, 265])]
+    >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)), "weak")
+    [(288, [-24, 1]), (1152, [-528, -23])]
     """
     lanes = v if type(v) is tuple else (v,)
     ring, head = _head(lanes, 0, 0)
     get = _memo.get
-    rows = []
-    for x in words:
-        value = get((x, variant, head))
+    values = [get((x, variant, head)) for x in words]
+    if variant == "weak":
+        misses = [x for x, value in zip(words, values) if value is None and x]
+        if misses:
+            table = _weak_table(
+                misses, ring, lambda y: get((y, "strict", head)) or zeta_value(y, lanes, "strict")
+            )
+            for i, x in enumerate(misses):
+                _memo[(x, variant, head)] = tuple([Fraction(nums[i], den) for den, nums in table])
+            if len(misses) == len(words):
+                return table
+            values = [get((x, variant, head)) for x in words]
+    for i, value in enumerate(values):
         if value is None:
-            value = zeta_value(x, lanes, variant)
-        rows.append([q.as_integer_ratio() for q in value])
-    return [_over_one_denominator(lane) for lane in (zip(*rows) if rows else [()] * ring.lanes)]
+            values[i] = zeta_value(words[i], lanes, variant)
+    return _lanes_of(values, ring.lanes)
+
+
+def _lanes_of(values, lanes: int) -> list:
+    """The values (each a tuple of ``lanes`` Fractions, or a Poly when
+    ``lanes`` is 0) as one (D, [N_x]) per lane, D least; over Q[v] a lane
+    is a degree of the coefficients."""
+    rows = [[q.as_integer_ratio() for q in (x if lanes else x.coeffs)] for x in values]
+    if not lanes:
+        size = max(map(len, rows), default=0)
+        rows = [r + [(0, 1)] * (size - len(r)) for r in rows]
+    return [_over_one_denominator(lane) for lane in (zip(*rows) if rows else [()] * lanes)]
+
+
+def _weak_table(words, ring, strict) -> list:
+    """The weak values of the validated nonempty ``words`` in the ring of
+    the shift, as :func:`_lanes_of` gives them: one (D, [W_x for x in
+    words]) per lane, D least. ``strict(y)`` is the strict value of the
+    word y in the memo's shape.
+
+    A weak value is the sum of the strict values of the word's 2^(k-1)
+    contractions, m_y N_y over the distinct ones y with multiplicities m_y
+    (``combinat.contraction_counts``). Each word's counts extend those of
+    its prefix when that is a word of the batch of the previous depth; only
+    those counts are kept, and of each word only the positions of its
+    contractions in the closure (every contraction of every word) and their
+    multiplicities. The strict values of the closure are read once and put
+    over one denominator D per lane, W_x = sum_y m_y N_y in integers, and
+    one gcd per lane makes D least again."""
+    closure, plan, shared = {}, [], {}  # closure word -> position; per word (positions, ms)
+    prefixes = {x[:-1] for x in words}
+    prev, cur, depth = {}, {}, 0
+    for x in words:
+        if len(x) != depth:
+            prev, cur, depth = cur, {}, len(x)
+        counts = contraction_counts(x, prev.get(x[:-1]))
+        if x in prefixes:
+            cur[x] = counts
+        ms = tuple(counts.values())
+        plan.append(([closure.setdefault(y, len(closure)) for y in counts], shared.setdefault(ms, ms)))
+    out = []
+    for den, nums in _lanes_of([strict(y) for y in closure], ring.lanes):
+        at = nums.__getitem__
+        sums = [sum(map(mul, ms, map(at, ids))) for ids, ms in plan]
+        g = gcd(den, *sums)
+        out.append((den // g, [n // g for n in sums]))
+    return out
 
 
 def zeta_poly_in_v(a, variant: str = "strict") -> Poly:

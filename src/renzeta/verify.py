@@ -5,12 +5,13 @@ not exceptions, so the CLI can serialize them.
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 from itertools import product as iproduct
 
 from . import chenint, mzv
-from .emsum import nested_fp_res, random_exponent_lists
+from .emsum import nested_fp_res
 from .exactnum import Poly, as_rational
 from .mzv import Report
 from .words import shuffle
@@ -37,7 +38,7 @@ def suite_table() -> Report:
 def suite_stuffle(max_weight: int = 8, vs=STUFFLE_SHIFTS) -> Report:
     """Stuffle relations for both sign conventions at each Hurwitz shift.
     Each variant reads its values once, at the tuple of all the shifts, so
-    one lane recursion serves every shift (the weak pass reads the states
+    one lane recursion serves every shift (the weak pass reads the values
     of the strict one); the reports are combined shift by shift, strict
     before weak."""
     vs = tuple(vs)
@@ -165,6 +166,37 @@ def brute_truncated_nested_sum(bs, v, n_top: int) -> Fraction:
             acc += (n + v) ** b * inner[n]
         inner = new
     return sum((n + v) ** bs[0] * inner[n] for n in range(1, n_top + 1))
+
+
+_C_PALETTE = (
+    Fraction(1),
+    Fraction(2),
+    Fraction(3),
+    Fraction(1, 2),
+    Fraction(3, 2),
+    Fraction(5, 2),
+    Fraction(1, 3),
+)
+
+
+_RANDOM_MAX_DEPTH = 4
+_RANDOM_MAX_ABS_B = 4
+
+
+def random_exponent_lists(count: int, seed: int):
+    """Deterministic pseudo-random exponent lists satisfying the structural
+    invariant, for robustness suites. Returns [(exponents, v), ...]."""
+    rng = random.Random(seed)
+    out = []
+    v_choices = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
+    for _ in range(count):
+        depth = rng.randint(1, _RANDOM_MAX_DEPTH)
+        exps = []
+        for i in range(depth):
+            lo = -_RANDOM_MAX_ABS_B if i == depth - 1 else 0
+            exps.append((rng.randint(lo, _RANDOM_MAX_ABS_B), rng.choice(_C_PALETTE)))
+        out.append((tuple(exps), rng.choice(v_choices)))
+    return out
 
 
 def suite_engine() -> Report:

@@ -105,7 +105,7 @@ def test_criterion_07_assertions_never_fire(capsys):
             for variant in ("strict", "weak", "alt"):
                 mzv.zeta_value(w, v, variant)
                 checked += 1
-    for exps, v in emsum.random_exponent_lists(100, seed=4242):
+    for exps, v in verify.random_exponent_lists(100, seed=4242):
         data = emsum.nested_fp_res(exps, v)
         if exps[-1][0] >= 0:
             assert data.res == 0 and isinstance(data.fp, Fraction)
@@ -115,7 +115,7 @@ def test_criterion_07_assertions_never_fire(capsys):
 
 
 def test_criterion_08_truncation_stability(capsys):
-    lists = emsum.random_exponent_lists(200, seed=verify.ENGINE_SEED)
+    lists = verify.random_exponent_lists(200, seed=verify.ENGINE_SEED)
     for exps, v in lists:
         base = emsum.nested_fp_res(exps, v)
         assert emsum.nested_fp_res(exps, v, j_bump=1) == base, (exps, v)

@@ -17,9 +17,10 @@ from renzeta.emsum import (
     RationalityLeak,
     StructuralViolation,
     nested_fp_res,
-    random_exponent_lists,
 )
 from renzeta.exactnum import Poly
+from renzeta.verify import random_exponent_lists
+from test_mzv import engine_weak
 
 
 class InterpolationMismatch(ArithmeticError):
@@ -328,29 +329,45 @@ class TestMemo:
         assert not any(tables)
         assert nested_fp_res(exps, Fraction(1, 3)) == first
 
-    def test_weak_reads_each_distinct_contraction_once(self):
+    def test_weak_reads_each_distinct_contraction_once(self, monkeypatch):
         # (0,) * 16 has 2^15 contractions but 16 distinct ones, (0,) * j:
-        # warm, the weak total reads their 16 prefix-sum states from the
-        # memo and no more
+        # cold, a weak value reads their 16 strict values once each, and no
+        # more. A batch read sends each through zeta_value, a single value
+        # through the memo's reader _zeta; from a warm engine memo, neither
+        # makes a state
         word = (0,) * 16
-        head = emsum._head(0, 0, emsum._WORD)[1]
+        want = [((0,) * j, (0,), "strict") for j in range(1, 17)]
         reads = []
+        real_value, real_zeta = mzv.zeta_value, mzv._zeta
 
-        class CountedReads(dict):
-            def get(self, key, default=None):
-                reads.append(key[len(head):])
-                return super().get(key, default)
+        def value(*args):
+            reads.append(args)
+            return real_value(*args)
+
+        def zeta(a, variant, v, ring, head):
+            if variant == "strict":
+                reads.append((a, v, variant))
+            return real_zeta(a, variant, v, ring, head)
 
         emsum.clear_cache()
-        saved = emsum._cache
+        mzv._memo.clear()
         try:
-            want = emsum.weak_fp_res(word, 0)
-            emsum._cache = CountedReads(saved)
-            assert emsum.weak_fp_res(word, 0) == want
+            with monkeypatch.context() as m:
+                m.setattr(mzv, "zeta_value", value)
+                ((den, (num,)),) = mzv.value_table([word], 0, "weak")
+            assert sorted(reads) == want
+            assert Fraction(num, den) == engine_weak(word, 0).fp
+            reads.clear()
+            mzv._memo.clear()
+            states = len(emsum._cache)
+            with monkeypatch.context() as m:
+                m.setattr(mzv, "_zeta", zeta)
+                m.setattr(emsum, "_nested", None)
+                assert real_value(word, 0, "weak") == Fraction(num, den)
+            assert sorted(reads) == want and len(emsum._cache) == states
         finally:
-            emsum._cache = saved
             emsum.clear_cache()
-        assert sorted(reads) == [(0,) * (j + 1) for j in range(1, 17)]
+            mzv._memo.clear()
 
     def test_engine_state_count(self):
         # the set of engine states is part of the engine's contract: the
@@ -491,7 +508,7 @@ class TestMemo:
     def test_stuffle_grid_state_count(self, v):
         # the value words of the weight-4, depth-3 stuffle grid: the strict
         # values create 4,361 states at any shift, and the weak values,
-        # sums of prefix-sum states of contractions, create none
+        # read off the strict values of their contractions, create none
         words = mzv._stuffle_plan(4, 3).words
         emsum.clear_cache()
         mzv._memo.clear()
@@ -732,7 +749,7 @@ class TestLanes:
     @settings(max_examples=60, deadline=None)
     @given(_words(max_depth=4, max_weight=6), _lanes(), st.sampled_from(("strict", "weak")))
     def test_word_menu(self, word, lanes, variant):
-        fn = emsum.strict_fp_res if variant == "strict" else emsum.weak_fp_res
+        fn = emsum.strict_fp_res if variant == "strict" else engine_weak
         _agree_lane_by_lane(fn(word, lanes), [fn(word, x) for x in lanes])
 
     @settings(max_examples=30, deadline=None)
@@ -751,7 +768,7 @@ class TestLanes:
         calls = (
             lambda v: nested_fp_res(exps, v, j_bump=bump),
             lambda v: emsum.strict_fp_res(word, v),
-            lambda v: emsum.weak_fp_res(word, v),
+            lambda v: engine_weak(word, v),
         )
         for call in calls:
             assert _states(lambda: call(lanes)) == _states(lambda: call(lanes[0]))
@@ -785,7 +802,8 @@ class TestLanes:
         for call in (
             lambda: nested_fp_res([(1, 1)], lanes),
             lambda: emsum.strict_fp_res((1, 2), lanes),
-            lambda: emsum.weak_fp_res((1, 2), lanes),
+            lambda: engine_weak((1, 2), lanes),
+            lambda: mzv.zeta_value((1, 2), lanes, "weak"),
             lambda: mzv.zeta_value((1, 2), lanes),
         ):
             with pytest.raises(StructuralViolation):

@@ -27,9 +27,9 @@ from renzeta.emsum import (
     LaurentData,
     RationalityLeak,
     nested_fp_res,
-    random_exponent_lists,
 )
 from renzeta.exactnum import Poly
+from renzeta.verify import random_exponent_lists
 
 _ORACLE_MEMO: dict = {}
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import emsum, mzv, verify, words
+from renzeta.combinat import contraction_counts
 from renzeta.emsum import StructuralViolation, nested_fp_res
 from renzeta.exactnum import Poly, rat_str
 from renzeta.mzv import (
@@ -347,7 +348,10 @@ class TestStuffleSuite:
     def test_warm_pass_reads_only_values(self, monkeypatch):
         # a second pass on a grid, at another variant and shift, reuses the
         # first pass's plan: no product, one batch read of the value words,
-        # each a memo miss that goes through zeta_value once, same cases
+        # same cases. Every weak word is a memo miss, and the batch reads
+        # the strict values of their contractions (the value words again):
+        # each a memo miss that goes through zeta_value once, and no weak
+        # word. A warm pass sends none
         mzv._stuffle_plan.cache_clear()
         first = verify_stuffle(4, Fraction(1, 3), "strict")
         products, reads, values = [], [], []
@@ -375,7 +379,14 @@ class TestStuffleSuite:
         assert second.ok and second.cases == first.cases
         assert products == []
         assert reads == [(words_up_to(6, 4), (v,), "weak")]
-        assert values == [(x, (v,), "weak") for x in words_up_to(6, 4)]
+        assert len(values) == len(set(values))
+        assert set(values) == {(x, (v,), "strict") for x in words_up_to(6, 4)}
+        reads.clear()
+        values.clear()
+        third = verify_stuffle(4, v, "weak")
+        assert (third.cases, third.failures) == (second.cases, second.failures)
+        assert (products, values) == ([], [])
+        assert reads == [(words_up_to(6, 4), (v,), "weak")]
 
     @pytest.mark.parametrize(
         "grid", [(-1, 3), (4, 0), (True, 3), (4, True), (2.5, 3), (4, 2.0), (Fraction(4), 3)]
@@ -805,6 +816,21 @@ def oracle_weak(a, v):
     return total
 
 
+def engine_weak(a, v) -> emsum.LaurentData:
+    """The weak value as one engine sum: the prefix-sum states of the word's
+    distinct contractions, each read once from the engine with its integer
+    multiplicity and summed by the engine's kernel. Residue and finite part,
+    at one shift, a tuple of shifts or v = ``Poly.x()``; the word and v are
+    validated as a strict engine entry validates them.
+
+    >>> engine_weak((0, 0), 0)
+    LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
+    """
+    word, ring, head = emsum._word_head(a, v)
+    states = ((x + (0,), (m, 1)) for x, m in contraction_counts(word).items())
+    return emsum._to_laurent(emsum._weighted_sum(states, True, ring, head), v)
+
+
 @st.composite
 def _word_of_weight(draw, max_depth, weight):
     """A word of depth <= max_depth whose letters sum to ``weight``."""
@@ -860,6 +886,50 @@ class TestFoldedAgainstTerms:
         for bump in (1, 2):
             v_, head = emsum._head(v, bump, emsum._WORD)
             assert emsum._to_laurent(emsum._nested(a + (0,), v_, head), v) == base
+
+
+class TestWeakFromStrictTable:
+    """Weak values read off the strict value table (``mzv._weak_table``)
+    against the engine's contraction sum (``engine_weak``) and the unsigned
+    expansion (``oracle_weak``), on drawn words of depth 1-8."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_words(8), min_size=1, max_size=4),
+        st.one_of(_SHIFTS, st.lists(_SHIFTS, min_size=1, max_size=3).map(tuple)),
+        st.booleans(),
+    )
+    def test_rational_shifts(self, words_, v, cold):
+        if cold:
+            mzv._memo.clear()
+        lanes = v if type(v) is tuple else (v,)
+        table = mzv.value_table(words_, v, "weak")
+        assert len(table) == len(lanes)
+        for x in words_:
+            got = zeta_value(x, v, "weak")
+            engine = engine_weak(x, v)
+            assert engine.res == (0,) * len(lanes) if type(v) is tuple else engine.res == 0
+            assert got == engine.fp
+        for i, (s, (den, nums)) in enumerate(zip(lanes, table)):
+            want = [zeta_value(x, s, "weak") for x in words_]
+            assert [Fraction(n, den) for n in nums] == want
+            assert den == lcm(*(q.denominator for q in want))  # D is least
+            if i == 0:
+                assert want == [oracle_weak(x, s) for x in words_]
+
+    @settings(max_examples=15, deadline=None)
+    @given(_words(8))
+    def test_polynomial_shift(self, a):
+        mzv._memo.clear()
+        got = zeta_poly_in_v(a, "weak")
+        engine = engine_weak(a, Poly.x())
+        assert engine.res == Poly.zero()
+        assert got == engine.fp == oracle_weak(a, Poly.x())
+        # the lanes over Q[v] are the degrees, each over its least D
+        ring, head = emsum._head(Poly.x(), 0, 0)
+        table = mzv._weak_table([a], ring, lambda y: mzv._zeta(y, "strict", Poly.x(), ring, head))
+        assert [Fraction(nums[0], den) for den, nums in table] == list(got.coeffs)
+        assert [den for den, _ in table] == [q.denominator for q in got.coeffs]
 
 
 class TestStuffleAboveWeight8:
@@ -995,7 +1065,7 @@ def test_holomorphy_violation_error_exists():
 
 def test_holomorphy_checked_on_folded_total(monkeypatch):
     # the engine entry of a strict miss, returning residue 1 and finite part 0
-    monkeypatch.setattr(emsum, "_word_total", lambda word, weak, ring, head: ((1, (1,)), (1, ())))
+    monkeypatch.setattr(emsum, "_word_total", lambda word, ring, head: ((1, (1,)), (1, ())))
     mzv._memo.clear()
     try:
         with pytest.raises(HolomorphyViolation, match="strict expansion"):
@@ -1005,11 +1075,20 @@ def test_holomorphy_checked_on_folded_total(monkeypatch):
 
 
 def test_holomorphy_checked_on_weak_total(monkeypatch):
-    # the engine entry of a weak miss, returning residue 1 and finite part 0
-    monkeypatch.setattr(emsum, "_word_total", lambda word, weak, ring, head: ((1, (1,)), (1, ())))
+    # a weak miss reads the strict values of its contractions, and the
+    # engine entry of each strict miss returns residue 1 and finite part 0:
+    # the weak value is refused on the first strict residue it reads, at one
+    # shift, at a tuple of shifts and over Q[v]
+    monkeypatch.setattr(emsum, "_word_total", lambda word, ring, head: ((1, (1,)), (1, ())))
     mzv._memo.clear()
     try:
-        with pytest.raises(HolomorphyViolation, match="weak expansion"):
-            zeta_value((5, 7, 9), Fraction(1, 5), "weak")
+        for v in (Fraction(1, 5), (Fraction(1, 5), 0)):
+            with pytest.raises(HolomorphyViolation, match="strict expansion"):
+                zeta_value((5, 7, 9), v, "weak")
+        with pytest.raises(HolomorphyViolation, match="strict expansion"):
+            zeta_poly_in_v((5, 7, 9), "weak")
+        with pytest.raises(HolomorphyViolation, match="strict expansion"):
+            mzv.value_table([(5, 7, 9), (1,)], Fraction(1, 5), "weak")
+        assert not [key for key in mzv._memo if key[1] == "weak"]
     finally:
         mzv._memo.clear()

@@ -134,14 +134,13 @@ def contractions(word) -> list[tuple]:
     return out
 
 
-
 def contraction_counts(word, prefix: dict | None = None) -> dict:
     """The distinct contractions of a word of k letters, each mapped to its
     multiplicity: how many of the 2^(k-1) contractions are equal to it. They
     are built letter by letter, as ``contractions`` builds them, with equal
     words merged at every letter, so a word of k zeros never holds more than
-    k of them, not 2^(k-1). ``prefix``, when given, is this dict for the word without
-    its last letter, and only the last letter is added to it.
+    k of them, not 2^(k-1). ``prefix``, when given, is this dict for the
+    word without its last letter, and only the last letter is added to it.
 
     A word as long as the recursion limit is refused at once, as
     ``contractions`` refuses it.

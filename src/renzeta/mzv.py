@@ -242,9 +242,9 @@ def value_table(words, v, variant: str = "strict") -> list:
 
     The words must be a list of validated tuples (see ``_validate_args``);
     v is validated and keyed once. Every word is read from the memo in one
-    pass.
-    A strict or alt miss goes through the module global ``zeta_value`` once,
-    so a tuple of shifts costs one lane recursion. The weak misses are
+    pass. A strict or alt miss goes through the module global
+    ``zeta_value`` once, so a tuple of shifts costs one lane recursion. The
+    weak misses but the empty word (whose value is the unit) are
     computed together, as one batch (:func:`_weak_table`), whose strict
     misses go through ``zeta_value`` too; each weak value is stored in the
     memo, so a warm pass only reads the memo. A suite reads each pass's

@@ -267,8 +267,6 @@ def value_table(words, v, variant: str = "strict") -> list:
             )
             for i, x in enumerate(misses):
                 _memo[(x, variant, head)] = tuple([Fraction(nums[i], den) for den, nums in table])
-            if len(misses) == len(words):
-                return table
             values = [get((x, variant, head)) for x in words]
     for i, value in enumerate(values):
         if value is None:

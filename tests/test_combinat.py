@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, prod
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renzeta import combinat, words
-from renzeta.combinat import bernoulli, bernoulli_poly, contractions, stirling1
+from renzeta.combinat import (
+    bernoulli,
+    bernoulli_poly,
+    contraction_counts,
+    contractions,
+    stirling1,
+)
 from renzeta.exactnum import Poly, RationalFunction, as_rational
 from renzeta.mzv import zeta_value
 from renzeta.words import TensorPoly
@@ -360,9 +367,22 @@ class TestContractions:
             assert len(set(want)) == len(want)
             assert contractions(word) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=10).map(tuple))
+    def test_counts_are_the_contractions_counted(self, word):
+        # merged letter by letter, from the empty prefix or from the counts
+        # of the word without its last letter (how mzv._weak_table builds
+        # a batch): the same multiset as the 2^(k-1) contractions
+        want = Counter(contractions(word))
+        assert contraction_counts(word) == want
+        if len(word) > 1:
+            assert contraction_counts(word, contraction_counts(word[:-1])) == want
+
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
             contractions(())
+        with pytest.raises(ValueError):
+            contraction_counts(())
 
     def test_refuses_depth_at_recursion_limit_at_once(self):
         # the 2^1199 contractions must never be enumerated

@@ -429,7 +429,7 @@ def zeta_tilde_renorm(s) -> Fraction:
     >>> zeta_tilde_renorm((1, 1))
     Fraction(0, 1)
     """
-    return _zeta_character_and_value(s)[2]
+    return _zeta_prefix_pass(_positive_letters(s), max(1, len(s)))[0]
 
 
 def pure_power_nested_integral(exponents, lo, hi) -> Fraction:

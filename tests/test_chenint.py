@@ -537,6 +537,21 @@ class TestRenormalisedValues:
         for s in ((2,), (3,), (3, 2), (4, 1), (2, 2, 2), (4, 2, 1)):
             assert zeta_tilde_renorm(s) == convergent_nested_integral(s)
 
+    def test_reads_the_integer_pass_alone(self, monkeypatch):
+        # the value comes off the integer prefix pass: no character is built
+        words_ = ((3, 2), (1,), (1, 1), (2, 2, 2), (1, 3, 1, 2), ())
+        want = [_zeta_character_and_value(s)[2] for s in words_]
+        calls = []
+        real = chenint._zeta_word_character
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chenint, "_zeta_word_character", counting)
+        assert [zeta_tilde_renorm(s) for s in words_] == want
+        assert calls == []
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             zeta_tilde_renorm((0, 2))

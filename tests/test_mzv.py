@@ -99,6 +99,16 @@ class TestEmptyWord:
             assert zeta_poly_in_v((), variant) == Poly.one()
         assert hdim_zeta(2, (), Fraction(1, 2), with_poly=True) == (1, Poly.one())
 
+    def test_unit_in_a_cold_batch(self):
+        # a cold batch read stores the unit too in every variant; the weak
+        # one is written by the weak batch, beside a nonempty word
+        v = (0, Fraction(1, 2))
+        for variant in VARIANTS:
+            mzv._memo.clear()
+            table = mzv.value_table([(), (1,)], v, variant)
+            assert [Fraction(nums[0], den) for den, nums in table] == [1, 1]  # per lane
+            assert mzv._memo[((), variant, emsum._head(v, 0, 0)[1])] == (1, 1)
+
     @pytest.mark.parametrize("v", [-5, -1, (), (Fraction(-2),)], ids=repr)
     def test_invalid_shift_refused(self, v):
         for a in ((), (1,)):
@@ -888,10 +898,55 @@ class TestFoldedAgainstTerms:
             assert emsum._to_laurent(emsum._nested(a + (0,), v_, head), v) == base
 
 
+class _CountingMemo(dict):
+    """A value memo that records the key of every entry written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+    def weak_writes(self) -> list:
+        return sorted(key for key in self.writes if key[1] == "weak")
+
+
 class TestWeakFromStrictTable:
     """Weak values read off the strict value table (``mzv._weak_table``)
     against the engine's contraction sum (``engine_weak``) and the unsigned
     expansion (``oracle_weak``), on drawn words of depth 1-8."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(_words(6), min_size=1, max_size=4),
+        st.one_of(_SHIFTS, st.lists(_SHIFTS, min_size=1, max_size=3).map(tuple)),
+    )
+    def test_one_weak_write_per_miss(self, words_, v):
+        # ``_weak_table`` is the weak memo's only writer: a cold one-word
+        # read writes exactly one weak entry, a cold batch one per distinct
+        # miss, each the engine's contraction sum
+        lanes = v if type(v) is tuple else (v,)
+        head = emsum._head(lanes, 0, 0)[1]
+        distinct = sorted(set(words_))
+        for x in distinct:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(mzv, "_memo", _CountingMemo())
+                got = zeta_value(x, v, "weak")
+                assert mzv._memo.weak_writes() == [(x, "weak", head)]
+                assert mzv._memo[(x, "weak", head)] == (got if type(v) is tuple else (got,))
+                assert got == engine_weak(x, v).fp
+                assert mzv._memo[(x, "weak", head)][0] == oracle_weak(x, lanes[0])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mzv, "_memo", _CountingMemo())
+            table = mzv.value_table(words_, v, "weak")
+            assert mzv._memo.weak_writes() == [(x, "weak", head) for x in distinct]
+            for lane, (den, nums) in enumerate(table):
+                for x, n in zip(words_, nums):
+                    assert Fraction(n, den) == mzv._memo[(x, "weak", head)][lane]
+            assert mzv.value_table(words_, v, "weak") == table  # warm: no more writes
+            assert len(mzv._memo.weak_writes()) == len(distinct)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -925,11 +980,13 @@ class TestWeakFromStrictTable:
         engine = engine_weak(a, Poly.x())
         assert engine.res == Poly.zero()
         assert got == engine.fp == oracle_weak(a, Poly.x())
-        # the lanes over Q[v] are the degrees, each over its least D
-        ring, head = emsum._head(Poly.x(), 0, 0)
-        table = mzv._weak_table([a], ring, lambda y: mzv._zeta(y, "strict", Poly.x(), ring, head))
-        assert [Fraction(nums[0], den) for den, nums in table] == list(got.coeffs)
-        assert [den for den, _ in table] == [q.denominator for q in got.coeffs]
+        # a cold read over Q[v] writes one weak entry, the polynomial
+        head = emsum._head(Poly.x(), 0, 0)[1]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mzv, "_memo", _CountingMemo())
+            assert zeta_poly_in_v(a, "weak") == got
+            assert mzv._memo.weak_writes() == [(a, "weak", head)]
+            assert mzv._memo[(a, "weak", head)] == got
 
 
 class TestStuffleAboveWeight8:

@@ -217,24 +217,36 @@ def chen_character_exact(word) -> RationalFunction:
     return cutoff_integral(acc)
 
 
+def _zeta_word_product(s) -> list[int]:
+    """The integer coefficients, lowest first, of the product over r of
+    (r z + e_r), e_r = S_r - r, S_r the r-th partial sum of s: the
+    denominator of the character of the zeta word t^(-s_1 - z) x ... x
+    t^(-s_k - z), whose numerator is 1. The last coefficient is k!.
+
+    >>> _zeta_word_product((3, 2))  # (z + 2)(2 z + 3)
+    [6, 7, 2]
+    """
+    den, e = [1], 0
+    for r, x in enumerate(s, start=1):
+        e += x - 1
+        den = [e * a + r * b for a, b in zip(den + [0], [0] + den)]
+    return den
+
+
 def _zeta_word_character(s) -> RationalFunction:
     """The character of the zeta word t^(-s_1 - z) x ... x t^(-s_k - z):
     integrating the outermost variable first (continued analytically in z)
-    leaves one power per step, so it is the product over r of 1/(r z + e_r),
-    e_r = S_r - r, S_r the r-th partial sum of s. The denominator is
-    multiplied out in integers; its leading coefficient is k!, and the
-    numerator is a constant, so no gcd is taken.
+    leaves one power per step, so it is 1 over :func:`_zeta_word_product`.
+    That is made monic by its leading coefficient k!, and the numerator is
+    a constant, so no gcd is taken.
 
     >>> _zeta_word_character((3, 2))
     RationalFunction((1/2) / (z^2 + 7/2*z + 3))
     >>> _zeta_word_character((1, 1))
     RationalFunction((1/2) / (z^2))
     """
-    den, e = [1], 0  # coefficients of the product of (r z + e_r), lowest first
-    for r, x in enumerate(s, start=1):
-        e += x - 1
-        den = [e * a + r * b for a, b in zip(den + [0], [0] + den)]
-    lead = factorial(len(s))
+    den = _zeta_word_product(s)
+    lead = den[-1]
     return RationalFunction._reduced(
         Poly.constant(Fraction(1, lead)), Poly(Fraction(c, lead) for c in den)
     )
@@ -405,17 +417,6 @@ def _positive_letters(s) -> tuple[int, ...]:
     if any(type(x) is not int or x < 1 for x in s):
         raise ValueError(f"continuous zeta arguments must be integers >= 1 of type int, got {s}")
     return s
-
-
-def _zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
-    """The exact character of the word t^(-s_1 - z) x ... x t^(-s_k - z),
-    its Laurent window through z**max(1, k), and its renormalised value:
-    minimal subtraction in integers along the word's prefixes."""
-    s = _positive_letters(s)
-    order = max(1, len(s))
-    value, (lo, nums, den) = _zeta_prefix_pass(s, order)
-    window = LaurentSeries(lo, [Fraction(c, den) for c in nums], order)
-    return _zeta_word_character(s), window, value
 
 
 def zeta_tilde_renorm(s) -> Fraction:

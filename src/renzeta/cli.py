@@ -20,7 +20,15 @@ from functools import cache
 
 from . import chenint, mzv, verify
 from .emsum import RationalityLeak, StructuralViolation
-from .exactnum import LaurentWindowError, parse_int, parse_rational, rat_str
+from .exactnum import (
+    LaurentWindowError,
+    _quotient_str,
+    _series_str,
+    _terms_str,
+    parse_int,
+    parse_rational,
+    rat_str,
+)
 from .mzv import HolomorphyViolation
 
 DEFAULT_LIMIT_DEPTH = 6
@@ -179,29 +187,43 @@ def cmd_chen(args) -> int:
         raise InputError("--word entries must be positive integers")
     if len(word) > args.limit_depth:
         raise InputError(f"depth {len(word)} exceeds limit {args.limit_depth} (raise --limit-depth)")
-    exact, series, value = chenint._zeta_character_and_value(word)
-    # Each path is faster somewhere (2-core Xeon, Python 3.11): at order 1000
-    # on `--word 100000` the pass's window takes 0.18 s and laurent_expand
-    # 0.006 s; at the default order, 30 words of length 1-5 take 1.0 ms by
-    # laurent_expand and 0.7 ms by the pass.
-    if args.laurent_order not in (None, series.order):
-        series = exact.laurent_expand(args.laurent_order)
+    order = max(1, len(word))
+    value, (lo, nums, den) = chenint._zeta_prefix_pass(word, order)
+    # Each path is faster somewhere, window and text together (2-core Xeon,
+    # Python 3.11): at order 1000 on `--word 100000` laurent_expand takes
+    # 0.14 s and the pass's window 0.32 s, nearly all of it one gcd per
+    # term of 5,000-digit integers; at the default order, 30 words of
+    # length 1-5 take 1.9 ms by laurent_expand and 0.9 ms by the pass,
+    # 0.7 ms of which the value needs anyway.
+    series = None
+    if args.laurent_order not in (None, order):
+        order = args.laurent_order
+        series = chenint._zeta_word_character(word).laurent_expand(order)
     with _AllDigits():
+        # the character 1 / product and the window z**lo * nums / den
+        product = chenint._zeta_word_product(word)
+        lead = product[-1]
+        den_terms = [(k, c, lead) for k, c in enumerate(product)][::-1]
+        character = _quotient_str(_terms_str([(0, 1, lead)], "z"), _terms_str(den_terms, "z"))
+        if series is None:
+            laurent = _series_str([(k, c, den) for k, c in enumerate(nums, lo)], order, "z")
+        else:
+            laurent = series.to_str()
         if args.format == "json":
             print(
                 json.dumps(
                     {
                         "word": list(word),
-                        "character": exact.to_str(),
-                        "laurent": series.to_str(),
-                        "laurent_order": series.order,
+                        "character": character,
+                        "laurent": laurent,
+                        "laurent_order": order,
                         "renormalised": rat_str(value),
                     }
                 )
             )
         else:
-            print(f"character(z)   = {exact.to_str()}")
-            print(f"laurent window = {series.to_str()}")
+            print(f"character(z)   = {character}")
+            print(f"laurent window = {laurent}")
             print(f"renormalised   = {rat_str(value)}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 #: The scalar field of the whole package.
 Rational = Fraction
@@ -57,19 +58,22 @@ def parse_rational(s: str) -> Fraction:
 
 
 def _terms_str(terms, var: str) -> str:
-    """Print (exponent, coefficient) pairs, in the order given, as a signed
-    sum such as ``-1/2*z^-1 + 3 - z^2``; zero coefficients are skipped and
-    an empty sum prints as ``0``."""
+    """Print (exponent, numerator, denominator) integer triples, each
+    denominator positive, in the order given, as a signed sum such as
+    ``-1/2*z^-1 + 3 - z^2``; each term is reduced by one gcd, zero terms
+    are skipped and an empty sum prints as ``0``."""
     parts = []
-    for k, c in terms:
-        num = c.numerator
+    for k, num, den in terms:
         if not num:
             continue
-        # the sign taken once, the magnitude printed as str(abs(c)) would
+        # the sign taken once, the magnitude printed as str(abs(num/den)) would
         neg = num < 0
         if neg:
             num = -num
-        den = c.denominator
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
         mag = str(num) if den == 1 else f"{num}/{den}"
         if k == 0:
             body = mag
@@ -81,6 +85,18 @@ def _terms_str(terms, var: str) -> str:
         else:
             parts.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(parts) or "0"
+
+
+def _series_str(terms, order: int | None, var: str) -> str:
+    """A Laurent window's text: its (exponent, numerator, denominator)
+    terms, then ``+ O(var^(order + 1))`` unless it is exact (order None)."""
+    body = _terms_str(terms, var)
+    return body if order is None else f"{body} + O({var}^{order + 1})"
+
+
+def _quotient_str(num: str, den: str) -> str:
+    """A quotient's text from its printed numerator and denominator."""
+    return num if den == "1" else f"({num}) / ({den})"
 
 
 class Poly:
@@ -264,7 +280,8 @@ class Poly:
         return total
 
     def to_str(self, var: str = "z") -> str:
-        return _terms_str(reversed(list(enumerate(self.coeffs))), var)
+        terms = [(k, *c.as_integer_ratio()) for k, c in enumerate(self.coeffs)]
+        return _terms_str(reversed(terms), var)
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
@@ -451,9 +468,7 @@ class RationalFunction:
         return LaurentSeries(shift, out, order)
 
     def to_str(self, var: str = "z") -> str:
-        if self.den.coeffs == (1,):
-            return self.num.to_str(var)
-        return f"({self.num.to_str(var)}) / ({self.den.to_str(var)})"
+        return _quotient_str(self.num.to_str(var), self.den.to_str(var))
 
     def __repr__(self):
         return f"RationalFunction({self.to_str()})"
@@ -597,10 +612,8 @@ class LaurentSeries:
         return hash((self.min_exponent, self.coeffs, self.order))
 
     def to_str(self, var: str = "z") -> str:
-        body = _terms_str(enumerate(self.coeffs, self.min_exponent), var)
-        if self.order is None:
-            return body
-        return f"{body} + O({var}^{self.order + 1})"
+        terms = [(k, *c.as_integer_ratio()) for k, c in enumerate(self.coeffs, self.min_exponent)]
+        return _series_str(terms, self.order, var)
 
     def __repr__(self):
         return f"LaurentSeries({self.to_str()})"

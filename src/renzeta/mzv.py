@@ -39,7 +39,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -291,8 +291,7 @@ def _weak_table(words, ring, head, strict) -> None:
     word only the positions of its contractions in the closure (every
     contraction of every word) and their multiplicities. The strict values
     of the closure are read once and put over one denominator D per lane,
-    W_x = sum_y m_y N_y in integers, and one gcd per lane makes D least
-    again."""
+    W_x = sum_y m_y N_y in integers."""
     closure, plan, shared = {}, [], {}  # closure word -> position; per word (positions, ms)
     prefixes = {x[:-1] for x in words if len(x) > 1}
     prev, cur, depth = {}, {}, 0
@@ -307,9 +306,7 @@ def _weak_table(words, ring, head, strict) -> None:
     out = []
     for den, nums in _lanes_of([strict(y) for y in closure], ring.lanes):
         at = nums.__getitem__
-        sums = [sum(map(mul, ms, map(at, ids))) for ids, ms in plan]
-        g = gcd(den, *sums)
-        out.append((den // g, [n // g for n in sums]))
+        out.append((den, [sum(map(mul, ms, map(at, ids))) for ids, ms in plan]))
     for i, x in enumerate(words):
         value = tuple([Fraction(sums[i], den) for den, sums in out])
         _memo[(x, "weak", head)] = value if ring.lanes else Poly(value)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from itertools import product
@@ -20,10 +22,9 @@ from renzeta.chenint import (
     pure_power_nested_integral,
     zeta_symbol,
     zeta_tilde_renorm,
-    _zeta_character_and_value,
     _zeta_prefix_pass,
 )
-from renzeta.exactnum import LaurentSeries, Poly, RationalFunction
+from renzeta.exactnum import LaurentSeries, Poly, RationalFunction, rat_str
 from renzeta.words import shuffle
 from test_exactnum import agrees_with, pole_order_at_zero
 
@@ -53,6 +54,47 @@ def zeta_word_closed_form(s) -> RationalFunction:
         partial += x
         out = out * RationalFunction(Poly.one(), Poly((partial - m, m)))
     return out
+
+
+def zeta_character_and_value(s) -> tuple[RationalFunction, LaurentSeries, Fraction]:
+    """The object path of `renzeta chen`: the exact character of the zeta
+    word with letters s, its Laurent window through z**max(1, k) as a
+    LaurentSeries of the integer pass's window, and its renormalised value.
+    The printed text of the first two is what `chen` prints."""
+    s = chenint._positive_letters(s)
+    order = max(1, len(s))
+    value, (lo, nums, den) = _zeta_prefix_pass(s, order)
+    window = LaurentSeries(lo, [Fraction(c, den) for c in nums], order)
+    return chenint._zeta_word_character(s), window, value
+
+
+def chen_printed(s, fmt: str) -> str:
+    """The stdout of `renzeta chen` at its default order, as the object
+    path (:func:`zeta_character_and_value`) prints it."""
+    exact, window, value = zeta_character_and_value(s)
+    if fmt == "json":
+        payload = {
+            "word": list(s),
+            "character": exact.to_str(),
+            "laurent": window.to_str(),
+            "laurent_order": window.order,
+            "renormalised": rat_str(value),
+        }
+        return json.dumps(payload) + "\n"
+    return (
+        f"character(z)   = {exact.to_str()}\n"
+        f"laurent window = {window.to_str()}\n"
+        f"renormalised   = {rat_str(value)}\n"
+    )
+
+
+def run_chen(s, *extra) -> str:
+    """The stdout of `renzeta chen` on the word s, which must succeed."""
+    out = io.StringIO()
+    argv = ["--limit-depth", str(len(s)), "chen", "--word", ",".join(map(str, s)), *extra]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
 
 
 def zeta_subword_series(s, order: int) -> dict[tuple[int, ...], tuple[int, list[int], int]]:
@@ -268,49 +310,75 @@ class TestZetaWordClosedForm:
     def test_drawn_words(self, s):
         word = tuple(zeta_symbol(x) for x in s)
         assert chen_character_exact(word) == zeta_word_closed_form(s)
-        assert _zeta_character_and_value(s)[0] == zeta_word_closed_form(s)
+        assert zeta_character_and_value(s)[0] == zeta_word_closed_form(s)
 
 
 class TestSharedSubwordPass:
-    """The character and value `renzeta chen` prints, against the symbol
-    algebra, and without running it."""
+    """The character, window and value `renzeta chen` prints, against the
+    symbol algebra and the object path, and that it prints them without
+    running the symbol algebra or building exact objects."""
 
     def test_character_and_value(self):
         for s in ((1,), (3, 2), (1, 1, 2), (2, 1, 2, 1), (1, 2, 3, 1, 2)):
-            exact, window, value = _zeta_character_and_value(s)
+            payload = json.loads(run_chen(s, "--format", "json"))
             word = tuple(zeta_symbol(x) for x in s)
-            assert exact == chen_character_exact(word)
+            assert payload["character"] == chen_character_exact(word).to_str()
             order = len(s)
-            assert window == chen_character(word, order)
+            assert payload["laurent"] == chen_character(word, order).to_str()
             bf = BirkhoffFactorization(lambda w: chen_character(w, order))
-            assert value == bf.plus_at_zero(word) == zeta_tilde_renorm(s)
+            value = bf.plus_at_zero(word)
+            assert payload["renormalised"] == rat_str(value) == rat_str(zeta_tilde_renorm(s))
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 5), min_size=1, max_size=7),
+            st.tuples(
+                st.lists(st.integers(1, 5), max_size=6),
+                st.integers(1, 7),
+                st.lists(st.integers(1, 5), max_size=6),
+            ).map(lambda t: (t[0] + [1] * t[1] + t[2])[:7]),  # a run of ones inside
+        ),
+        st.sampled_from(("json", "text")),
+    )
+    @example([1] * 7, "text")
+    @example([2, 1, 1, 1, 1, 1, 1], "json")
+    @settings(max_examples=60, deadline=None)
+    def test_printed_as_the_object_path(self, s, fmt):
+        assert run_chen(s, "--format", fmt) == chen_printed(s, fmt)
 
     @pytest.mark.parametrize("word_arg", ["1,2,3,1,2", "3,3,3,3,3", "2,1,3,2,3"])
     def test_cli_runs_no_symbol_algebra(self, word_arg, monkeypatch, capsys):
         s = tuple(int(x) for x in word_arg.split(","))
         want = chen_character_exact(tuple(zeta_symbol(x) for x in s)).to_str()
-        # the symbol algebra, the general factorisation and Fraction series products
+        # the symbol algebra, the general factorisation, Fraction series
+        # products, and the exact objects: of these only the value's one
+        # Fraction is made
         owners = {
-            "ptilde": chenint,
-            "cutoff_integral": chenint,
-            "chen_character_exact": chenint,
-            "plus_at_zero": BirkhoffFactorization,
-            "__mul__": LaurentSeries,
+            "ptilde": (chenint, "ptilde"),
+            "cutoff_integral": (chenint, "cutoff_integral"),
+            "chen_character_exact": (chenint, "chen_character_exact"),
+            "plus_at_zero": (BirkhoffFactorization, "plus_at_zero"),
+            "LaurentSeries.__mul__": (LaurentSeries, "__mul__"),
+            "Poly.__init__": (Poly, "__init__"),
+            "RationalFunction._reduced": (RationalFunction, "_reduced"),
+            "LaurentSeries.__init__": (LaurentSeries, "__init__"),
+            "Fraction": (Fraction, "__new__"),
         }
         counts = dict.fromkeys(owners, 0)
 
-        def counting(name, fn):
-            def wrapped(*args):
-                counts[name] += 1
-                return fn(*args)
+        def counting(label, fn):
+            def wrapped(*args, **kwargs):
+                counts[label] += 1
+                return fn(*args, **kwargs)
 
             return wrapped
 
-        for name, owner in owners.items():
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        for label, (owner, name) in owners.items():
+            monkeypatch.setattr(owner, name, counting(label, getattr(owner, name)))
         assert cli.main(["chen", "--word", word_arg, "--format", "json"]) == 0
+        monkeypatch.undo()
         payload = json.loads(capsys.readouterr().out)
-        assert counts == dict.fromkeys(owners, 0)
+        assert counts == {**dict.fromkeys(owners, 0), "Fraction": 1}
         assert payload["character"] == want
 
 
@@ -351,7 +419,7 @@ class TestZetaSubwordCharacters:
         for k in range(1, 5):
             for s in product((1, 2, 3, 4), repeat=k):
                 self.check_subwords(s, k, engine)
-                assert _zeta_character_and_value(s) == (
+                assert zeta_character_and_value(s) == (
                     engine(s), engine(s).laurent_expand(k), self.symbol_value(s, series)
                 )
 
@@ -369,12 +437,12 @@ class TestZetaSubwordCharacters:
         self.check_subwords(
             s, len(s) + extra, lambda sub: chen_character_exact(tuple(zeta_symbol(x) for x in sub))
         )
-        assert _zeta_character_and_value(s)[2] == self.symbol_value(s, chen_character)
+        assert zeta_character_and_value(s)[2] == self.symbol_value(s, chen_character)
 
     def test_empty_word(self):
         assert zeta_subword_series((), 1) == {}
         one = RationalFunction.constant(1)
-        assert _zeta_character_and_value(()) == (one, one.laurent_expand(1), 1)
+        assert zeta_character_and_value(()) == (one, one.laurent_expand(1), 1)
 
 
 class TestZetaMinimalSubtraction:
@@ -454,7 +522,7 @@ class TestZetaPrefixPass:
             return real(window, r, x)
 
         monkeypatch.setattr(chenint, "_extend_window", counted)
-        _zeta_character_and_value(s)
+        zeta_character_and_value(s)
         monkeypatch.undo()
         return steps
 
@@ -540,15 +608,18 @@ class TestRenormalisedValues:
     def test_reads_the_integer_pass_alone(self, monkeypatch):
         # the value comes off the integer prefix pass: no character is built
         words_ = ((3, 2), (1,), (1, 1), (2, 2, 2), (1, 3, 1, 2), ())
-        want = [_zeta_character_and_value(s)[2] for s in words_]
+        want = [zeta_character_and_value(s)[2] for s in words_]
         calls = []
-        real = chenint._zeta_word_character
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(real):
+            def wrapped(*args):
+                calls.append(args)
+                return real(*args)
 
-        monkeypatch.setattr(chenint, "_zeta_word_character", counting)
+            return wrapped
+
+        for name in ("_zeta_word_character", "_zeta_word_product"):
+            monkeypatch.setattr(chenint, name, counting(getattr(chenint, name)))
         assert [zeta_tilde_renorm(s) for s in words_] == want
         assert calls == []
 
@@ -561,7 +632,7 @@ class TestRenormalisedValues:
     )
     def test_rejects_non_int_letters(self, s):
         # refused, not truncated: each of these would give the value of (3, 2)
-        for fn in (zeta_tilde_renorm, _zeta_character_and_value, convergent_nested_integral):
+        for fn in (zeta_tilde_renorm, zeta_character_and_value, convergent_nested_integral):
             with pytest.raises(ValueError, match="of type int"):
                 fn(s)
 

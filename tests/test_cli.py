@@ -424,7 +424,7 @@ class TestChenCommand:
         def boom(*a, **k):
             raise chenint.InsufficientOrder("forced for the exit-code contract")
 
-        monkeypatch.setattr(chenint, "_zeta_character_and_value", boom)
+        monkeypatch.setattr(chenint, "_zeta_prefix_pass", boom)
         code, out, err = run_cli(capsys, "chen", "--word", "1,1")
         assert code == 1 and out == ""
         assert err.startswith("internal invariant violated: ")

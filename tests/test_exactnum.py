@@ -10,6 +10,7 @@ from renzeta.exactnum import (
     LaurentWindowError,
     Poly,
     RationalFunction,
+    _terms_str,
     as_rational,
     parse_int,
     parse_rational,
@@ -422,3 +423,52 @@ class TestLaurent:
         assert pp.order is None and pp.coefficient(-2) == 1 and pp.coefficient(-1) == 2
         hp = holomorphic_part(s)
         assert hp.min_exponent == 0 and hp.coefficient(0) == 3
+
+
+def fraction_terms_str(terms, var: str) -> str:
+    """The term printer as it was over (exponent, Fraction) pairs, before it
+    took integer triples: the reference for :func:`_terms_str`."""
+    parts = []
+    for k, c in terms:
+        num = c.numerator
+        if not num:
+            continue
+        neg = num < 0
+        if neg:
+            num = -num
+        den = c.denominator
+        mag = str(num) if den == 1 else f"{num}/{den}"
+        if k == 0:
+            body = mag
+        else:
+            head = "" if mag == "1" else f"{mag}*"
+            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts) or "0"
+
+
+class TestTermsStr:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-6, 6),
+                st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+                st.one_of(st.integers(1, 12), st.integers(1, 10**30)),
+            ),
+            max_size=6,
+        ),
+        st.sampled_from(("z", "v")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_triples_print_as_fractions(self, terms, var):
+        """Each triple prints as its reduced Fraction did, common factors
+        of numerator and denominator included."""
+        want = fraction_terms_str([(k, Fraction(n, d)) for k, n, d in terms], var)
+        assert _terms_str(terms, var) == want
+
+    def test_spot(self):
+        assert _terms_str([(-1, -2, 4), (0, 6, 2), (2, -5, 5), (1, 0, 7)], "z") == "-1/2*z^-1 + 3 - z^2"
+        assert _terms_str([], "z") == _terms_str([(3, 0, 2)], "z") == "0"

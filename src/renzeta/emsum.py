@@ -16,27 +16,47 @@ together with its last slot, and the sum over the prefix's slot structures
 is carried inside the recursion. Two slot menus use this:
 
 * ``nested_fp_res`` -- one nested sum, each slot given with its own c and
-  weight 1;
-* ``strict_fp_res`` -- the twisted-regularisation expansion of a word (the
-  strict renormalised value): a slot of L consecutive letters carries
+  weight 1; a prefix is a list of slots (b, c);
+* :func:`_word_total` -- the twisted-regularisation expansion of a word
+  (the strict renormalised value): a slot of L consecutive letters carries
   multiplicity c in 1..L with weight s(L, c)/L! (Hoffman's log followed by
-  his exp). A word-menu state has one of three key shapes: a slot state
-  (the prefix word, then the last slot), a presum state (the multiplicities
-  of a slot pre-summed) and a prefix-sum state (the word alone, every slot
-  structure summed). The prefix-sum state of a word is its value and the
-  boundary subsum (below) of every state after it, computed once.
+  his exp); a prefix is a word.
 
-``strict_fp_res``, and ``mzv`` on a strict value-memo miss, go through
-:func:`_word_total`. The engine computes no weak value: ``mzv`` sums the
-strict values of a word's contractions, which it reads from its value memo.
+Every prefix is interned once in one trie (``_trie``), with one root per
+recursion head (menu, j_bump, key of v), so a node id also names the head.
+A node holds its parent, its letter (an int a under the word menu, a slot
+(b, c) under the fixed menu), its length and its letter sum (of the a, or
+of the b), and, built with it, its last slots and its boundary key (both
+below). A state is keyed by the id of its prefix:
+
+* (id, B, C), the slot state: the prefix followed by the slot (B, C); under
+  the word menu, the weighted sum over the slot structures of the prefix
+  word of their nested sums followed by it;
+* (id, B, C, -L), the presum state (word menu): the weighted sum over the
+  multiplicities c' of an L-letter slot of the slot states (id, B, C + c');
+* (id, 0), the prefix-sum state (word menu): the sum over the last slots of
+  the prefix word, that is the weighted sum over all its slot structures.
+  It is the strict expansion of the word and the boundary subsum (below)
+  of every state after it, computed once.
+
+A last slot of a node is (stem id, slot exponent, added c, tail), with the
+floor of its reach cutoff (see :func:`_prefix`): peeled at a slot (B, C),
+it gives the children (stem, exponent + shift, C + added c) + tail. Under
+the fixed menu a node has one, its own slot (b, c) with tail (); under the
+word menu each last run of L letters is one, L = 1 as the slot (a, 1) with
+tail () and L >= 2 as a presum state with added c 0 and tail (-L,). So both
+menus peel in one loop.
+
+``mzv`` goes through :func:`_word_total` on a strict value-memo miss. The
+engine computes no weak value: ``mzv`` sums the strict values of a word's
+contractions, which it reads from its value memo.
 
 Every state is computed by one call of :func:`_nested`, through the module
-global, and kept in the memo ``_cache`` under the recursion's head and the
-state. Every caller (the entries ``nested_fp_res`` and :func:`_word_total`,
-the peel loop, the boundary read and :func:`_weighted_sum`) reads a state
-from the memo first and calls :func:`_nested` only on a miss, so a
-recursion makes one call per state it creates and none for a state it
-reads.
+global, and kept in the memo ``_cache`` under its key, one entry per state.
+Every caller (the entries ``nested_fp_res`` and :func:`_word_total`, the
+peel loop, the boundary read and :func:`_weighted_sum`) reads a state from
+the memo first and calls :func:`_nested` only on a miss, so a recursion
+makes one call per state it creates and none for a state it reads.
 
 The regularisation direction gamma(z) = z is hard-wired: the residue and
 finite part used here depend only on gamma'(0) = 1. Scaling every c_i by
@@ -62,10 +82,11 @@ Two structural facts are enforced at runtime rather than assumed:
 A third structural fact bounds the work. The reach of a state with last
 slot (B, C) after the exponents b_1, ..., b_m (the prefix letters under the
 word menu, the prefix slots under the fixed menu) is R = B + b_1 + ... +
-b_m + m. Each merge adds some b_i + 1 - j with j >= 0 to the last exponent,
-so no exponent the recursion can merge into the last slot exceeds R. If
-R < -1, no germ has a z^{-1} term and no depth-1 state has b = -1, so the
-residue is exactly 0; and B <= R < 0 makes the finite part NONRATIONAL.
+b_m + m: B plus the letter sum and the length of its node. Each merge adds
+some b_i + 1 - j with j >= 0 to the last exponent, so no exponent the
+recursion can merge into the last slot exceeds R. If R < -1, no germ has a
+z^{-1} term and no depth-1 state has b = -1, so the residue is exactly 0;
+and B <= R < 0 makes the finite part NONRATIONAL.
 Such a state contributes nothing, and the peel never creates it: peeling
 a slot of L letters at germ j gives a child of reach R - j + 1 - L, which
 falls along the row, so each row is read only up to its first child of
@@ -89,8 +110,9 @@ beyond, and every row the engine peels at reaches j = b + 1 (it runs to
 j = R + 1 and R > b), that finite part is -B_{b+1}(1+v)/(b+1). So the
 factor is the depth-1 value of the last slot, and one function
 (:func:`_depth1`) gives both the depth-1 states and every boundary factor.
-The boundary subsum is a state: the prefix itself under the fixed menu,
-and under the word menu the prefix-sum state of the prefix word.
+The boundary subsum is a state, whose key the prefix's node keeps: the
+prefix itself under the fixed menu, and under the word menu the prefix-sum
+state of the prefix word.
 
 The engine computes in one of three rings, with one arithmetic:
 
@@ -118,8 +140,8 @@ marker, which still raises), and when every value left has one entry, as
 at every single rational shift, it sums into one integer. Germ entries and
 slot weights are stored as those integer pairs. Values become ``Fraction``
 (one per lane for a tuple of shifts) or ``Poly`` only where
-``nested_fp_res`` and ``strict_fp_res`` return them, and where ``mzv`` reads
-the finite part of a :func:`_word_total`.
+``nested_fp_res`` returns them, and where ``mzv`` reads the finite part of
+a :func:`_word_total`.
 """
 
 from __future__ import annotations
@@ -394,10 +416,20 @@ def _depth1(b: int, c: int, ring: _Ring) -> tuple:
 
 _cache: dict = {}
 
+#: The prefix trie, indexed by node id: (parent id, letter, length, letter
+#: sum, last slots, boundary key, children {letter: id}); a root has parent
+#: None.
+_trie: list = []
+#: head -> the id of its root
+_roots: dict = {}
+
 
 def clear_cache() -> None:
-    """Empty every engine table: states, germ rows, depth-1 finite parts."""
+    """Empty every engine table: states, the prefix trie and its roots, germ
+    rows, depth-1 finite parts."""
     _cache.clear()
+    _trie.clear()
+    _roots.clear()
     _germ_cache.clear()
     _boundary_cache.clear()
 
@@ -405,6 +437,36 @@ def clear_cache() -> None:
 def _memoize(key, value: tuple) -> tuple:
     _cache[key] = value
     return value
+
+
+def _prefix(head: tuple, letters) -> int:
+    """The trie id of the prefix ``letters`` under the recursion head
+    ``head``: a word-menu letter is an int a, a fixed-menu letter a slot (b,
+    c). A node is interned on first use, with its last slots and its
+    boundary key (see the module docstring). A last slot is (stem, slot
+    exponent, added c, tail, floor): a child of the stem at germ shift s
+    has reach >= -1 iff s >= floor, which is -1 minus the node's letter sum
+    and the stem's length."""
+    node = _roots.get(head)
+    if node is None:
+        node = _roots[head] = len(_trie)
+        _trie.append((None, None, 0, 0, (), None, {}))
+    for letter in letters:
+        parent, (_, _, length, total, _, _, children) = node, _trie[node]
+        node = children.get(letter)
+        if node is None:
+            node = children[letter] = len(_trie)
+            word = type(letter) is int
+            b, c = (letter, 1) if word else letter
+            length, total, stem = length + 1, total + b, parent
+            slots = [(parent, b, c, (), -total - length)]
+            for size in range(2, length + 1) if word else ():
+                stem, a = _trie[stem][:2]
+                b += a
+                slots.append((stem, b, 0, (-size,), size - 1 - total - length))
+            sub = (node, 0) if word else (parent,) + letter
+            _trie.append((parent, letter, length, total, tuple(slots), sub, {}))
+    return node
 
 
 @lru_cache(maxsize=None)
@@ -442,8 +504,8 @@ def _head(v, j_bump: int, menu: int):
     return ring, (menu, j_bump) + (pairs[0] if len(pairs) == 1 else tuple(zip(*pairs)))
 
 
-#: Slot menus, the first entry of a memo key: every slot given with its own
-#: c and weight 1, or the twisted-regularisation slot structures of a word.
+#: Slot menus, the first entry of a head: every slot given with its own c
+#: and weight 1, or the twisted-regularisation slot structures of a word.
 _SLOTS, _WORD = 0, 1
 
 
@@ -481,33 +543,10 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
                 f"non-last slot with negative exponent {b}: the recursion only "
                 "peels the deepest slot"
             )
-    hit = _cache.get(head + exps)
-    res, fp = _nested(exps, ring, head) if hit is None else hit
+    key = (_prefix(head, zip(exps[:-2:2], exps[1:-2:2])),) + exps[-2:]
+    hit = _cache.get(key)
+    res, fp = _nested(key, ring, head) if hit is None else hit
     return _to_laurent((_combine([((scale, 1), res)]), fp), v)
-
-
-def _word_head(word, v):
-    """(word as a tuple, ring, head) for the word menu, both validated."""
-    word = tuple(word)
-    if not word or any(type(a) is not int or a < 0 for a in word):
-        raise StructuralViolation(f"a word needs one or more letters a_i >= 0, got {word}")
-    ring, head = _head(v, 0, _WORD)
-    return word, ring, head
-
-
-def strict_fp_res(word, v) -> LaurentData:
-    """Residue and finite part at z = 0 of the twisted-regularisation
-    expansion of the word (a_1, ..., a_k): the sum over every way of cutting
-    the word into consecutive slots, a slot of L letters with exponent their
-    sum, multiplicity c in 1..L and weight s(L, c)/L!, of the nested sum of
-    those slots. Its finite part is the strict renormalised value
-    zeta(-a_1, ..., -a_k; v), its residue is zero.
-
-    >>> strict_fp_res((0, 0), 0)
-    LaurentData(res=Fraction(0, 1), fp=Fraction(3, 8))
-    """
-    word, ring, head = _word_head(word, v)
-    return _to_laurent(_word_total(word, ring, head), v)
 
 
 def _word_total(word: tuple, ring: _Ring, head: tuple) -> tuple:
@@ -515,9 +554,9 @@ def _word_total(word: tuple, ring: _Ring, head: tuple) -> tuple:
     validated word: its prefix-sum state. ``head`` is a word-menu head. The
     depth is checked against the recursion limit here, before any work."""
     check_recursion_depth(len(word))
-    exps = word + (0,)
-    hit = _cache.get(head + exps)
-    return _nested(exps, ring, head) if hit is None else hit
+    key = (_prefix(head, word), 0)
+    hit = _cache.get(key)
+    return _nested(key, ring, head) if hit is None else hit
 
 
 @lru_cache(maxsize=None)
@@ -530,29 +569,15 @@ def _slot_weights(length: int) -> tuple:
     )
 
 
-def _last_slots(word: tuple, c: int):
-    """(letters before the slot, slot exponent, rest of the state key) for
-    every last slot word[k-L:] of a word of length k, each to be merged with
-    a slot of multiplicity c. A one-letter slot has the single multiplicity
-    1, of weight 1, so its state is the plain slot state; a longer one is a
-    presum state."""
-    cut = len(word) - 1
-    b = word[cut]
-    yield word[:cut], b, (c + 1,)
-    for cut in range(cut - 1, -1, -1):
-        b += word[cut]
-        yield word[:cut], b, (c, cut - len(word))
-
-
 def _weighted_sum(states, fp_known: bool, ring: _Ring, head: tuple) -> tuple:
-    """(residue, finite part) of the weighted sum over the pairs (state,
+    """(residue, finite part) of the weighted sum over the pairs (state key,
     weight) ``states``: a presum or a prefix-sum state.
     Without ``fp_known`` the finite part is NONRATIONAL, so the weights act
     on the residues only."""
     res_terms, fp_terms = [], []
-    for exps, weight in states:
-        hit = _cache.get(head + exps)
-        res, fp = _nested(exps, ring, head) if hit is None else hit
+    for key, weight in states:
+        hit = _cache.get(key)
+        res, fp = _nested(key, ring, head) if hit is None else hit
         if res[1]:
             res_terms.append((weight, res))
         if fp_known:
@@ -560,78 +585,54 @@ def _weighted_sum(states, fp_known: bool, ring: _Ring, head: tuple) -> tuple:
     return _combine(res_terms), _combine(fp_terms) if fp_known else NONRATIONAL
 
 
-def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
-    """The engine state ``exps``, as the memo entry (residue, finite part):
+def _nested(key: tuple, ring: _Ring, head: tuple) -> tuple:
+    """The engine state ``key``, as the memo entry (residue, finite part):
     two engine values, or a value and NONRATIONAL. ``ring`` is the ring of
-    the shift and ``head`` = (menu, j_bump, key of v) the part of the memo
-    key shared by the whole recursion. Every entry of ``exps`` is an integer,
-    and a slot is (b, c).
-
-    Under the fixed menu ``exps`` = (b_1, c_1, ..., b_l, c_l) is one nested
-    sum. Under the word menu a key has one of three shapes, told apart by
-    its last entry (c >= 1, -L < 0, or 0):
-
-    * (a_1, ..., a_m, b, c), the slot state: the weighted sum over the slot
-      structures of the prefix word a_1..a_m of their nested sums followed
-      by the slot (b, c);
-    * (a_1, ..., a_m, b, c, -L), the presum state: the weighted sum over
-      the multiplicities c' of an L-letter slot of the slot states
-      (a_1, ..., a_m, b, c + c');
-    * (a_1, ..., a_m, 0), the prefix-sum state: the sum over the last slots
-      of the word a_1..a_m, that is the weighted sum over all its slot
-      structures. It is the strict expansion of the word and the boundary
-      subsum of every slot state after it.
+    the shift and ``head`` = (menu, j_bump, key of v) the head of the trie
+    root of the key's node. The key has one of three shapes, told apart by
+    its length (see the module docstring): the slot state (id, B, C), the
+    presum state (id, B, C, -L) and the prefix-sum state (id, 0). A slot
+    state peels its last slot (B, C) against the last slots of its node.
 
     It is called only on a miss: every caller reads the state from
     ``_cache`` first (see the module docstring), so it creates the state.
     """
-    key = head + exps
-
-    if exps[-1] < 0:
-        stem = exps[:-3]
-        b, c, neg_length = exps[-3:]
-        states = ((stem + (b, c_slot + c), weight) for c_slot, weight in _slot_weights(-neg_length))
+    if len(key) == 4:
+        stem, b, c, neg_length = key
+        states = (((stem, b, c + c_slot), weight) for c_slot, weight in _slot_weights(-neg_length))
         return _memoize(key, _weighted_sum(states, b >= 0, ring, head))
-    if not exps[-1]:
+    _, _, length, total, slots, sub, _ = _trie[key[0]]
+    if len(key) == 2:
         # every slot of the word has b >= 0, so its finite part is rational
-        states = ((stem + (b,) + tail, _UNIT) for stem, b, tail in _last_slots(exps[:-1], 0))
+        states = (((stem, b, c) + tail, _UNIT) for stem, b, c, tail, _ in slots)
         return _memoize(key, _weighted_sum(states, True, ring, head))
-    b_last, c_last = exps[-2:]
-    if len(exps) == 2:
+    _, b_last, c_last = key
+    if not length:
         return _memoize(key, _depth1(b_last, c_last, ring))
 
-    prefix = exps[:-2]
-    if head[0]:
-        slots = _last_slots(prefix, c_last)
-        step = 1
-    else:
-        step = 2
-        b_prev, c_prev = prefix[-2:]
-        slots = ((prefix[:-2], b_prev, (c_prev + c_last,)),)
-    # a slot's exponent and its stem's add up to the prefix total; the row
-    # runs to j = R + 1 for the reach R, the last germ the cutoff can read
-    total = sum(prefix[::step])
-    reach = b_last + total + len(prefix) // step
+    bump = 2 * head[1]
     fp_known = b_last >= 0
-
+    get = _cache.get
     res_terms = []
     fp_terms = []
-    row = _germ_row(b_last, c_last, max(reach + 1, 0) + 2 * head[1])
+    # the row runs to j = R + 1 for the reach R, the last germ the cutoff
+    # can read
+    row = _germ_row(b_last, c_last, max(b_last + total + length + 1, 0) + bump)
     # a None coefficient is exactly zero and a zero residue is skipped: the
     # products they would give are exactly zero, NONRATIONAL ones included.
     # Shifts fall along the row, so the first child of reach below
     # -1 - 2 j_bump ends it: every child of reach below -1 is
     # (0, NONRATIONAL) and its finite part only meets None coefficients
     # (see the module docstring)
-    for stem, b_slot, tail in slots:
-        floor = -1 - total - len(stem) // step - 2 * head[1]
-        stem_key = head + stem
+    for stem, b_slot, c_slot, tail, floor in slots:
+        floor -= bump
+        c_slot += c_last
         for shift, h_m1, h_0, h_1 in row:
             if shift < floor:
                 break
-            last = (b_slot + shift,) + tail
-            hit = _cache.get(stem_key + last)
-            res, fp = _nested(stem + last, ring, head) if hit is None else hit
+            child = (stem, b_slot + shift, c_slot) + tail
+            hit = get(child)
+            res, fp = _nested(child, ring, head) if hit is None else hit
             if h_m1 is not None:
                 res_terms.append((h_m1, fp))
             if res[1]:
@@ -646,8 +647,7 @@ def _nested(exps: tuple, ring: _Ring, head: tuple) -> tuple:
     # boundary subsum. Every slot of that subsum has b >= 0, so it is
     # pole-free; its residue is the only partner the dropped z^1 boundary
     # pieces ever meet
-    sub = prefix + (0,) if head[0] else prefix
-    hit = _cache.get(head + sub)
+    hit = get(sub)
     sub_res, sub_fp = _nested(sub, ring, head) if hit is None else hit
     if sub_res[1]:
         raise RationalityLeak("boundary subsum with nonnegative exponents has a pole")

@@ -20,6 +20,7 @@ from renzeta.emsum import (
 )
 from renzeta.exactnum import Poly
 from renzeta.verify import random_exponent_lists
+from engine_keys import decode, reach, strict_fp_res
 from test_mzv import engine_weak
 
 
@@ -61,9 +62,11 @@ def safe_degree_bound(exponents) -> int:
 
 
 def fixed_menu_reach(key) -> int:
-    """The reach b_1 + ... + b_l + l - 1 of a fixed-menu memo key: the key
-    is (menu, j_bump, v num, v den) and then the slots (b, c)."""
-    bs = key[4::2]
+    """The reach b_1 + ... + b_l + l - 1 of a fixed-menu memo key, whose
+    state is the slots (b, c)."""
+    head, state = decode(key)
+    assert head[0] == emsum._SLOTS
+    bs = state[::2]
     return sum(bs) + len(bs) - 1
 
 
@@ -321,13 +324,20 @@ class TestMemo:
         assert first == second
 
     def test_clear_cache_empties_every_table(self):
-        tables = (emsum._cache, emsum._germ_cache, emsum._boundary_cache)
+        # states, the prefix trie and its roots, germ rows and depth-1 finite
+        # parts; a recomputation gives the same values from as many states
+        tables = (
+            emsum._cache, emsum._trie, emsum._roots, emsum._germ_cache, emsum._boundary_cache
+        )
         exps = [(2, 1), (1, Fraction(1, 2)), (0, 1)]
-        first = nested_fp_res(exps, Fraction(1, 3))
+        emsum.clear_cache()
+        first = nested_fp_res(exps, Fraction(1, 3)), strict_fp_res((1, 0, 2), Fraction(1, 3))
+        states = len(emsum._cache)
         assert all(tables)
         emsum.clear_cache()
         assert not any(tables)
-        assert nested_fp_res(exps, Fraction(1, 3)) == first
+        again = nested_fp_res(exps, Fraction(1, 3)), strict_fp_res((1, 0, 2), Fraction(1, 3))
+        assert again == first and len(emsum._cache) == states
 
     def test_weak_reads_each_distinct_contraction_once(self, monkeypatch):
         # (0,) * 16 has 2^15 contractions but 16 distinct ones, (0,) * j:
@@ -462,16 +472,37 @@ class TestMemo:
         # lists whose directions agree up to scale share their states
         assert counts == [2630, 3034, 3439]
 
+    def test_word_menu_cutoff(self):
+        # the word-menu twin of the fixed-menu floor: over the weight-4
+        # stuffle grid and (1,)*12, every state has reach >= -1 - 2 j_bump,
+        # read from the trie as B + letter sum + length, the floor is met,
+        # and every state of reach below -1 is (0, NONRATIONAL). The words'
+        # values do not depend on j_bump
+        words = [w for w in mzv._stuffle_plan(4, 3).words if w] + [(1,) * 12]
+        values = []
+        try:
+            for bump in (0, 1):
+                emsum.clear_cache()
+                ring, head = emsum._head(Fraction(1, 7), bump, emsum._WORD)
+                values.append([emsum._word_total(w, ring, head) for w in words])
+                reaches = {key: reach(key) for key in emsum._cache}
+                assert min(reaches.values()) == -1 - 2 * bump
+                for key, r in reaches.items():
+                    if r < -1:
+                        assert emsum._cache[key] == (emsum._ZERO, NONRATIONAL), decode(key)
+        finally:
+            emsum.clear_cache()
+        assert values[0] == values[1]
+
     def test_one_prefix_sum_state_per_prefix(self):
         # the strict expansion of each prefix word is a state (a_1..a_m, 0),
         # computed once: the value of the whole word and the boundary subsum
         # of every state after the prefix
         emsum.clear_cache()
         try:
-            emsum.strict_fp_res((1,) * 12, 0)
-            # a key is (menu, j_bump, v num, v den) and then the state
-            prefix_sums = [key[4:-1] for key in emsum._cache if key[-1] == 0]
-            assert sorted(prefix_sums) == [(1,) * m for m in range(1, 13)]
+            strict_fp_res((1,) * 12, 0)
+            prefix_sums = [decode(key)[1] for key in emsum._cache if len(key) == 2]
+            assert sorted(prefix_sums) == [(1,) * m + (0,) for m in range(1, 13)]
         finally:
             emsum.clear_cache()
 
@@ -482,9 +513,9 @@ class TestMemo:
         calls = []
         real = emsum._nested
 
-        def spied(exps, ring, head):
-            calls.append((head + exps, head + exps in emsum._cache))
-            return real(exps, ring, head)
+        def spied(key, ring, head):
+            calls.append((key, key in emsum._cache))
+            return real(key, ring, head)
 
         emsum.clear_cache()
         mzv._memo.clear()
@@ -494,12 +525,13 @@ class TestMemo:
                 report = mzv.verify_stuffle(4, Fraction(1, 7), variant, max_depth=3)
                 assert report.ok
             created = list(emsum._cache)
+            states = {decode(key) for key in created}
         finally:
             emsum.clear_cache()
             mzv._memo.clear()
         keys = [key for key, _ in calls]
         assert not any(present for _, present in calls)
-        assert len(keys) == len(set(keys)) == len(created) == 4361
+        assert len(keys) == len(set(keys)) == len(created) == len(states) == 4361
         assert set(keys) == set(created)
 
     @pytest.mark.parametrize(
@@ -554,7 +586,7 @@ class TestMemo:
         with pytest.raises(RecursionError, match="than the recursion limit"):
             mzv.zeta_value((0,) * 1200, 0)
         assert time.monotonic() - t0 < 1.0
-        assert not emsum._cache
+        assert not emsum._cache and not emsum._trie
 
 
 class TestSentinelInEngine:
@@ -601,10 +633,10 @@ class TestSentinelInEngine:
         try:
             self.poison_j2()
             with pytest.raises(RationalityLeak, match="non-rational finite part"):
-                emsum.strict_fp_res((0, 0), 0)
+                strict_fp_res((0, 0), 0)
         finally:
             emsum.clear_cache()
-        assert emsum.strict_fp_res((0, 0), 0).fp == Fraction(3, 8)
+        assert strict_fp_res((0, 0), 0).fp == Fraction(3, 8)
 
 
 class TestEngineOverQv:
@@ -725,13 +757,14 @@ def _agree_lane_by_lane(got, singles):
 
 
 def _states(call) -> set:
-    """The engine states one cold call creates, without the v part of their
-    memo keys: a key is (menu, j_bump, p, q) for one shift p/q, or (menu,
-    j_bump, (p_1, ..., p_S), (q_1, ..., q_S)) for S shifts, then the state."""
+    """The engine states one cold call creates, each with the menu and
+    j_bump of its head but not its key of v: a head is (menu, j_bump, p, q)
+    for one shift p/q, or (menu, j_bump, (p_1, ..., p_S), (q_1, ..., q_S))
+    for S shifts."""
     emsum.clear_cache()
     try:
         call()
-        return {key[:2] + key[4:] for key in emsum._cache}
+        return {(head[:2], state) for head, state in map(decode, emsum._cache)}
     finally:
         emsum.clear_cache()
 
@@ -749,7 +782,7 @@ class TestLanes:
     @settings(max_examples=60, deadline=None)
     @given(_words(max_depth=4, max_weight=6), _lanes(), st.sampled_from(("strict", "weak")))
     def test_word_menu(self, word, lanes, variant):
-        fn = emsum.strict_fp_res if variant == "strict" else engine_weak
+        fn = strict_fp_res if variant == "strict" else engine_weak
         _agree_lane_by_lane(fn(word, lanes), [fn(word, x) for x in lanes])
 
     @settings(max_examples=30, deadline=None)
@@ -767,7 +800,7 @@ class TestLanes:
         # as that shift alone
         calls = (
             lambda v: nested_fp_res(exps, v, j_bump=bump),
-            lambda v: emsum.strict_fp_res(word, v),
+            lambda v: strict_fp_res(word, v),
             lambda v: engine_weak(word, v),
         )
         for call in calls:
@@ -775,10 +808,10 @@ class TestLanes:
             emsum.clear_cache()
             try:
                 call(lanes[:1])
-                one_lane = set(emsum._cache)
+                one_lane = set(map(decode, emsum._cache))
                 emsum.clear_cache()
                 call(lanes[0])
-                assert one_lane == set(emsum._cache)
+                assert one_lane == set(map(decode, emsum._cache))
             finally:
                 emsum.clear_cache()
 
@@ -787,7 +820,7 @@ class TestLanes:
         lanes = (Fraction(2, 7), 0, Fraction(-1, 2))
         for call, count in (
             (lambda: mzv.zeta_value((1,) * 7, lanes), 726),
-            (lambda: emsum.strict_fp_res((1,) * 6, lanes), 406),
+            (lambda: strict_fp_res((1,) * 6, lanes), 406),
         ):
             emsum.clear_cache()
             mzv._memo.clear()
@@ -801,7 +834,7 @@ class TestLanes:
     def test_refused(self, lanes):
         for call in (
             lambda: nested_fp_res([(1, 1)], lanes),
-            lambda: emsum.strict_fp_res((1, 2), lanes),
+            lambda: strict_fp_res((1, 2), lanes),
             lambda: engine_weak((1, 2), lanes),
             lambda: mzv.zeta_value((1, 2), lanes, "weak"),
             lambda: mzv.zeta_value((1, 2), lanes),

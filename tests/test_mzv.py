@@ -27,6 +27,7 @@ from renzeta.mzv import (
     zeta_weak_renorm,
 )
 from renzeta.verify import verify_hurwitz_identities
+from engine_keys import strict_fp_res, word_head, word_key
 from test_combinat import compositions, packet_sums
 from test_words import valuation
 
@@ -836,8 +837,8 @@ def engine_weak(a, v) -> emsum.LaurentData:
     >>> engine_weak((0, 0), 0)
     LaurentData(res=Fraction(0, 1), fp=Fraction(-1, 8))
     """
-    word, ring, head = emsum._word_head(a, v)
-    states = ((x + (0,), (m, 1)) for x, m in contraction_counts(word).items())
+    word, ring, head = word_head(a, v)
+    states = ((word_key(x, head), (m, 1)) for x, m in contraction_counts(word).items())
     return emsum._to_laurent(emsum._weighted_sum(states, True, ring, head), v)
 
 
@@ -892,10 +893,10 @@ class TestFoldedAgainstTerms:
     @settings(max_examples=20, deadline=None)
     @given(_DEEP_WORDS, _SHIFTS)
     def test_wider_germ_truncation(self, a, v):
-        base = emsum.strict_fp_res(a, v)
+        base = strict_fp_res(a, v)
         for bump in (1, 2):
             v_, head = emsum._head(v, bump, emsum._WORD)
-            assert emsum._to_laurent(emsum._nested(a + (0,), v_, head), v) == base
+            assert emsum._to_laurent(emsum._nested(word_key(a, head), v_, head), v) == base
 
 
 class _CountingMemo(dict):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from renzeta import chenint, cli, emsum, mzv, verify
+from engine_keys import strict_fp_res
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -72,7 +73,7 @@ def test_tracer_installs_and_uninstalls():
     try:
         emsum.clear_cache()
         mzv._memo.clear()
-        assert mzv.zeta_value((1, 1), Fraction(1, 3)) == emsum.strict_fp_res((1, 1), Fraction(1, 3)).fp
+        assert mzv.zeta_value((1, 1), Fraction(1, 3)) == strict_fp_res((1, 1), Fraction(1, 3)).fp
     finally:
         tracer.uninstall()
     assert (mzv.zeta_value, emsum._nested) == originals

@@ -353,25 +353,28 @@ def _germ_row(b: int, c: int, j_max: int) -> tuple:
     is exactly zero.
 
     The table keeps one row per slot, the longest one requested, and this
-    returns its prefix up to j = j_max.
+    returns its prefix up to j = j_max. A longer request extends the kept
+    row from its last j: only the new entries are built.
 
     [b - c z]_{-1} = 1/(b + 1 - c z) has a simple pole iff b = -1. For j >= 1
     the row is built in one pass: the two leading coefficients p0 and p1
     of the falling factorial prod_{i < j-1} (b - i - c z) are carried from
-    j to j + 1 as integers.
+    j to j + 1 as integers. An extension first carries them, and j!, up to
+    the kept row's last j, without the Bernoulli numbers and reductions.
     """
-    size = j_max // 2 + 2  # j = 0, 1, 2, 4, ..., j_max
+    size = j_max // 2 + 2 if j_max else 1  # j = 0, 1, 2, 4, ..., j_max
     row = _germ_cache.get((b, c))
     if row is not None and len(row) >= size:
         return row[:size]
-    if b == -1:
-        out = [(0, (-1, c), None, None)]
-    else:
-        out = [(b + 1, None, _pair(1, b + 1), _pair(c, (b + 1) ** 2))]
+    if row is None:
+        row = ((0, (-1, c), None, None) if b == -1
+               else (b + 1, None, _pair(1, b + 1), _pair(c, (b + 1) ** 2)),)
+    last = 2 * len(row) - 4 if len(row) > 2 else len(row) - 1  # the kept row's last j
+    out = list(row)
     p0, p1, fact = 1, 0, 1
     for j in range(1, j_max + 1):
         fact *= j
-        if j == 1 or j % 2 == 0:
+        if j > last and (j == 1 or j % 2 == 0):
             bn, bd = bernoulli(j).as_integer_ratio()
             out.append((b + 1 - j, None, _pair(bn * p0, bd * fact), _pair(bn * p1, bd * fact)))
         p1 = p1 * (b + 1 - j) - c * p0

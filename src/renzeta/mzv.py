@@ -442,22 +442,35 @@ class _StufflePlan(NamedTuple):
 
     ``words`` are the value words: every word of depth <= 2 max_depth and
     weight <= max_weight, in ``words_up_to`` order, so the grid's own words
-    come first. ``odd[i]`` is the parity of the length of ``words[i]``. A
-    pair (i, j, ids, ms) is the ordered grid pair u = words[i], w = words[j]
-    with the terms of u * w as positions ``ids`` into ``words`` and their
-    multiplicities ``ms``, the pairs in (u, w) order."""
+    come first. ``odd[i]`` is the parity of the length of ``words[i]``.
+    ``cases`` is the number of ordered grid pairs (u, w), each one relation
+    zeta(u * w) = zeta(u) zeta(w). A check (i, j, ids, ms, pairs) holds the
+    terms of u * w, u = words[i] and w = words[j], as positions ``ids`` into
+    ``words`` with their multiplicities ``ms``, and ``pairs``, the ordered
+    pairs it stands for as (index in ordered-pair order, i, j): (u, w) and,
+    where the cell of (w, u) is the same, (w, u) too, so each relation is
+    checked once. The checks come in the order of their first pair."""
 
     words: list
     odd: list
-    pairs: list
+    checks: list
+    cases: int
 
 
 @lru_cache(maxsize=None)
 def _stuffle_plan(max_weight: int, max_depth: int) -> _StufflePlan:
     """The plan of one grid, read off a quasi-shuffle table of its own, one
-    ``product`` per pair (the table's cells shared by all of them). The table
-    ids are renumbered as positions and the table is dropped, so a pass
-    reads no table."""
+    ``product`` per ordered pair (the table's cells shared by all of them).
+    The product is commutative, so (w, u) joins the check of (u, w) when
+    its cell, as word id -> multiplicity, equals that of (u, w); a cell
+    that differs keeps a check of its own, and its relation fails alone.
+    The table ids are renumbered as positions and the table is dropped, so
+    a pass reads no table.
+
+    >>> plan = _stuffle_plan(2, 1)  # (0) * (0), (0) * (1), (0) * (2), (1) * (1) and twins
+    >>> len(plan.checks), plan.cases
+    (4, 6)
+    """
     # The relations need exactly the words of depth <= 2 max_depth and weight
     # <= max_weight: a term of u * w has at most |u| + |w| letters and the
     # weight of u and w together, and each such word is a term (multiplicity
@@ -467,14 +480,22 @@ def _stuffle_plan(max_weight: int, max_depth: int) -> _StufflePlan:
     ids = [table.intern(x) for x in words]
     position = {x: i for i, x in enumerate(ids)}
     grid = [(i, sum(x)) for i, x in enumerate(words) if len(x) <= max_depth]
-    pairs, shared = [], {}  # one tuple per distinct multiplicity list: most pairs share a few
+    checks, seen, shared = [], {}, {}  # one tuple per distinct multiplicity list: most checks share a few
+    cases = 0
     for i, weight_u in grid:
         for j, weight_w in grid:
-            if weight_u + weight_w <= max_weight:
-                cell = table.product(ids[i], ids[j])
-                ms = tuple(cell.values())
-                pairs.append((i, j, tuple([position[z] for z in cell]), shared.setdefault(ms, ms)))
-    return _StufflePlan(words, [len(x) % 2 for x in words], pairs)
+            if weight_u + weight_w > max_weight:
+                continue
+            cell = table.product(ids[i], ids[j])
+            twin = seen.get((j, i))  # the pair (w, u), met first when w comes before u
+            if twin is not None and twin[0] == cell:
+                twin[1].append((cases, i, j))
+            else:
+                ms, pairs = tuple(cell.values()), [(cases, i, j)]
+                seen[(i, j)] = cell, pairs
+                checks.append((i, j, tuple([position[z] for z in cell]), shared.setdefault(ms, ms), pairs))
+            cases += 1
+    return _StufflePlan(words, [len(x) % 2 for x in words], checks, cases)
 
 
 def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3):
@@ -490,11 +511,15 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
     any variant and shift, reuses it. A pass reads its values once, in one
     batch (:func:`value_table`, every shift of a tuple at once): per shift
     one common denominator D and the numerators N. The plan gives every
-    pair's quasi-shuffle multiplicities m_x. The weak coefficient of x is
+    check's quasi-shuffle multiplicities m_x. The weak coefficient of x is
     m_x (-1)^(|u|+|u'|-|x|), so with S_x = (-1)^|x| N_x (weak) or N_x
     (strict) both conventions check sum_x m_x S_x D == S_u S_u' in integers.
-    Failures are returned as data, not raised. ``max_weight`` must be an int
-    >= 0 and ``max_depth`` an int >= 1, or ValueError is raised.
+    Both sides are symmetric in u and u', so a check stands for (u, u') and
+    (u', u) where their cells agree: each relation is checked once, and a
+    report counts every ordered pair as a case. A failed check records one
+    failure per ordered pair, in ordered-pair order, with the same lhs and
+    rhs. Failures are returned as data, not raised. ``max_weight`` must be
+    an int >= 0 and ``max_depth`` an int >= 1, or ValueError is raised.
     """
     if variant not in ("strict", "weak"):
         raise ValueError("stuffle suite runs on the strict or weak variant")
@@ -510,19 +535,18 @@ def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int
         report = Report(suite=f"stuffle-{variant}")
         signed = [-n if weak and odd else n for n, odd in zip(nums, plan.odd)]  # S_x
         at = signed.__getitem__
-        for i, j, ids, ms in plan.pairs:
+        failed = []
+        for i, j, ids, ms, pairs in plan.checks:
             total = sum(map(mul, ms, map(at, ids)))
             if total * den != signed[i] * signed[j]:
-                u, w = plan.words[i], plan.words[j]
-                if weak and (len(u) + len(w)) % 2:
+                if weak and (len(plan.words[i]) + len(plan.words[j])) % 2:
                     total = -total
-                report.record(
-                    False,
-                    f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={s}",
-                    Fraction(total, den),
-                    Fraction(nums[i], den) * Fraction(nums[j], den),
-                )
-        report.cases = len(plan.pairs)  # every pair is one case, failed or not
+                lhs, rhs = Fraction(total, den), Fraction(nums[i], den) * Fraction(nums[j], den)
+                failed += [(k, plan.words[x], plan.words[y], lhs, rhs) for k, x, y in pairs]
+        failed.sort()  # into ordered-pair order; the indices k are distinct
+        for _, u, w, lhs, rhs in failed:
+            report.record(False, f"{variant}: ({word_str(u)}) * ({word_str(w)}) at v={s}", lhs, rhs)
+        report.cases = plan.cases  # every ordered pair is one case, failed or not
         now = time.monotonic()
         report.seconds, t0 = now - t0, now  # the batch read counts to the first shift
         reports.append(report)

@@ -180,6 +180,25 @@ class TestGerms:
         # (B_2/2!)(b - cz): constant b/12, slope -c/12
         assert emsum._germ_row(4, 2, 2)[2] == (3, None, (1, 3), (-1, 6))
 
+    @pytest.mark.parametrize("b, c", [(-1, 2), (3, 1), (-7, 3)])
+    def test_longer_request_extends_the_row(self, b, c, monkeypatch):
+        # a short request then a long one gives the row of a fresh long
+        # build, and the long one builds only the new entries: one
+        # Bernoulli number for each new j
+        emsum.clear_cache()
+        try:
+            fresh = emsum._germ_row(b, c, 12)
+            emsum.clear_cache()
+            assert emsum._germ_row(b, c, 5) == fresh[:4]
+            built = []
+            real = emsum.bernoulli
+            monkeypatch.setattr(emsum, "bernoulli", lambda j: built.append(j) or real(j))
+            assert emsum._germ_row(b, c, 12) == fresh
+            assert built == [6, 8, 10, 12]
+            assert emsum._germ_row(b, c, 7) == fresh[:5] and built == [6, 8, 10, 12]
+        finally:
+            emsum.clear_cache()
+
 
 class TestRowLength:
     def test_row_sized_by_reach(self):

@@ -412,6 +412,56 @@ class TestStuffleSuite:
         report = verify_stuffle(0, 0, "strict")
         assert report.ok and report.cases == 9  # (0,), (0,0), (0,0,0) squared
 
+    @pytest.mark.parametrize("grid, checks, cases", [((4, 3), 388, 757), ((8, 3), 3746, 7437)])
+    def test_plan_checks_each_relation_once(self, grid, checks, cases):
+        # every off-diagonal pair folds into its twin's check: 19 and 55
+        # diagonal pairs are checks of their own
+        plan = mzv._stuffle_plan(*grid)
+        assert (len(plan.checks), plan.cases) == (checks, cases)
+        assert cases - checks == sum(1 for check in plan.checks if check[0] != check[1])
+
+    def test_folded_plan_covers_every_ordered_pair(self):
+        # on every grid each ordered pair is a case of exactly one check,
+        # (u, w) and (w, u) of the same one, and the report counts them all
+        for max_weight, max_depth in product(range(6), range(1, 4)):
+            pool = words_up_to(max_depth, max_weight)
+            pairs = [(u, w) for u in pool for w in pool if sum(u) + sum(w) <= max_weight]
+            plan = mzv._stuffle_plan(max_weight, max_depth)
+            covered = sorted(case for *_, cases in plan.checks for case in cases)
+            index = {x: i for i, x in enumerate(plan.words)}
+            assert covered == [(k, index[u], index[w]) for k, (u, w) in enumerate(pairs)]
+            for i, j, *_, cases in plan.checks:
+                assert [(x, y) for _, x, y in cases] == ([(i, j)] if i == j else [(i, j), (j, i)])
+            for variant in ("strict", "weak"):
+                report = verify_stuffle(max_weight, Fraction(2, 7), variant, max_depth)
+                assert report.ok and report.cases == plan.cases == len(pairs)
+
+    def test_cells_that_differ_are_not_folded(self, monkeypatch):
+        # a (w, u) cell with one multiplicity raised by 1 keeps a check of
+        # its own, whose relation fails alone; (u, w) still holds
+        u, w = (1,), (0, 1)
+        real_product = words.QuasiShuffleTable.product
+
+        def product(table, x, y):
+            cell = real_product(table, x, y)
+            if (table.word(x), table.word(y)) == (w, u):
+                cell = dict(cell)
+                first = next(iter(cell))
+                cell[first] += 1
+            return cell
+
+        monkeypatch.setattr(words.QuasiShuffleTable, "product", product)
+        monkeypatch.setattr(mzv, "_stuffle_plan", mzv._stuffle_plan.__wrapped__)
+        plan = mzv._stuffle_plan(4, 3)
+        assert (len(plan.checks), plan.cases) == (389, 757)
+        owners = {(plan.words[x], plan.words[y]): check for check in plan.checks for _, x, y in check[4]}
+        assert owners[(u, w)] is not owners[(w, u)]
+        v = Fraction(1, 3)
+        for variant in ("strict", "weak"):
+            report = verify_stuffle(4, v, variant)
+            assert report.cases == 757
+            assert [f["case"] for f in report.failures] == [f"{variant}: (0,1) * (1) at v={v}"]
+
     def test_one_plan_per_grid(self):
         # passes of both variants at two shifts on one grid cache one plan,
         # a second grid one more; no quasi-shuffle table outlives its plan

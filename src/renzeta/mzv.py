@@ -18,15 +18,18 @@ which the engine sums inside one recursion over word prefixes.
 ``_composition_terms`` still lists the expansion term by term, one exponent
 list per term; the tests evaluate it term by term as an independent oracle.
 
-Values are read from one memo (``_memo``). A strict miss enters the engine
-once, at ``emsum._word_total``, with the ring and key head that
-``zeta_value`` built for the memo (its menu entry set to the word menu); the
-residue is checked on the engine's integer value and only the finite part
-becomes Fractions. An alt miss goes through ``emsum.nested_fp_res``. A weak
-miss never enters the engine itself: :func:`_weak_table`, the weak memo's
-only writer, sums the strict values of the word's distinct contractions,
-each residue-checked as a strict miss is, with their multiplicities in
-integers, and stores the sum; a weak miss is read back from the memo.
+Values are read from one memo (``_memo``), at any of three shift forms: one
+rational v, a tuple of them (one lane each) and v = ``Poly.x()``, each keyed
+through ``emsum._head`` alone. :func:`zeta_value` computes every miss, and
+every reader sends its misses there. A strict miss enters the engine once,
+at ``emsum._word_total``, with the ring and key head that ``zeta_value``
+built for the memo (its menu entry set to the word menu); the residue is
+checked on the engine's integer value and only the finite part becomes
+Fractions. An alt miss goes through ``emsum.nested_fp_res``. A weak miss
+never enters the engine itself: :func:`_weak_table`, the weak memo's only
+writer, sums the strict values of the word's distinct contractions, each
+read from the memo or computed by ``zeta_value``, with their multiplicities
+in integers, and stores the sum; a weak miss is read back from the memo.
 
 A suite reads each pass's values in one batch, through :func:`value_table`,
 as one common denominator and integer numerators per lane, which the
@@ -45,7 +48,7 @@ from typing import NamedTuple
 
 from . import emsum
 from .combinat import bernoulli, bernoulli_poly, contraction_counts, contractions, stirling1
-from .emsum import _WORD, _X, _head, _lanes, _value, nested_fp_res
+from .emsum import _WORD, _X, _head, _value, nested_fp_res
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
 # bound here because the benchmark's tracer (perfbench/tracing.py) wraps mzv.stuffle
@@ -160,56 +163,30 @@ def _composition_terms(a: tuple[int, ...]):
 
 
 # Every value handed out is read from one memo, keyed by (word, variant, key
-# of v). The key of v is the engine's own: the head of its state keys,
-# which ``emsum._head(v, 0, 0)`` builds while it validates v, for every word,
-# the empty one too (the menu and j_bump entries are constant here). It
-# holds ints only, so a memo hit hashes no Fraction. One rational v = p/q is
-# read as lane 0 of the one-lane tuple (v,), which has the same key
-# (0, 0, p, q); Q[v] has a key of its own. A memo value at rational shifts
-# is the tuple of its lanes.
+# of v) and written by ``zeta_value`` (a weak entry by ``_weak_table``). The
+# key of v is the engine's own: the head of its state keys, which
+# ``emsum._head(v, 0, 0)`` builds while it validates v, for every word, the
+# empty one too. It holds ints only, so a hit hashes no Fraction. One rational
+# v = p/q shares the key (0, 0, p, q) and the entry of the one-lane tuple
+# (v,); an entry is the tuple of its lanes, over Q[v] a Poly.
 _memo: dict = {}
 
-#: The ``_head`` of v = ``emsum._X``, built once: Q[v] has the one shift.
-_X_HEAD = _head(_X, 0, 0)
 
-
-def _zeta(a: tuple[int, ...], variant: str, v, ring, head):
-    """zeta_variant(-a; v) at a tuple of shifts (one value per lane) or at
-    v = ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``; the empty word
-    has the ring's unit. A miss is computed as the module docstring says:
-    ``emsum._word_total`` is read through the module, so the tests can
-    patch it, and ``nested_fp_res`` through its module global, which the
-    benchmark's tracer wraps."""
-    key = (a, variant, head)
-    value = _memo.get(key)
-    if value is not None:
-        return value
+def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "weak":
-        _weak_table([a], ring, head, lambda y: _zeta(y, "strict", v, ring, head))
-        return _memo[key]
-    if not a:
-        value = (Fraction(1),) * ring.lanes if ring.lanes else Poly.one()
-    elif variant == "alt":
-        res, value = nested_fp_res(tuple((x, 1) for x in a), v)
-        if any(res) if ring.lanes else res:
-            raise HolomorphyViolation(f"diagonal sum {a} at v={v} has residue {res}")
-    else:
-        res, fp = emsum._word_total(a, ring, (_WORD,) + head[1:])
-        if res[1]:
-            raise HolomorphyViolation(
-                f"{variant} expansion of {a} at v={v} has residue {_value(res, v)}"
-            )
-        value = _value(fp, v)
-    _memo[key] = value
-    return value
 
 
 def zeta_value(a, v=0, variant: str = "strict"):
-    """The renormalised value zeta_variant(-a_1, ..., -a_k; v) as a Fraction.
-    For a tuple of shifts (v_1, ..., v_S) it is the tuple of the S values,
-    computed by one engine recursion.
+    """The renormalised value zeta_variant(-a_1, ..., -a_k; v): a Fraction
+    at one rational shift v, the tuple of the S values at a tuple of shifts
+    (v_1, ..., v_S), computed by one engine recursion, and a Poly at v =
+    ``Poly.x()``; the empty word has the unit.
+
+    Every memo miss is computed here, as the module docstring says:
+    ``emsum._word_total`` is read through the module, so the tests can patch
+    it, and ``nested_fp_res`` through its module global, which the
+    benchmark's tracer wraps.
 
     >>> zeta_value((1, 1), Fraction(1, 2))
     Fraction(265, 1152)
@@ -217,16 +194,48 @@ def zeta_value(a, v=0, variant: str = "strict"):
     (Fraction(1, 288), Fraction(265, 1152), Fraction(3649, 1152))
     """
     a = _validate_args(a)
-    if type(v) is tuple:
-        return _zeta(a, variant, v, *_head(v, 0, 0))
-    # one shift is converted and keyed (0, 0, p, q) once, here, not by
-    # _head; _lanes validates it on a miss
-    pair = as_rational(v).as_integer_ratio()
-    head = (0, 0, *pair)
-    value = _memo.get((a, variant, head))
+    ring, head = _head(v, 0, 0)
+    one = ring.lanes and type(v) is not tuple  # lane 0 of the tuple (v,)
+    key = (a, variant, head)
+    value = _memo.get(key)
     if value is None:
-        value = _zeta(a, variant, (v,), _lanes((pair,)), head)
-    return value[0]
+        _check_variant(variant)
+        shift = (v,) if one else v  # in the memo's shape
+        if variant == "weak":
+            _weak_table([a], shift, ring, head)
+            value = _memo[key]
+        else:
+            if not a:
+                value = (Fraction(1),) * ring.lanes if ring.lanes else Poly.one()
+            elif variant == "alt":
+                res, value = nested_fp_res(tuple((x, 1) for x in a), shift)
+                if any(res) if ring.lanes else res:
+                    raise HolomorphyViolation(f"diagonal sum {a} at v={v} has residue {res}")
+            else:
+                res, fp = emsum._word_total(a, ring, (_WORD,) + head[1:])
+                if res[1]:
+                    raise HolomorphyViolation(
+                        f"{variant} expansion of {a} at v={v} has residue {_value(res, shift)}"
+                    )
+                value = _value(fp, shift)
+            _memo[key] = value
+    return value[0] if one else value
+
+
+def _read(words, variant: str, v, ring, head) -> list:
+    """The memo values of the validated ``words`` at v, a tuple of shifts or
+    ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``, in the memo's shape:
+    the distinct weak misses computed as one batch (:func:`_weak_table`),
+    every other miss through the module global ``zeta_value``."""
+    get = _memo.get
+    values = [get((x, variant, head)) for x in words]
+    if variant == "weak" and None in values:
+        _weak_table(dict.fromkeys([x for x, y in zip(words, values) if y is None]), v, ring, head)
+        values = [get((x, variant, head)) for x in words]
+    for i, value in enumerate(values):
+        if value is None:
+            values[i] = zeta_value(words[i], v, variant)
+    return values
 
 
 def value_table(words, v, variant: str = "strict") -> list:
@@ -235,35 +244,24 @@ def value_table(words, v, variant: str = "strict") -> list:
     denominator of the lane's values and zeta_variant(-x; v_s) = N_x / D.
 
     The words must be a list of validated tuples (see ``_validate_args``);
-    v is validated and keyed once. Every word is read from the memo in one
-    pass. A strict or alt miss goes through the module global
-    ``zeta_value`` once, so a tuple of shifts costs one lane recursion. The
-    distinct weak misses are computed together, as one batch
-    (:func:`_weak_table`), whose strict misses go through ``zeta_value`` too
-    and which stores each in the memo, so a warm pass only reads the memo. A
-    suite reads each pass's values here, in one batch, and checks them in
-    integers.
+    v is validated and keyed once, and an unknown variant is refused before
+    the memo is read. Every word is read from the memo in one pass. A strict
+    or alt miss goes through the module global ``zeta_value`` once, so a
+    tuple of shifts costs one lane recursion. The distinct weak misses are
+    computed together, as one batch (:func:`_weak_table`), whose strict
+    misses go through ``zeta_value`` too and which stores each in the memo,
+    so a warm pass only reads the memo. A suite reads each pass's values
+    here, in one batch, and checks them in integers.
 
     >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)))
     [(288, [-24, 1]), (1152, [-528, 265])]
     >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)), "weak")
     [(288, [-24, 1]), (1152, [-528, -23])]
     """
+    _check_variant(variant)
     lanes = v if type(v) is tuple else (v,)
     ring, head = _head(lanes, 0, 0)
-    get = _memo.get
-    values = [get((x, variant, head)) for x in words]
-    if variant == "weak":
-        misses = dict.fromkeys([x for x, value in zip(words, values) if value is None])
-        if misses:
-            _weak_table(
-                misses, ring, head, lambda y: get((y, "strict", head)) or zeta_value(y, lanes, "strict")
-            )
-            values = [get((x, variant, head)) for x in words]
-    for i, value in enumerate(values):
-        if value is None:
-            values[i] = zeta_value(words[i], lanes, variant)
-    return _lanes_of(values, ring.lanes)
+    return _lanes_of(_read(words, variant, lanes, ring, head), ring.lanes)
 
 
 def _lanes_of(values, lanes: int) -> list:
@@ -277,11 +275,13 @@ def _lanes_of(values, lanes: int) -> list:
     return [_over_one_denominator(lane) for lane in (zip(*rows) if rows else [()] * lanes)]
 
 
-def _weak_table(words, ring, head, strict) -> None:
-    """Store the weak values of the validated ``words`` in the ring of the
-    shift as ``_memo[(x, "weak", head)]``, in the memo's shape: the weak
-    memo's only writer. ``strict(y)`` is the strict value of y, read in the
-    same shape.
+def _weak_table(words, v, ring, head) -> None:
+    """Store the weak values of the validated ``words`` at v, a tuple of
+    shifts or ``Poly.x()``, with ``ring, head = _head(v, 0, 0)``, as
+    ``_memo[(x, "weak", head)]`` in the memo's shape: the weak memo's only
+    writer. The strict values are read from the memo, each miss through the
+    module global ``zeta_value`` (not through ``value_table``, which the
+    tests patch to inject faults).
 
     A weak value is the sum of the strict values of the word's 2^(k-1)
     contractions (the empty word's is its own, the unit), m_y N_y over the
@@ -304,7 +304,7 @@ def _weak_table(words, ring, head, strict) -> None:
         ms = tuple(counts.values())
         plan.append(([closure.setdefault(y, len(closure)) for y in counts], shared.setdefault(ms, ms)))
     out = []
-    for den, nums in _lanes_of([strict(y) for y in closure], ring.lanes):
+    for den, nums in _lanes_of(_read(list(closure), "strict", v, ring, head), ring.lanes):
         at = nums.__getitem__
         out.append((den, [sum(map(mul, ms, map(at, ids))) for ids, ms in plan]))
     for i, x in enumerate(words):
@@ -313,13 +313,13 @@ def _weak_table(words, ring, head, strict) -> None:
 
 
 def zeta_poly_in_v(a, variant: str = "strict") -> Poly:
-    """The value as an exact polynomial in the Hurwitz shift v, computed by
-    the same engine over Q[v] with v the polynomial variable.
+    """The value as an exact polynomial in the Hurwitz shift v: the value
+    at v = ``Poly.x()``, computed by the same engine over Q[v].
 
     >>> zeta_poly_in_v((1,)).to_str("v")
     '-1/2*v^2 - 1/2*v - 1/12'
     """
-    return _zeta(_validate_args(a), variant, _X, *_X_HEAD)
+    return zeta_value(a, _X, variant)
 
 
 def _zeta_result(a, v, variant, with_poly) -> ZetaValue:
@@ -578,19 +578,17 @@ def _sphere_coeffs_shifted(n: int, v) -> dict:
 _hdim_memo: dict = {}
 
 
-def _hdim_value(n: int, a: tuple[int, ...], v, ring, head):
-    """zeta_n(-a; v) at one rational v or at v = ``Poly.x()``, with ``ring,
-    head = _head(v, 0, 0)``, memoised by (n, word, head) as the value memo
-    is."""
-    key = (n, a, head)
+def _hdim_value(n: int, a: tuple[int, ...], v):
+    """zeta_n(-a; v) at one rational v or at v = ``Poly.x()``, memoised by
+    (n, word, key of v) as the value memo is; each shifted word is read
+    through ``zeta_value``."""
+    key = (n, a, _head(v, 0, 0)[1])
     total = _hdim_memo.get(key)
     if total is None:
-        shift = (v,) if ring.lanes else v
         total = Fraction(0)
         for combo in iproduct(sorted(_sphere_coeffs_shifted(n, v).items()), repeat=len(a)):
             coeff = prod(c for _, c in combo)
-            value = _zeta(tuple(x + q for x, (q, _) in zip(a, combo)), "strict", shift, ring, head)
-            total += coeff * (value[0] if ring.lanes else value)
+            total += coeff * zeta_value(tuple(x + q for x, (q, _) in zip(a, combo)), v, "strict")
         _hdim_memo[key] = total
     return total
 
@@ -611,5 +609,5 @@ def hdim_zeta(n: int, a, v=0, with_poly: bool = False) -> ZetaValue:
         raise ValueError(f"dimension must be an int >= 1, got {n!r}")
     a = _validate_args(a)
     v = as_rational(v)
-    poly = _hdim_value(n, a, _X, *_X_HEAD) if with_poly else None
-    return ZetaValue(_hdim_value(n, a, v, *_head(v, 0, 0)), poly)
+    poly = _hdim_value(n, a, _X) if with_poly else None
+    return ZetaValue(_hdim_value(n, a, v), poly)

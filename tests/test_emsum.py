@@ -361,22 +361,17 @@ class TestMemo:
     def test_weak_reads_each_distinct_contraction_once(self, monkeypatch):
         # (0,) * 16 has 2^15 contractions but 16 distinct ones, (0,) * j:
         # cold, a weak value reads their 16 strict values once each, and no
-        # more. A batch read sends each through zeta_value, a single value
-        # through the memo's reader _zeta; from a warm engine memo, neither
-        # makes a state
+        # more. A batch read and a single value both send each miss through
+        # the module global zeta_value, at the one-lane tuple; from a warm
+        # engine memo, neither makes a state
         word = (0,) * 16
         want = [((0,) * j, (0,), "strict") for j in range(1, 17)]
         reads = []
-        real_value, real_zeta = mzv.zeta_value, mzv._zeta
+        real_value = mzv.zeta_value
 
         def value(*args):
             reads.append(args)
             return real_value(*args)
-
-        def zeta(a, variant, v, ring, head):
-            if variant == "strict":
-                reads.append((a, v, variant))
-            return real_zeta(a, variant, v, ring, head)
 
         emsum.clear_cache()
         mzv._memo.clear()
@@ -390,7 +385,7 @@ class TestMemo:
             mzv._memo.clear()
             states = len(emsum._cache)
             with monkeypatch.context() as m:
-                m.setattr(mzv, "_zeta", zeta)
+                m.setattr(mzv, "zeta_value", value)
                 m.setattr(emsum, "_nested", None)
                 assert real_value(word, 0, "weak") == Fraction(num, den)
             assert sorted(reads) == want and len(emsum._cache) == states

@@ -110,8 +110,9 @@ class TestEmptyWord:
             assert [Fraction(nums[0], den) for den, nums in table] == [1, 1]  # per lane
             assert mzv._memo[((), variant, emsum._head(v, 0, 0)[1])] == (1, 1)
 
-    @pytest.mark.parametrize("v", [-5, -1, (), (Fraction(-2),)], ids=repr)
+    @pytest.mark.parametrize("v", [-5, -1, (), (Fraction(-2),), Poly((1, 1))], ids=repr)
     def test_invalid_shift_refused(self, v):
+        # a polynomial shift other than Poly.x() is refused as v <= -1 is
         for a in ((), (1,)):
             for variant in VARIANTS:
                 with pytest.raises(StructuralViolation):
@@ -675,16 +676,24 @@ class TestHurwitz:
         assert report.cases == len(vs) * (len(pool) + above)
 
     def test_warm_pass_reads_the_memo_once(self, monkeypatch):
-        # a warm pass reads every value from the memo in one batch: no
-        # zeta_value call, and the lane key built once
+        # a warm pass reads every value from the memo: the rational ones in
+        # one batch, with the lane key built once and no zeta_value call,
+        # and each polynomial as a zeta_value hit at Poly.x(); it writes no
+        # value and makes no engine state
         want = verify.suite_hurwitz(2, 2)
         heads, values = [], []
-        real_head = mzv._head
+        real_head, real_value = mzv._head, mzv.zeta_value
+        memo = _CountingMemo()
+        memo.update(mzv._memo)  # dict.update: not counted as writes
         monkeypatch.setattr(mzv, "_head", lambda *args: heads.append(args) or real_head(*args))
-        monkeypatch.setattr(mzv, "zeta_value", lambda *args: values.append(args))
+        monkeypatch.setattr(mzv, "zeta_value", lambda *args: values.append(args) or real_value(*args))
+        monkeypatch.setattr(mzv, "_memo", memo)
+        monkeypatch.setattr(emsum, "_nested", None)
         report = verify.suite_hurwitz(2, 2)
         assert report.ok and (report.cases, report.failures) == (want.cases, want.failures)
-        assert values == [] and len(heads) == 1
+        assert values and all(v is emsum._X for _, v, _ in values)
+        assert len([v for v, _, _ in heads if v is not emsum._X]) == 1
+        assert memo.writes == []
 
     def test_derivative_identity_depth1(self):
         # d/dv zeta(-a; v) = a zeta(-a+1; v)
@@ -767,6 +776,14 @@ class TestHigherDimensional:
         value, poly = hdim_zeta(2, (0, 1), Fraction(1, 3), with_poly=True)
         assert poly(Fraction(1, 3)) == value
         assert poly(Fraction(0)) == hdim_zeta(2, (0, 1)).value
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.integers(0, 2), max_size=3).map(tuple), _SHIFTS)
+    def test_drawn_poly_in_v(self, n, a, v):
+        # the Q[v] reduction and the one at v read the same memo by two
+        # shift forms, and agree at v
+        value, poly = hdim_zeta(n, a, v, with_poly=True)
+        assert poly(v) == value
 
     def test_dim2_shifted_reduction(self):
         # the sphere count 8t written in (t+v) is 8(t+v) - 8v
@@ -1088,15 +1105,16 @@ def test_memo_keys_never_cross():
         assert got[((0, 1, 1), "strict", v)][0] != got[((0, 1, 1), "alt", v)][0]
 
 
-def test_single_shift_hit_skips_head(monkeypatch):
-    # a memo hit at one rational shift builds its key without emsum._head and
-    # reads what the one-lane tuple form stored; bool shifts, v <= -1 and an
-    # unknown variant still raise as the tuple form does
+def test_single_shift_hit_reads_the_one_lane_entry(monkeypatch):
+    # a memo hit at one rational shift reads what the one-lane tuple form
+    # stored, however v is spelled, and computes nothing; bool shifts,
+    # v <= -1 and an unknown variant still raise as the tuple form does
     a = (1, 0, 2)
     for variant in VARIANTS:
         want = zeta_value(a, (Fraction(2, 5),), variant)[0]
         with monkeypatch.context() as m:
-            m.setattr(mzv, "_head", None)
+            for owner, name in ((emsum, "_word_total"), (mzv, "nested_fp_res"), (mzv, "_weak_table")):
+                m.setattr(owner, name, None)
             assert zeta_value(a, Fraction(4, 10), variant) == want
             assert zeta_value(list(a), Fraction(2, 5), variant) == want
     assert zeta_value(a, 3) == zeta_value(a, (3,))[0] == zeta_value(a, Fraction(3))
@@ -1111,21 +1129,20 @@ def test_single_shift_hit_skips_head(monkeypatch):
         zeta_value(a, Fraction(2, 5), "bogus")
 
 
-def test_single_shift_miss_converts_and_keys_once(monkeypatch):
-    # a miss at one rational shift converts v once and keys it without
-    # emsum._head, and stores what the one-lane tuple form reads
+def test_single_shift_miss_stores_the_one_lane_entry(monkeypatch):
+    # a miss at one rational shift writes its entry once, keyed (0, 0, p, q)
+    # as the one-lane tuple form is, and stores what that form reads
     a = (1, 0, 2)
     want = {variant: zeta_value(a, (Fraction(2, 5),), variant)[0] for variant in VARIANTS}
-    converted = []
-    real = mzv.as_rational
-    monkeypatch.setattr(mzv, "as_rational", lambda x: converted.append(x) or real(x))
-    monkeypatch.setattr(mzv, "_head", None)
     for variant in VARIANTS:
-        mzv._memo.clear()
-        converted.clear()
+        monkeypatch.setattr(mzv, "_memo", _CountingMemo())
         assert zeta_value(a, Fraction(2, 5), variant) == want[variant]
-        assert converted == [Fraction(2, 5)]
-        assert mzv._memo[(a, variant, (0, 0, 2, 5))] == (want[variant],)
+        key = (a, variant, (0, 0, 2, 5))
+        assert mzv._memo.writes.count(key) == 1
+        assert mzv._memo[key] == (want[variant],)
+        writes = list(mzv._memo.writes)
+        assert zeta_value(a, (Fraction(2, 5),), variant) == (want[variant],)
+        assert mzv._memo.writes == writes
 
 
 @settings(max_examples=40, deadline=None)
@@ -1148,6 +1165,79 @@ def test_value_table_matches_zeta_value(words_, v, variant, cold):
         want = [zeta_value(x, s, variant) for x in words_]
         assert [Fraction(n, den) for n in nums] == want
         assert den == lcm(*(q.denominator for q in want))
+
+
+def test_each_memo_key_written_once(monkeypatch):
+    # every reader sends its misses to zeta_value, the one writer: a cold mix
+    # of all of them, at every shift form, writes each memo key once, and a
+    # warm repeat writes none
+    monkeypatch.setattr(mzv, "_memo", _CountingMemo())
+    monkeypatch.setattr(mzv, "_hdim_memo", {})
+    v, vs = Fraction(1, 3), (Fraction(1, 3), 0)
+
+    def mix():
+        for variant in VARIANTS:
+            zeta_value((1, 2), v, variant)
+            mzv.value_table([(1, 2), (2,), (0, 1, 1), ()], vs, variant)
+            zeta_value((0, 1, 1), vs, variant)
+            zeta_poly_in_v((1, 2), variant)
+            mzv.value_table([(2, 1), (1, 2)], v, variant)
+        hdim_zeta(2, (1, 0), v, with_poly=True)
+        hdim_zeta(3, (1,), 0)
+
+    mix()
+    writes = list(mzv._memo.writes)
+    assert len(writes) == len(set(writes)) > 0
+    mix()
+    assert mzv._memo.writes == writes
+
+
+def test_value_table_refuses_unknown_variant(monkeypatch):
+    # refused as zeta_value refuses it, before the memo is read: on an
+    # empty batch, on a cold one (which writes nothing) and on a warm one
+    words_, v = [(1,), (0, 2)], (Fraction(1, 3), 0)
+    mzv._memo.clear()
+    for batch in ([], words_):
+        with pytest.raises(ValueError, match="unknown variant"):
+            mzv.value_table(batch, v, "bogus")
+        assert not mzv._memo
+    for variant in VARIANTS:
+        mzv.value_table(words_, v, variant)
+    with pytest.raises(ValueError, match="unknown variant"):
+        mzv.value_table(words_, v, "bogus")
+    with monkeypatch.context() as m:
+        m.setattr(mzv, "_memo", None)  # a read of the memo would raise another error
+        with pytest.raises(ValueError, match="unknown variant"):
+            mzv.value_table(words_, v, "bogus")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), max_size=5).map(tuple),
+    st.lists(_SHIFTS, min_size=1, max_size=3).map(tuple),
+    st.permutations(("batch", "single", "tuple")),
+    st.booleans(),
+)
+def test_three_shift_forms_agree(a, vs, order, cold):
+    # zeta_value at Poly.x() is zeta_poly_in_v, and at each drawn shift its
+    # value is the value at that shift and that shift's lane of the tuple
+    # form and of the batch read, cold (the first form drawn computes) and
+    # warm, in every variant
+    reads = {
+        "batch": lambda variant: tuple(
+            Fraction(num, den) for den, (num,) in mzv.value_table([a], vs, variant)
+        ),
+        "single": lambda variant: tuple(zeta_value(a, s, variant) for s in vs),
+        "tuple": lambda variant: zeta_value(a, vs, variant),
+    }
+    for variant in VARIANTS:
+        if cold:
+            mzv._memo.clear()
+        for _ in range(2):  # the second round reads every form warm
+            poly = zeta_value(a, Poly.x(), variant)
+            assert poly == zeta_poly_in_v(a, variant)
+            want = tuple(poly(s) for s in vs)
+            assert [reads[name](variant) for name in order] == [want] * len(order)
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,10 @@ def cmd_chen(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_weight < 0:
         raise InputError(f"--max-weight must be >= 0, got {args.max_weight}")
+    if args.max_weight > args.limit_weight:
+        raise InputError(
+            f"--max-weight {args.max_weight} exceeds limit {args.limit_weight} (raise --limit-weight)"
+        )
     v = _parse_v(args.v)
     report = verify.run_suite(args.suite, max_weight=args.max_weight, v=v)
     payload = {

@@ -473,9 +473,13 @@ def _prefix(head: tuple, letters) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lanes(pairs: tuple) -> _Ring:
-    """The ring of the shifts p_1/q_1, ..., p_S/q_S, given as the integer
-    pairs (p_s, q_s), each validated."""
+def _lanes(pairs: tuple | None, j_bump: int, menu: int) -> tuple:
+    """The ring and head of ``_head`` for the shifts p_1/q_1, ..., p_S/q_S,
+    given as the integer pairs (p_s, q_s), each validated, or for Q[v]
+    (``pairs`` None). Cached, so every key at one shift, menu and j_bump
+    holds the same head object."""
+    if pairs is None:
+        return _QV, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
     if not pairs:
         raise StructuralViolation("a tuple of shifts needs one shift or more")
     for p, q in pairs:
@@ -485,7 +489,8 @@ def _lanes(pairs: tuple) -> _Ring:
     shift = [p * (den // q) for p, q in pairs]
     while shift and not shift[-1]:
         shift.pop()
-    return _Ring(len(pairs), (1, (1,) * len(pairs)), (den, tuple(shift)))
+    ring = _Ring(len(pairs), (1, (1,) * len(pairs)), (den, tuple(shift)))
+    return ring, (menu, j_bump) + (pairs[0] if len(pairs) == 1 else tuple(zip(*pairs)))
 
 
 #: The polynomial variable v, built once: Q[v] has the one shift.
@@ -497,14 +502,14 @@ def _head(v, j_bump: int, menu: int):
     lane each), or the polynomial variable ``Poly.x()``. Returns the ring,
     which every state function takes, with the part of the memo key shared
     by a whole recursion: (menu, j_bump, key of v). One shift p/q is keyed
-    p, q; several are keyed by the tuple of their p and that of their q."""
+    p, q; several are keyed by the tuple of their p and that of their q.
+    Both are built once per shift (``_lanes``) and shared by every call."""
     if isinstance(v, Poly):
         if v is not _X and v != _X:  # the shared _X skips Poly.__eq__
             raise StructuralViolation(f"a polynomial shift must be v itself, got {v}")
-        return _QV, (menu, j_bump, 0, 0)  # no rational shift has denominator 0
+        return _lanes(None, j_bump, menu)
     pairs = tuple([as_rational(x).as_integer_ratio() for x in (v if type(v) is tuple else (v,))])
-    ring = _lanes(pairs)
-    return ring, (menu, j_bump) + (pairs[0] if len(pairs) == 1 else tuple(zip(*pairs)))
+    return _lanes(pairs, j_bump, menu)
 
 
 #: Slot menus, the first entry of a head: every slot given with its own c

@@ -33,7 +33,10 @@ in integers, and stores the sum; a weak miss is read back from the memo.
 
 A suite reads each pass's values in one batch, through :func:`value_table`,
 as one common denominator and integer numerators per lane, which the
-stuffle and Hurwitz checks compare in integers.
+stuffle and Hurwitz checks compare in integers. That table is kept as one
+more entry of the same memo, keyed (variant, key of v, tuple of the words),
+so a warm pass reads one entry and ``_memo.clear()`` drops the tables with
+the values.
 """
 
 from __future__ import annotations
@@ -166,9 +169,11 @@ def _composition_terms(a: tuple[int, ...]):
 # of v) and written by ``zeta_value`` (a weak entry by ``_weak_table``). The
 # key of v is the engine's own: the head of its state keys, which
 # ``emsum._head(v, 0, 0)`` builds while it validates v, for every word, the
-# empty one too. It holds ints only, so a hit hashes no Fraction. One rational
-# v = p/q shares the key (0, 0, p, q) and the entry of the one-lane tuple
-# (v,); an entry is the tuple of its lanes, over Q[v] a Poly.
+# empty one too, once per shift, so all keys at one shift share it. It holds
+# ints only, so a hit hashes no Fraction. One rational v = p/q shares the key
+# (0, 0, p, q) and the entry of the one-lane tuple (v,); an entry is the
+# tuple of its lanes, over Q[v] a Poly. ``value_table`` adds its batch
+# entries, keyed (variant, key of v, words), a variant name first.
 _memo: dict = {}
 
 
@@ -243,15 +248,18 @@ def value_table(words, v, variant: str = "strict") -> list:
     shifts, as one (D, [N_x for x in words]) per lane: D the least common
     denominator of the lane's values and zeta_variant(-x; v_s) = N_x / D.
 
-    The words must be a list of validated tuples (see ``_validate_args``);
-    v is validated and keyed once, and an unknown variant is refused before
-    the memo is read. Every word is read from the memo in one pass. A strict
-    or alt miss goes through the module global ``zeta_value`` once, so a
-    tuple of shifts costs one lane recursion. The distinct weak misses are
-    computed together, as one batch (:func:`_weak_table`), whose strict
-    misses go through ``zeta_value`` too and which stores each in the memo,
-    so a warm pass only reads the memo. A suite reads each pass's values
-    here, in one batch, and checks them in integers.
+    The words must be validated tuples (see ``_validate_args``); v is
+    validated and keyed once, and an unknown variant is refused before the
+    memo is read. The table is itself one entry of the value memo, keyed
+    (variant, key of v, tuple of the words), with a tuple of (D, (N_x, ...))
+    per lane; each call returns fresh lists, so a caller cannot change the
+    entry. A warm batch reads that one entry. A cold batch reads every word
+    from the memo in one pass: a strict or alt miss goes through the module
+    global ``zeta_value`` once, so a tuple of shifts costs one lane
+    recursion, and the distinct weak misses are computed together, as one
+    batch (:func:`_weak_table`), whose strict misses go through
+    ``zeta_value`` too. A suite reads each pass's values here, in one batch,
+    and checks them in integers.
 
     >>> value_table([(1,), (1, 1)], (0, Fraction(1, 2)))
     [(288, [-24, 1]), (1152, [-528, 265])]
@@ -261,18 +269,25 @@ def value_table(words, v, variant: str = "strict") -> list:
     _check_variant(variant)
     lanes = v if type(v) is tuple else (v,)
     ring, head = _head(lanes, 0, 0)
-    return _lanes_of(_read(words, variant, lanes, ring, head), ring.lanes)
+    words = tuple(words)  # a plan's words are a tuple already: no copy
+    key = (variant, head, words)  # a word entry's key is (word, variant, head)
+    table = _memo.get(key)
+    if table is None:
+        values = _read(words, variant, lanes, ring, head)
+        table = _memo[key] = tuple([(den, tuple(nums)) for den, nums in _lanes_of(values, ring.lanes)])
+    return [(den, list(nums)) for den, nums in table]
 
 
 def _lanes_of(values, lanes: int) -> list:
     """The values (each a tuple of ``lanes`` Fractions, or a Poly when
     ``lanes`` is 0) as one (D, [N_x]) per lane, D least; over Q[v] a lane
     is a degree of the coefficients."""
-    rows = [[q.as_integer_ratio() for q in (x if lanes else x.coeffs)] for x in values]
-    if not lanes:
-        size = max(map(len, rows), default=0)
-        rows = [r + [(0, 1)] * (size - len(r)) for r in rows]
-    return [_over_one_denominator(lane) for lane in (zip(*rows) if rows else [()] * lanes)]
+    if lanes:
+        columns = zip(*values) if values else [()] * lanes
+    else:
+        size, zero = max([len(x.coeffs) for x in values], default=0), Fraction(0)
+        columns = zip(*[x.coeffs + (zero,) * (size - len(x.coeffs)) for x in values])
+    return [_over_one_denominator(list(map(Fraction.as_integer_ratio, lane))) for lane in columns]
 
 
 def _weak_table(words, v, ring, head) -> None:
@@ -431,6 +446,8 @@ def _over_one_denominator(pairs) -> tuple[int, list]:
     integer pairs (n_i, d_i), d_i > 0, D the lcm of the d_i: a lane of
     values or a polynomial's coefficients, each read by
     ``as_integer_ratio()``."""
+    # from a list of known length: lcm(*map(...)) resizes its argument tuple,
+    # and small resized tuples pile up on the interpreter's tuple free lists
     den = lcm(*[d for _, d in pairs])
     return den, [n * (den // d) for n, d in pairs]
 
@@ -442,7 +459,10 @@ class _StufflePlan(NamedTuple):
 
     ``words`` are the value words: every word of depth <= 2 max_depth and
     weight <= max_weight, in ``words_up_to`` order, so the grid's own words
-    come first. ``odd[i]`` is the parity of the length of ``words[i]``.
+    come first. They are a tuple, the one that keys the pass's batch entry
+    in the value memo (see :func:`value_table`), so a warm pass hashes it
+    and copies nothing. ``odd[i]`` is the parity of the length of
+    ``words[i]``.
     ``cases`` is the number of ordered grid pairs (u, w), each one relation
     zeta(u * w) = zeta(u) zeta(w). A check (i, j, ids, ms, pairs) holds the
     terms of u * w, u = words[i] and w = words[j], as positions ``ids`` into
@@ -451,7 +471,7 @@ class _StufflePlan(NamedTuple):
     where the cell of (w, u) is the same, (w, u) too, so each relation is
     checked once. The checks come in the order of their first pair."""
 
-    words: list
+    words: tuple
     odd: list
     checks: list
     cases: int
@@ -495,7 +515,7 @@ def _stuffle_plan(max_weight: int, max_depth: int) -> _StufflePlan:
                 seen[(i, j)] = cell, pairs
                 checks.append((i, j, tuple([position[z] for z in cell]), shared.setdefault(ms, ms), pairs))
             cases += 1
-    return _StufflePlan(words, [len(x) % 2 for x in words], checks, cases)
+    return _StufflePlan(tuple(words), [len(x) % 2 for x in words], checks, cases)
 
 
 def verify_stuffle(max_weight: int, v=0, variant: str = "strict", max_depth: int = 3):

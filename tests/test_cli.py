@@ -457,6 +457,29 @@ class TestVerifyCommand:
             assert err.startswith("error: ") and "--max-weight" in err
         assert run_cli(capsys, "verify", "--suite", "stuffle", "--max-weight", "0")[0] == 0
 
+    def test_max_weight_over_limit_is_refused(self, capsys, monkeypatch):
+        # refused before any work: no suite runs; a raised --limit-weight
+        # passes the weight through to run_suite, and the limit itself passes
+        calls = []
+
+        def run_suite(*args, **kwargs):
+            calls.append((args, kwargs))
+            return Report("stuffle")
+
+        monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+        code, out, err = run_cli(capsys, "verify", "--suite", "stuffle", "--max-weight", "25")
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: --max-weight 25 exceeds limit 24 (raise --limit-weight)\n"
+        code, _, err = run_cli(capsys, "--limit-weight", "3", "verify", "--max-weight", "4")
+        assert (code, calls) == (2, [])
+        assert err == "error: --max-weight 4 exceeds limit 3 (raise --limit-weight)\n"
+        argv = ("--limit-weight", "30", "verify", "--suite", "stuffle", "--max-weight", "30")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["suite"] == "stuffle"
+        assert calls == [(("stuffle",), {"max_weight": 30, "v": Fraction(0)})]
+        assert run_cli(capsys, "verify", "--suite", "table", "--max-weight", "24")[0] == 0
+        assert calls[1] == (("table",), {"max_weight": 24, "v": Fraction(0)})
+
     def test_all_suites_report_per_part_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-weight", "2")
         assert code == 0

@@ -363,7 +363,8 @@ class TestStuffleSuite:
         # same cases. Every weak word is a memo miss, and the batch reads
         # the strict values of their contractions (the value words again):
         # each a memo miss that goes through zeta_value once, and no weak
-        # word. A warm pass sends none
+        # word. A warm pass sends none. The batch is the plan's own tuple of
+        # words, the tuple that keys its memo entry
         mzv._stuffle_plan.cache_clear()
         first = verify_stuffle(4, Fraction(1, 3), "strict")
         products, reads, values = [], [], []
@@ -390,7 +391,7 @@ class TestStuffleSuite:
         second = verify_stuffle(4, v, "weak")
         assert second.ok and second.cases == first.cases
         assert products == []
-        assert reads == [(words_up_to(6, 4), (v,), "weak")]
+        assert reads == [(tuple(words_up_to(6, 4)), (v,), "weak")]
         assert len(values) == len(set(values))
         assert set(values) == {(x, (v,), "strict") for x in words_up_to(6, 4)}
         reads.clear()
@@ -398,7 +399,7 @@ class TestStuffleSuite:
         third = verify_stuffle(4, v, "weak")
         assert (third.cases, third.failures) == (second.cases, second.failures)
         assert (products, values) == ([], [])
-        assert reads == [(words_up_to(6, 4), (v,), "weak")]
+        assert reads == [(tuple(words_up_to(6, 4)), (v,), "weak")]
 
     @pytest.mark.parametrize(
         "grid", [(-1, 3), (4, 0), (True, 3), (4, True), (2.5, 3), (4, 2.0), (Fraction(4), 3)]
@@ -967,11 +968,20 @@ class TestFoldedAgainstTerms:
 
 
 class _CountingMemo(dict):
-    """A value memo that records the key of every entry written to it."""
+    """A value memo that records the key of every entry read from it (by
+    ``get`` or ``[]``) and of every entry written to it."""
 
     def __init__(self):
         super().__init__()
-        self.writes = []
+        self.reads, self.writes = [], []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
 
     def __setitem__(self, key, value):
         self.writes.append(key)
@@ -1165,6 +1175,94 @@ def test_value_table_matches_zeta_value(words_, v, variant, cold):
         want = [zeta_value(x, s, variant) for x in words_]
         assert [Fraction(n, den) for n in nums] == want
         assert den == lcm(*(q.denominator for q in want))
+
+
+def _faulty_value(word, off):
+    """``mzv.zeta_value`` with ``off`` added to the value of ``word`` in
+    every lane; the memo keeps the true value."""
+    real = mzv.zeta_value
+
+    def value(a, v=0, variant="strict"):
+        got = real(a, v, variant)
+        if tuple(a) != word:
+            return got
+        return tuple(x + off for x in got) if type(got) is tuple else got + off
+
+    return value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_words(4), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [()]), min_size=1, max_size=8)
+    ),
+    st.one_of(_SHIFTS, st.lists(_SHIFTS, min_size=1, max_size=3).map(tuple)),
+    st.sampled_from(VARIANTS),
+)
+def test_batch_entry(words_, v, variant):
+    # value_table keeps its table as one memo entry: cold and warm it is the
+    # per-word values over their least denominator, a warm batch reads that
+    # entry alone and writes nothing, a caller's change to a returned table
+    # is not read back, and mzv._memo.clear() drops the entry, so the next
+    # pass computes again and a fault in zeta_value is reported
+    mzv._memo.clear()
+    lanes = v if type(v) is tuple else (v,)
+    cold = mzv.value_table(words_, v, variant)
+    assert len(cold) == len(lanes)
+    for s, (den, nums) in zip(lanes, cold):
+        want = [zeta_value(x, s, variant) for x in words_]
+        assert [Fraction(n, den) for n in nums] == want
+        assert den == lcm(*(q.denominator for q in want))
+    cold = [(den, list(nums)) for den, nums in cold]  # a copy of its own
+    memo = _CountingMemo()
+    memo.update(mzv._memo)  # dict.update: not counted as writes
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mzv, "_memo", memo)
+        warm = mzv.value_table(list(words_), v, variant)
+    assert warm == cold
+    assert memo.reads == [(variant, emsum._head(lanes, 0, 0)[1], tuple(words_))]
+    assert memo.writes == []
+    for _, nums in warm:
+        nums[0] += 1
+        nums.append(0)
+    assert mzv.value_table(words_, v, variant) == cold
+    suite = "weak" if variant == "weak" else "strict"
+    reports = verify_stuffle(2, v, suite, max_depth=2)
+    assert all(report.ok for report in (reports if type(v) is tuple else (reports,)))
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mzv, "zeta_value", _faulty_value((1, 1), Fraction(1, 7)))
+            mzv._memo.clear()
+            reports = verify_stuffle(2, v, suite, max_depth=2)
+    finally:
+        mzv._memo.clear()
+    for report in reports if type(v) is tuple else (reports,):
+        assert any("(1) * (1)" in entry["case"] for entry in report.failures)
+
+
+@pytest.mark.parametrize(
+    "v", [Fraction(2, 7), (Fraction(2, 7), 0, Fraction(-1, 3)), emsum._X], ids=["one", "tuple", "Qv"]
+)
+def test_one_head_object_per_shift(v, monkeypatch):
+    # every memo key at one shift holds the same head object, the batch
+    # keys included, however the shift is read: emsum._head builds it once
+    monkeypatch.setattr(mzv, "_hdim_memo", {})
+    mzv._memo.clear()
+    ring, head = emsum._head(v, 0, 0)
+    words_ = [(1, 2), (0, 1, 1), (2,), (1, 1, 1), ()]
+    for variant in VARIANTS:
+        if ring.lanes:
+            mzv.value_table(words_, v, variant)
+        else:
+            mzv._read(words_, variant, v, ring, head)
+        zeta_value((3, 0), v, variant)
+    if type(v) is Fraction:
+        hdim_zeta(3, (1, 1), v)
+        zeta_value((0, 4), Fraction(4, 14))
+    heads = [key[1] if type(key[0]) is str else key[2] for key in mzv._memo]
+    assert len(heads) > len(VARIANTS) * len(words_)
+    assert all(x is head for x in heads)
+    assert emsum._head(v, 0, 0)[1] is head
 
 
 def test_each_memo_key_written_once(monkeypatch):

@@ -15,10 +15,10 @@ sums at once when the weights factor slot by slot: a state is a prefix
 together with its last slot, and the sum over the prefix's slot structures
 is carried inside the recursion. Two slot menus use this:
 
-* ``nested_fp_res`` -- one nested sum, each slot given with its own c and
+* the fixed menu -- one nested sum, each slot given with its own c and
   weight 1; a prefix is a list of slots (b, c);
-* :func:`_word_total` -- the twisted-regularisation expansion of a word
-  (the strict renormalised value): a slot of L consecutive letters carries
+* the word menu -- the twisted-regularisation expansion of a word (the
+  strict renormalised value): a slot of L consecutive letters carries
   multiplicity c in 1..L with weight s(L, c)/L! (Hoffman's log followed by
   his exp); a prefix is a word.
 
@@ -47,9 +47,11 @@ word menu each last run of L letters is one, L = 1 as the slot (a, 1) with
 tail () and L >= 2 as a presum state with added c 0 and tail (-L,). So both
 menus peel in one loop.
 
-``mzv`` goes through :func:`_word_total` on a strict value-memo miss. The
+``mzv`` enters the engine at :func:`_word_total` on every strict and alt
+value-memo miss: a strict value under the word menu, an alt value under the
+fixed menu, keyed as ``nested_fp_res`` keys the word with every c = 1. The
 engine computes no weak value: ``mzv`` sums the strict values of a word's
-contractions, which it reads from its value memo.
+contractions.
 
 Every state is computed by one call of :func:`_nested`, through the module
 global, and kept in the memo ``_cache`` under its key, one entry per state.
@@ -337,8 +339,10 @@ def _flatten(exponents) -> tuple:
         if c <= 0:
             raise StructuralViolation(f"perturbation coefficient must be > 0, got {c}")
         slots.append((b, c))
-    scale = lcm(*(c.denominator for _, c in slots))
-    return tuple(x for b, c in slots for x in (b, c.numerator * (scale // c.denominator))), scale
+    # from lists of known length: a tuple built from a generator is resized,
+    # and small resized tuples pile up on the interpreter's tuple free lists
+    scale = lcm(*[c.denominator for _, c in slots])
+    return tuple([x for b, c in slots for x in (b, c.numerator * (scale // c.denominator))]), scale
 
 
 _germ_cache: dict = {}
@@ -558,11 +562,16 @@ def nested_fp_res(exponents, v, j_bump: int = 0) -> LaurentData:
 
 
 def _word_total(word: tuple, ring: _Ring, head: tuple) -> tuple:
-    """The memo entry (residue, finite part) of the strict expansion of a
-    validated word: its prefix-sum state. ``head`` is a word-menu head. The
-    depth is checked against the recursion limit here, before any work."""
+    """The memo entry (residue, finite part) of a validated nonempty word
+    under the menu of ``head``: its prefix-sum state (the strict expansion)
+    under the word menu, and under the fixed menu the slot state of its one
+    nested sum with every c = 1 (the diagonal value), keyed as
+    ``nested_fp_res`` keys it. The depth is checked here, before any work."""
     check_recursion_depth(len(word))
-    key = (_prefix(head, word), 0)
+    if head[0] == _WORD:
+        key = (_prefix(head, word), 0)
+    else:
+        key = (_prefix(head, [(x, 1) for x in word[:-1]]), word[-1], 1)
     hit = _cache.get(key)
     return _nested(key, ring, head) if hit is None else hit
 

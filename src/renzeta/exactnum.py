@@ -290,11 +290,11 @@ class Poly:
 class RationalFunction:
     """Quotient of two polynomials, reduced, with a monic denominator.
 
-    The constructor reduces any input. Arithmetic between reduced operands
-    keeps its result reduced without a full gcd of the result: products
-    cancel across (gcd(n1, d2), gcd(n2, d1)), sums take out only what
-    gcd(d1, d2) can share with the new numerator (Henrici; Knuth, TAOCP
-    vol. 2, 4.5.1), and powers of coprime polynomials stay coprime.
+    The constructor reduces any input, and a product of two rational
+    functions is reduced by it, with one gcd. Sums keep their result reduced
+    without a full gcd of the result: they take out only what gcd(d1, d2)
+    can share with the new numerator (Henrici; Knuth, TAOCP vol. 2, 4.5.1).
+    A scalar multiple and powers of coprime polynomials stay coprime.
     """
 
     __slots__ = ("num", "den")
@@ -397,16 +397,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return RationalFunction._reduced(Poly.zero(), Poly.one())
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
-        g = Poly.gcd(n1, d2)
-        if g.degree > 0:
-            n1, d2 = n1 // g, d2 // g
-        g = Poly.gcd(n2, d1)
-        if g.degree > 0:
-            n2, d1 = n2 // g, d1 // g
-        return RationalFunction._reduced(n1 * n2, d1 * d2)
+        return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -21,22 +21,23 @@ list per term; the tests evaluate it term by term as an independent oracle.
 Values are read from one memo (``_memo``), at any of three shift forms: one
 rational v, a tuple of them (one lane each) and v = ``Poly.x()``, each keyed
 through ``emsum._head`` alone. :func:`zeta_value` computes every miss, and
-every reader sends its misses there. A strict miss enters the engine once,
-at ``emsum._word_total``, with the ring and key head that ``zeta_value``
-built for the memo (its menu entry set to the word menu); the residue is
+every reader sends its misses there. A strict or alt miss enters the engine
+once, at ``emsum._word_total``, with the ring and key head that
+``zeta_value`` built for the memo: an alt miss under that head's fixed
+menu, a strict one with its menu entry set to the word menu. The residue is
 checked on the engine's integer value and only the finite part becomes
-Fractions. An alt miss goes through ``emsum.nested_fp_res``. A weak miss
-never enters the engine itself: :func:`_weak_table`, the weak memo's only
-writer, sums the strict values of the word's distinct contractions, each
-read from the memo or computed by ``zeta_value``, with their multiplicities
-in integers, and stores the sum; a weak miss is read back from the memo.
+Fractions. A weak miss never enters the engine itself: :func:`_weak_table`,
+the weak memo's only writer, sums the strict values of the word's distinct
+contractions, each read from the memo or computed by ``zeta_value``, with
+their multiplicities in integers, and stores the sum; a weak miss is read
+back from the memo.
 
 A suite reads each pass's values in one batch, through :func:`value_table`,
-as one common denominator and integer numerators per lane, which the
-stuffle and Hurwitz checks compare in integers. That table is kept as one
-more entry of the same memo, keyed (variant, key of v, tuple of the words),
-so a warm pass reads one entry and ``_memo.clear()`` drops the tables with
-the values.
+as one common denominator and integer numerators per lane (per degree at v
+= ``Poly.x()``), which the stuffle and Hurwitz checks compare in integers.
+That table is kept as one more entry of the same memo, keyed (variant, key
+of v, tuple of the words), as are the ``hdim`` totals, keyed (n, word, key
+of v), so a warm pass reads one entry and ``_memo.clear()`` drops them all.
 """
 
 from __future__ import annotations
@@ -51,10 +52,12 @@ from typing import NamedTuple
 
 from . import emsum
 from .combinat import bernoulli, bernoulli_poly, contraction_counts, contractions, stirling1
-from .emsum import _WORD, _X, _head, _value, nested_fp_res
+from .emsum import _WORD, _X, _head, _value
 from .exactnum import Poly, as_rational, rat_str
 from .words import QuasiShuffleTable, word_str
-# bound here because the benchmark's tracer (perfbench/tracing.py) wraps mzv.stuffle
+# bound here because the benchmark's tracer (perfbench/tracing.py) wraps
+# mzv.stuffle and mzv.nested_fp_res by name
+from .emsum import nested_fp_res  # noqa: F401
 from .words import stuffle  # noqa: F401
 
 VARIANTS = ("strict", "weak", "alt")
@@ -173,7 +176,8 @@ def _composition_terms(a: tuple[int, ...]):
 # ints only, so a hit hashes no Fraction. One rational v = p/q shares the key
 # (0, 0, p, q) and the entry of the one-lane tuple (v,); an entry is the
 # tuple of its lanes, over Q[v] a Poly. ``value_table`` adds its batch
-# entries, keyed (variant, key of v, words), a variant name first.
+# entries, keyed (variant, key of v, words), and ``_hdim_value`` its totals,
+# keyed (n, word, key of v): a word, a variant name or an int comes first.
 _memo: dict = {}
 
 
@@ -188,10 +192,10 @@ def zeta_value(a, v=0, variant: str = "strict"):
     (v_1, ..., v_S), computed by one engine recursion, and a Poly at v =
     ``Poly.x()``; the empty word has the unit.
 
-    Every memo miss is computed here, as the module docstring says:
-    ``emsum._word_total`` is read through the module, so the tests can patch
-    it, and ``nested_fp_res`` through its module global, which the
-    benchmark's tracer wraps.
+    Every memo miss is computed here, as the module docstring says, by one
+    call of ``emsum._word_total``, read through the module so the tests can
+    patch it: under the word menu for a strict value and under the fixed
+    menu of the memo's head for an alt value.
 
     >>> zeta_value((1, 1), Fraction(1, 2))
     Fraction(265, 1152)
@@ -212,12 +216,8 @@ def zeta_value(a, v=0, variant: str = "strict"):
         else:
             if not a:
                 value = (Fraction(1),) * ring.lanes if ring.lanes else Poly.one()
-            elif variant == "alt":
-                res, value = nested_fp_res(tuple((x, 1) for x in a), shift)
-                if any(res) if ring.lanes else res:
-                    raise HolomorphyViolation(f"diagonal sum {a} at v={v} has residue {res}")
             else:
-                res, fp = emsum._word_total(a, ring, (_WORD,) + head[1:])
+                res, fp = emsum._word_total(a, ring, head if variant == "alt" else (_WORD,) + head[1:])
                 if res[1]:
                     raise HolomorphyViolation(
                         f"{variant} expansion of {a} at v={v} has residue {_value(res, shift)}"
@@ -246,7 +246,10 @@ def _read(words, variant: str, v, ring, head) -> list:
 def value_table(words, v, variant: str = "strict") -> list:
     """The values of ``words`` at the shift v, or at each lane of a tuple of
     shifts, as one (D, [N_x for x in words]) per lane: D the least common
-    denominator of the lane's values and zeta_variant(-x; v_s) = N_x / D.
+    denominator of the lane's values and zeta_variant(-x; v_s) = N_x / D. At
+    v = ``Poly.x()`` a lane is a degree i of the polynomials: one (E_i,
+    [n_x,i]) per degree up to the highest, n_x,i / E_i the coefficient of
+    v^i; an empty batch there gives [].
 
     The words must be validated tuples (see ``_validate_args``); v is
     validated and keyed once, and an unknown variant is refused before the
@@ -267,13 +270,12 @@ def value_table(words, v, variant: str = "strict") -> list:
     [(288, [-24, 1]), (1152, [-528, -23])]
     """
     _check_variant(variant)
-    lanes = v if type(v) is tuple else (v,)
-    ring, head = _head(lanes, 0, 0)
+    ring, head = _head(v, 0, 0)
     words = tuple(words)  # a plan's words are a tuple already: no copy
     key = (variant, head, words)  # a word entry's key is (word, variant, head)
     table = _memo.get(key)
     if table is None:
-        values = _read(words, variant, lanes, ring, head)
+        values = _read(words, variant, (v,) if ring.lanes and type(v) is not tuple else v, ring, head)
         table = _memo[key] = tuple([(den, tuple(nums)) for den, nums in _lanes_of(values, ring.lanes)])
     return [(den, list(nums)) for den, nums in table]
 
@@ -428,16 +430,10 @@ _fill_reference()
 def words_up_to(max_depth: int, max_weight: int):
     """All words with 1..max_depth nonnegative letters and letter sum
     <= max_weight, in deterministic (depth, lexicographic) order."""
-    out = []
-    for depth in range(1, max_depth + 1):
-        def rec(prefix, budget):
-            if len(prefix) == depth:
-                out.append(tuple(prefix))
-                return
-            for x in range(budget + 1):
-                rec(prefix + [x], budget - x)
-
-        rec([], max_weight)
+    out, level = [], [()]
+    for _ in range(max_depth):
+        level = [w + (x,) for w in level for x in range(max_weight - sum(w) + 1)]
+        out += level
     return out
 
 
@@ -595,21 +591,18 @@ def _sphere_coeffs_shifted(n: int, v) -> dict:
     return {q: c for q, c in out.items() if c != 0}
 
 
-_hdim_memo: dict = {}
-
-
 def _hdim_value(n: int, a: tuple[int, ...], v):
-    """zeta_n(-a; v) at one rational v or at v = ``Poly.x()``, memoised by
-    (n, word, key of v) as the value memo is; each shifted word is read
-    through ``zeta_value``."""
+    """zeta_n(-a; v) at one rational v or at v = ``Poly.x()``, kept in the
+    value memo under (n, word, key of v); each shifted word is read through
+    ``zeta_value``."""
     key = (n, a, _head(v, 0, 0)[1])
-    total = _hdim_memo.get(key)
+    total = _memo.get(key)
     if total is None:
         total = Fraction(0)
         for combo in iproduct(sorted(_sphere_coeffs_shifted(n, v).items()), repeat=len(a)):
             coeff = prod(c for _, c in combo)
             total += coeff * zeta_value(tuple(x + q for x, (q, _) in zip(a, combo)), v, "strict")
-        _hdim_memo[key] = total
+        _memo[key] = total
     return total
 
 

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 from . import chenint, mzv
 from .emsum import nested_fp_res
@@ -68,8 +69,9 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
     lane of the batch: one common denominator, D at v and D1 at v + 1, and
     integer numerators N and N1. With v = p/q and k = a_k, (i) is checked as
     N1(a) D q^k == N(a) D1 q^k - (p+q)^k N1(a') D.
-    Each polynomial is read from ``mzv.zeta_poly_in_v`` once per word, as
-    numerators n_i over one denominator E; with d its degree, (ii) is checked
+    The polynomials of the words with every a_j >= 1 are one more batch, at
+    ``Poly.x()``: n_i / E is the coefficient of v^i, over one denominator E
+    (the lcm of the degrees' own). With d the highest degree, (ii) is checked
     as H D == E q^(d-1) sum_j a_j N(a^(j)), where the homogeneous Horner sum
     H = sum_i i n_i p^(i-1) q^(d-i) is the derivative at v times E q^(d-1).
     Cases come word by word, each at every shift, the shift case first.
@@ -98,11 +100,11 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
     index = {x: i for i, x in enumerate(read)}
     shifts = tuple(dict.fromkeys(s for v in vs for s in (v, v + 1)))
     lanes = dict(zip(shifts, mzv.value_table(list(read), shifts, variant)))
-    polys = {}  # word -> (polynomial, E, (1 n_1, 2 n_2, ..., d n_d))
-    for a in neighbours:
-        poly = mzv.zeta_poly_in_v(a, variant)
-        den, nums = mzv._over_one_denominator([c.as_integer_ratio() for c in poly.coeffs])
-        polys[a] = poly, den, [i * nums[i] for i in range(1, len(nums))]
+    degrees = mzv.value_table(list(neighbours), Poly.x(), variant)  # one (E_i, [n_i]) per degree i
+    den_e = lcm(*[den for den, _ in degrees])
+    # per word (1 n_1, 2 n_2, ..., d n_d) over E
+    columns = [[i * (den_e // den) * n for n in nums] for i, (den, nums) in enumerate(degrees) if i]
+    slopes = {a: [column[w] for column in columns] for w, a in enumerate(neighbours)}
     rows = []  # per shift: v, v + 1, p, q, D, N, D1, N1
     for v in vs:
         up = v + 1
@@ -120,11 +122,10 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
                     Fraction(num1[at], den1),
                     Fraction(num[at], den) - up**k * Fraction(num1[prefix], den1),
                 )
-            if a not in polys:
+            if a not in slopes:
                 continue
-            poly, den_e, slopes = polys[a]
             horner, qpow = 0, 1  # H and q^d: (ii) times q, which needs no q^-1 at d = 0
-            for m in reversed(slopes):
+            for m in reversed(slopes[a]):
                 horner = horner * p + m * qpow
                 qpow *= q
             total = sum(x * num[index[n]] for x, n in zip(a, neighbours[a]))
@@ -134,7 +135,7 @@ def verify_hurwitz_identities(words, vs=HURWITZ_SHIFTS, variant: str = "strict")
                 report.record(
                     False,
                     f"derivative identity at a={a}, v={v} ({variant})",
-                    poly.derivative()(v),
+                    Fraction(horner * q, den_e * qpow),
                     Fraction(total, den),
                 )
     report.seconds = time.monotonic() - t0

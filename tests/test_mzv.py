@@ -42,17 +42,27 @@ def strict_from_weak(a, v=0) -> Fraction:
 
 
 def faulty_reader(word, off, at=None):
-    """``mzv.value_table`` with ``off`` added to the value of ``word``, in
-    every lane or only in the lane of the shift ``at``."""
+    """``mzv.value_table`` with ``off`` added to the value of ``word``: a
+    rational ``off`` in every lane of a rational read or only in the lane of
+    the shift ``at``, a Poly ``off`` to the polynomial of a read at
+    ``Poly.x()``. Any other read passes through."""
     real = mzv.value_table
 
     def read(words, v, variant="strict"):
-        out = []
-        for s, (den, nums) in zip(v if type(v) is tuple else (v,), real(words, v, variant)):
-            hit = at is None or s == at
-            values = [Fraction(n, den) + (off if hit and x == word else 0) for x, n in zip(words, nums)]
-            out.append(mzv._over_one_denominator([q.as_integer_ratio() for q in values]))
-        return out
+        table = real(words, v, variant)
+        poly = isinstance(v, Poly)
+        if poly != isinstance(off, Poly):
+            return table
+        shifts = () if poly else v if type(v) is tuple else (v,)
+        values = []
+        for i, x in enumerate(words):
+            lanes = [Fraction(nums[i], den) for den, nums in table]
+            if poly:
+                values.append(Poly(tuple(lanes)) + (off if x == word else 0))
+            else:
+                hit = x == word
+                values.append(tuple(q + (off if hit and at in (None, s) else 0) for q, s in zip(lanes, shifts)))
+        return mzv._lanes_of(values, len(shifts))
 
     return read
 
@@ -586,7 +596,8 @@ class TestHurwitz:
     def test_one_lookup_per_word_and_shift(self, monkeypatch):
         # the values are one batch read: each word once, at one tuple of
         # shifts that covers every v and v + 1 (shifts 0 and 1 share v = 1);
-        # each polynomial is read from mzv.zeta_poly_in_v once
+        # the polynomials are one more batch read at Poly.x(), of the words
+        # with every letter >= 1, and no polynomial is read one by one
         reads, polys = [], []
         real_read, real_poly = mzv.value_table, mzv.zeta_poly_in_v
 
@@ -605,20 +616,21 @@ class TestHurwitz:
         report = verify_hurwitz_identities(pool, vs)
         above = [a for a in pool if min(a) >= 1]
         assert report.ok and report.cases == len(vs) * (len(pool) + len(above))
-        ((words, shifts),) = reads
+        ((words, shifts), (derived, x)) = reads
         assert len(words) == len(set(words))
         neighbours = {a[:j] + (a[j] - 1,) + a[j + 1:] for a in above for j in range(len(a))}
         assert set(words) == set(pool) | {a[:-1] for a in pool} | neighbours
         assert type(shifts) is tuple and len(shifts) == len(set(shifts)) == 5
         assert set(shifts) == set(vs) | {v + 1 for v in vs}
-        assert polys == above
+        assert derived == above and x == Poly.x()
+        assert polys == []
 
     @pytest.mark.parametrize("fault", ["value", "poly"])
     def test_failures_reported_as_the_rational_check_gives(self, fault, monkeypatch):
         # one value off by 1/7 at one (word, shift), in one lane of a tuple
-        # of shifts, or one word's polynomial off by v^2/7: the failures must
-        # be those of a check in Fractions, entry for entry and word by word,
-        # each at every shift
+        # of shifts, or one word's polynomial off by v^2/7 in the batch read
+        # at Poly.x(): the failures must be those of a check in Fractions,
+        # entry for entry and word by word, each at every shift
         real_poly = mzv.zeta_poly_in_v
         off = Fraction(1, 7)
 
@@ -632,7 +644,8 @@ class TestHurwitz:
 
         if fault == "value":
             monkeypatch.setattr(mzv, "value_table", faulty_reader((1, 1), off, Fraction(1, 2)))
-        monkeypatch.setattr(mzv, "zeta_poly_in_v", poly)
+        else:
+            monkeypatch.setattr(mzv, "value_table", faulty_reader((1, 2), Poly((0, 0, off))))
         pool = words_up_to(3, 4)
         vs = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
         report = verify_hurwitz_identities(pool, vs)
@@ -677,10 +690,10 @@ class TestHurwitz:
         assert report.cases == len(vs) * (len(pool) + above)
 
     def test_warm_pass_reads_the_memo_once(self, monkeypatch):
-        # a warm pass reads every value from the memo: the rational ones in
-        # one batch, with the lane key built once and no zeta_value call,
-        # and each polynomial as a zeta_value hit at Poly.x(); it writes no
-        # value and makes no engine state
+        # a warm pass reads two batch entries of the memo, the rational
+        # values at the tuple of shifts and the polynomials at Poly.x(), each
+        # keyed once; it calls no zeta_value, writes no value and makes no
+        # engine state
         want = verify.suite_hurwitz(2, 2)
         heads, values = [], []
         real_head, real_value = mzv._head, mzv.zeta_value
@@ -692,8 +705,9 @@ class TestHurwitz:
         monkeypatch.setattr(emsum, "_nested", None)
         report = verify.suite_hurwitz(2, 2)
         assert report.ok and (report.cases, report.failures) == (want.cases, want.failures)
-        assert values and all(v is emsum._X for _, v, _ in values)
-        assert len([v for v, _, _ in heads if v is not emsum._X]) == 1
+        assert values == []
+        assert len(heads) == 2 and type(heads[0][0]) is tuple and heads[1][0] == Poly.x()
+        assert len(memo.reads) == 2 and all(variant == "strict" for variant, _, _ in memo.reads)
         assert memo.writes == []
 
     def test_derivative_identity_depth1(self):
@@ -1243,24 +1257,23 @@ def test_batch_entry(words_, v, variant):
 @pytest.mark.parametrize(
     "v", [Fraction(2, 7), (Fraction(2, 7), 0, Fraction(-1, 3)), emsum._X], ids=["one", "tuple", "Qv"]
 )
-def test_one_head_object_per_shift(v, monkeypatch):
+def test_one_head_object_per_shift(v):
     # every memo key at one shift holds the same head object, the batch
-    # keys included, however the shift is read: emsum._head builds it once
-    monkeypatch.setattr(mzv, "_hdim_memo", {})
+    # and hdim keys included, however the shift is read: emsum._head builds
+    # it once
     mzv._memo.clear()
     ring, head = emsum._head(v, 0, 0)
     words_ = [(1, 2), (0, 1, 1), (2,), (1, 1, 1), ()]
     for variant in VARIANTS:
-        if ring.lanes:
-            mzv.value_table(words_, v, variant)
-        else:
-            mzv._read(words_, variant, v, ring, head)
+        mzv.value_table(words_, v, variant)
         zeta_value((3, 0), v, variant)
+    if type(v) is not tuple:  # an hdim total takes one rational shift or Poly.x()
+        mzv._hdim_value(3, (1, 1), v)
     if type(v) is Fraction:
-        hdim_zeta(3, (1, 1), v)
         zeta_value((0, 4), Fraction(4, 14))
     heads = [key[1] if type(key[0]) is str else key[2] for key in mzv._memo]
     assert len(heads) > len(VARIANTS) * len(words_)
+    assert len([key for key in mzv._memo if type(key[0]) is int]) == (type(v) is not tuple)
     assert all(x is head for x in heads)
     assert emsum._head(v, 0, 0)[1] is head
 
@@ -1270,7 +1283,6 @@ def test_each_memo_key_written_once(monkeypatch):
     # of all of them, at every shift form, writes each memo key once, and a
     # warm repeat writes none
     monkeypatch.setattr(mzv, "_memo", _CountingMemo())
-    monkeypatch.setattr(mzv, "_hdim_memo", {})
     v, vs = Fraction(1, 3), (Fraction(1, 3), 0)
 
     def mix():
@@ -1286,6 +1298,9 @@ def test_each_memo_key_written_once(monkeypatch):
     mix()
     writes = list(mzv._memo.writes)
     assert len(writes) == len(set(writes)) > 0
+    # the hdim totals are memo keys (n, word, key of v): at v, at Poly.x()
+    # and at 0
+    assert [key[:2] for key in writes if type(key[0]) is int] == [(2, (1, 0))] * 2 + [(3, (1,))]
     mix()
     assert mzv._memo.writes == writes
 
@@ -1359,15 +1374,74 @@ def test_holomorphy_violation_error_exists():
     assert issubclass(HolomorphyViolation, ArithmeticError)
 
 
-def test_holomorphy_checked_on_folded_total(monkeypatch):
-    # the engine entry of a strict miss, returning residue 1 and finite part 0
+@pytest.mark.parametrize("variant", ["strict", "alt"])
+def test_holomorphy_checked_on_folded_total(variant, monkeypatch):
+    # the one engine entry of a strict or alt miss, returning residue 1 and
+    # finite part 0: the value is refused, in a message naming its variant
     monkeypatch.setattr(emsum, "_word_total", lambda word, ring, head: ((1, (1,)), (1, ())))
     mzv._memo.clear()
     try:
-        with pytest.raises(HolomorphyViolation, match="strict expansion"):
-            zeta_value((5, 7, 9), Fraction(1, 5))
+        with pytest.raises(HolomorphyViolation, match=f"{variant} expansion"):
+            zeta_value((5, 7, 9), Fraction(1, 5), variant)
+        assert not mzv._memo
     finally:
         mzv._memo.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple),
+    st.one_of(_SHIFTS, st.lists(_SHIFTS, min_size=1, max_size=3).map(tuple), st.just(Poly.x())),
+    st.booleans(),
+)
+def test_alt_entry_is_the_diagonal_nested_sum(a, v, cold):
+    # an alt miss enters the engine at emsum._word_total under the fixed
+    # menu: the value is the finite part nested_fp_res gives for the word
+    # with every c = 1, cold and warm, and on a cleared engine both entries
+    # make the same states under the same keys
+    if cold:
+        emsum.clear_cache()
+    mzv._memo.clear()
+    got = zeta_value(a, v, "alt")
+    keys = set(emsum._cache)
+    want = nested_fp_res(tuple((x, 1) for x in a), v).fp
+    assert got == want and zeta_value(a, v, "alt") == want
+    if cold:
+        emsum.clear_cache()
+        nested_fp_res(tuple((x, 1) for x in a), v)
+        assert set(emsum._cache) == keys
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=4).map(tuple), max_size=6),
+    st.sampled_from(VARIANTS),
+    st.booleans(),
+)
+def test_value_table_over_qv(words_, variant, cold):
+    # at Poly.x() the batch read is one lane per degree: coefficient by
+    # coefficient the polynomials of zeta_poly_in_v, each degree over its
+    # least common denominator, cold and warm; an empty batch gives []
+    if cold:
+        mzv._memo.clear()
+    table = mzv.value_table(words_, Poly.x(), variant)
+    assert mzv.value_table(words_, Poly.x(), variant) == table  # warm
+    polys = [zeta_poly_in_v(x, variant) for x in words_]
+    assert len(table) == max([len(poly.coeffs) for poly in polys], default=0)
+    for i, (den, nums) in enumerate(table):
+        want = [poly.coefficient(i) for poly in polys]
+        assert [Fraction(n, den) for n in nums] == want
+        assert den == lcm(*(q.denominator for q in want))
+
+
+def test_memo_clear_drops_hdim_totals():
+    # the hdim totals live in the value memo: once it and the engine are
+    # cleared, hdim_zeta computes again and creates engine states
+    want = hdim_zeta(2, (1, 2), Fraction(1, 3), with_poly=True)
+    mzv._memo.clear()
+    emsum.clear_cache()
+    assert hdim_zeta(2, (1, 2), Fraction(1, 3), with_poly=True) == want
+    assert emsum._cache
 
 
 def test_holomorphy_checked_on_weak_total(monkeypatch):
@@ -1388,3 +1462,17 @@ def test_holomorphy_checked_on_weak_total(monkeypatch):
         assert not [key for key in mzv._memo if key[1] == "weak"]
     finally:
         mzv._memo.clear()
+
+
+@pytest.mark.parametrize("max_depth", range(7))
+def test_words_up_to_lists_every_word_in_order(max_depth):
+    # every word of 1..max_depth letters and weight <= max_weight, by depth
+    # and then lexicographically: the filtered product listing, order included
+    for max_weight in range(9):
+        want = [
+            w
+            for k in range(1, max_depth + 1)
+            for w in product(range(max_weight + 1), repeat=k)
+            if sum(w) <= max_weight
+        ]
+        assert words_up_to(max_depth, max_weight) == want
